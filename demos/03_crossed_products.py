@@ -14,7 +14,6 @@ from ncbieberbach.crossed import (
     hexic_reading_comparison,
     k0_generator_table,
     tau_parity_trace,
-    trace_eval,
 )
 
 cp = crossed_product("B2", dim=2)
@@ -27,8 +26,8 @@ print("beta_hat(p)     =", cp.beta_hat(p))
 
 e00 = (cp.one() + p) * Fraction(1, 2)
 print("e00 idempotent  :", e00 * e00 == e00)
-print("tau(e00)        =", trace_eval(CanonicalTrace(cp), e00))
-print("tau_00(p)       =", trace_eval(tau_parity_trace(cp, 0, 0), p))
+print("tau(e00)        =", CanonicalTrace(cp).eval(e00))
+print("tau_00(p)       =", tau_parity_trace(cp, 0, 0).eval(p))
 
 # The cubic family: X = e^{i pi theta/3} V p has exact order three...
 cp3 = crossed_product("B3", dim=2)

@@ -43,7 +43,6 @@ from .crossed import (  # noqa: F401
     crossed_product,
     k0_generator_table,
     tau_parity_trace,
-    trace_eval,
     verify_exchange_iso,
     verify_trace_laws,
 )

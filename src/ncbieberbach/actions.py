@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import PhasedScalar, cyc_root
+from .scalars import PhasedScalar, certify, cyc_root
 from .torus import Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement
 
 __all__ = [
@@ -147,7 +147,7 @@ class ActionOnTorus:
             normal = normal * alg.delta(e_i)
         # normal = C(m) * delta_m; the extension divides that phase back out.
         target_check, c_m = normal.single_term()
-        assert target_check == m
+        certify(target_check == m, "normal-ordered product lost its monomial")
         image = prod * c_m.conj()
         term, coeff = image.single_term()
         result = (coeff, term)
@@ -170,10 +170,12 @@ class ActionOnTorus:
     def apply(self, x: TorusElement, power: int = 1) -> TorusElement:
         if not self.algebra.same_algebra(x.algebra):
             raise ValueError("element lives in a different algebra")
+        if not power:
+            return x
         out: dict[Monomial, PhasedScalar] = {}
-        for m, c in x.terms():
+        for m, c in x._terms.items():
             phi, target = self.power_image(power, m)
-            contrib = c * phi
+            contrib = c if phi.is_one() else c * phi
             cur = out.get(target)
             out[target] = contrib if cur is None else cur + contrib
         return TorusElement(self.algebra, out)

@@ -515,6 +515,16 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _epsilon(text: str) -> int:
     if text in ("+1", "1"):
         return 1
@@ -534,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "md"), default="md")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--samples", type=int, default=40)
-        p.add_argument("--degree", type=int, default=2)
+        p.add_argument("--samples", type=_positive_int, default=40)
+        p.add_argument("--degree", type=_positive_int, default=2)
         p.add_argument("--denominator", type=int, default=6)
         p.add_argument("--strict", action="store_true",
                        help="treat anomalies as failures")

@@ -5,6 +5,12 @@ Elements are finite sums ``sum_k a_k p^k`` with ``a_k`` torus elements and
 
     (a p^k)(b p^j) = a alpha^k(b) p^{k+j mod N}.
 
+A ``CrossedElement`` stores exactly these N components, a dict from k mod N to
+the nonzero torus element a_k, so its product is the action
+(``ActionOnTorus.apply``) followed by the torus product.  Sums, negation,
+powers, scalar multiples and equality come from ``scalars.SparseElement``,
+the base shared with ``PhasedScalar`` and ``TorusElement``.
+
 On top of the arithmetic this module provides:
 
 * ``beta_hat``, the dual automorphism fixing the torus and scaling p by the
@@ -31,7 +37,7 @@ from fractions import Fraction
 
 from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
 from .families import K_FAMILIES
-from .scalars import Cyclotomic, PhasedScalar, cyc_root
+from .scalars import PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Monomial, NcTorus, ThetaMatrix, TorusElement
 
 __all__ = [
@@ -44,7 +50,6 @@ __all__ = [
     "CanonicalTrace",
     "TwistedTrace",
     "tau_parity_trace",
-    "trace_eval",
     "verify_trace_laws",
     "verify_exchange_iso",
     "AnomalyNote",
@@ -85,6 +90,8 @@ class CrossedProduct:
         self.n = action.order
         self.rt: ActionOnTorus = action.runtime(algebra)
         self.lam = cyc_root(self.n, 1, order=algebra.order)
+        images = tuple((img.target, img.coeff.terms()) for img in action.images)
+        self._key = (algebra.key(), self.n, images)
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._psi_unit_powers: list["CrossedElement"] | None = None
         self._psi_matrix_powers: list[list[list["CrossedElement"]]] | None = None
@@ -92,22 +99,21 @@ class CrossedProduct:
     # -- identity ------------------------------------------------------------
 
     def key(self):
-        return (self.algebra.key(), id(self.action))
+        return self._key
 
     def same_context(self, other: "CrossedProduct") -> bool:
-        return isinstance(other, CrossedProduct) and self.key() == other.key()
+        return other is self or (isinstance(other, CrossedProduct) and self._key == other._key)
 
     # -- constructors -----------------------------------------------------------
 
     def zero(self) -> "CrossedElement":
-        return CrossedElement(self, {})
+        return CrossedElement._raw(self, {})
 
     def one(self) -> "CrossedElement":
         return self.delta((0,) * self.algebra.d, 0)
 
     def delta(self, m, k: int, coeff=1) -> "CrossedElement":
-        m = tuple(int(x) for x in m)
-        return CrossedElement(self, {(m, k % self.n): self.algebra.scalar(coeff)})
+        return CrossedElement(self, {k % self.n: self.algebra.delta(m, coeff)})
 
     def p(self, k: int = 1) -> "CrossedElement":
         return self.delta((0,) * self.algebra.d, k)
@@ -115,7 +121,7 @@ class CrossedProduct:
     def embed(self, x: TorusElement) -> "CrossedElement":
         if not self.algebra.same_algebra(x.algebra):
             raise ContextError("torus element lives in a different algebra")
-        return CrossedElement(self, {(m, 0): c for m, c in x.terms()})
+        return CrossedElement(self, {0: x})
 
     def torus_generators(self) -> list["CrossedElement"]:
         return [self.embed(g) for g in self.algebra.basis_generators()]
@@ -124,32 +130,26 @@ class CrossedProduct:
 
     def beta_hat(self, x: "CrossedElement") -> "CrossedElement":
         """The dual automorphism: a p^k -> conj(lambda)^k a p^k."""
-        out = {}
-        for (m, k), c in x._terms.items():
-            out[(m, k)] = c * cyc_root(self.n, -k, order=self.algebra.order)
-        return CrossedElement(self, out)
+        order = self.algebra.order
+        comps = {k: a * cyc_root(self.n, -k, order=order) for k, a in x._comps.items()}
+        return CrossedElement._raw(self, comps)
 
-    def q_projector(self, n: int, x: "CrossedElement") -> "CrossedElement":
-        """Spectral projector (1/N) sum_k e^{2 pi i n k / N} x^k; needs x^N = 1."""
+    def q_projector(self, n: int, x: "CrossedElement", period: int | None = None) -> "CrossedElement":
+        """Spectral projector (1/N) sum_k e^{2 pi i n k / period} x^k; needs x^N = 1.
+
+        ``period`` defaults to N; other periods compare exponent readings.
+        """
+        period = self.n if period is None else period
         acc = self.zero()
         power = self.one()
         for k in range(self.n):
-            acc = acc + power * cyc_root(self.n, n * k, order=self.algebra.order)
+            acc = acc + power * cyc_root(period, n * k, order=self.algebra.order)
             power = power * x
         if power != self.one():
             raise NotRootOfUnityError(
                 f"element has no order {self.n}: x^{self.n} - 1 = {(power - self.one())!r}",
                 residual=power - self.one(),
             )
-        return acc * Fraction(1, self.n)
-
-    def q_projector_variant(self, n: int, x: "CrossedElement", period: int) -> "CrossedElement":
-        """(1/N) sum_k e^{2 pi i n k / period} x^k, for comparing exponent readings."""
-        acc = self.zero()
-        power = self.one()
-        for k in range(self.n):
-            acc = acc + power * cyc_root(period, n * k, order=self.algebra.order)
-            power = power * x
         return acc * Fraction(1, self.n)
 
     # -- stable-isomorphism witnesses -----------------------------------------
@@ -274,7 +274,7 @@ class CrossedProduct:
                 for i in range(self.n):
                     for j in range(self.n):
                         acc = acc + mat[i][j] * units[i][j]
-                assert acc == self.delta((k, 0, 0), 0), "matrix reconstruction of u^k failed"
+                certify(acc == self.delta((k, 0, 0), 0), "matrix reconstruction of u^k failed")
             self._psi_matrix_powers = powers
         return self._psi_matrix_powers
 
@@ -303,41 +303,27 @@ class CrossedProduct:
         return f"CrossedProduct({self.family or 'custom'}, N={self.n}, d={self.algebra.d})"
 
 
-class CrossedElement:
-    """Finite map (monomial, k mod N) -> PhasedScalar."""
+class CrossedElement(SparseElement, ctx="parent", data="_comps"):
+    """sum_k a_k p^k, stored as its components: k mod N -> nonzero torus element a_k."""
 
-    __slots__ = ("parent", "_terms")
-
-    def __init__(self, parent: CrossedProduct, terms: dict):
-        self.parent = parent
-        self._terms = {mk: c for mk, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def _raw(cls, parent: CrossedProduct, terms: dict) -> "CrossedElement":
-        self = object.__new__(cls)
-        self.parent = parent
-        self._terms = terms
-        return self
+    __slots__ = ("parent", "_comps")
 
     # -- inspection ------------------------------------------------------------
 
     def terms(self):
-        return tuple(sorted(self._terms.items()))
+        """The flattened ((monomial, k), coefficient) pairs, sorted."""
+        return tuple(sorted(((m, k), c) for k, a in self._comps.items() for m, c in a._terms.items()))
 
     def coefficient(self, m, k: int) -> PhasedScalar:
-        return self._terms.get((tuple(m), k % self.parent.n), self.parent.algebra.scalar_zero())
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return self.component(k).coefficient(m)
 
     def component(self, k: int) -> TorusElement:
         """The torus coefficient a_k of p^k."""
-        alg = self.parent.algebra
-        return TorusElement(alg, {m: c for (m, kk), c in self._terms.items() if kk == k % self.parent.n})
+        return self._comps.get(k % self.parent.n) or self.parent.algebra.zero()
 
     def torus_part(self) -> TorusElement:
         """The underlying torus element, requiring all terms at k = 0."""
-        if any(k for (_, k) in self._terms):
+        if self._comps.keys() - {0}:
             raise ValueError("element has components outside the torus")
         return self.component(0)
 
@@ -350,111 +336,39 @@ class CrossedElement:
 
     # -- arithmetic ----------------------------------------------------------------
 
+    def _one(self) -> "CrossedElement":
+        return self.parent.one()
+
     def _check(self, other: "CrossedElement"):
         if not self.parent.same_context(other.parent):
             raise ContextError("elements live in different crossed products")
 
-    def __add__(self, other):
-        if isinstance(other, CrossedElement):
-            self._check(other)
-            out = dict(self._terms)
-            for mk, c in other._terms.items():
-                cur = out.get(mk)
-                if cur is None:
-                    out[mk] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del out[mk]
-                    else:
-                        out[mk] = s
-            return CrossedElement._raw(self.parent, out)
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self + self.parent.one() * other
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, CrossedElement):
-            return self + (-other)
-        return self + (-(self.parent.one() * other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return CrossedElement._raw(self.parent, {mk: -c for mk, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, CrossedElement):
-            self._check(other)
-            cp = self.parent
-            alg = cp.algebra
-            out: dict = {}
-            for (m, k), c1 in self._terms.items():
-                for (n_, j), c2 in other._terms.items():
-                    phi, moved = cp.rt.power_image(k, n_)
-                    phase = alg.cocycle(m, moved)
-                    target = (tuple(a + b for a, b in zip(m, moved)), (k + j) % cp.n)
-                    contrib = c1 * c2
-                    if not phi.is_one():
-                        contrib = contrib * phi
-                    if not phase.is_one():
-                        contrib = contrib * phase
-                    cur = out.get(target)
-                    out[target] = contrib if cur is None else cur + contrib
-            return CrossedElement._raw(cp, {mk: c for mk, c in out.items() if not c.is_zero()})
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            s = self.parent.algebra.scalar(other)
-            if s.is_zero():
-                return CrossedElement._raw(self.parent, {})
-            return CrossedElement._raw(self.parent, {mk: c * s for mk, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self * other
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers only via star() on unitaries")
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        """(a p^k)(b p^j) = a alpha^k(b) p^{k+j}."""
+        if not isinstance(other, CrossedElement):
+            return self._scale(other)
+        self._check(other)
+        cp = self.parent
+        out: dict[int, TorusElement] = {}
+        for k, a in self._comps.items():
+            for j, b in other._comps.items():
+                t = (k + j) % cp.n
+                prod = a * cp.rt.apply(b, power=k)
+                cur = out.get(t)
+                out[t] = prod if cur is None else cur + prod
+        return CrossedElement(cp, out)
 
     def star(self) -> "CrossedElement":
         """(a p^k)* = alpha^{-k}(a*) p^{-k}."""
         cp = self.parent
-        out: dict = {}
-        for (m, k), c in self._terms.items():
-            back = (-k) % cp.n
-            phi, moved = cp.rt.power_image(back, tuple(-x for x in m))
-            target = (moved, back)
-            contrib = c.conj() * phi
-            cur = out.get(target)
-            out[target] = contrib if cur is None else cur + contrib
-        return CrossedElement(cp, out)
+        return CrossedElement(
+            cp, {(-k) % cp.n: cp.rt.apply(a.star(), power=(-k) % cp.n) for k, a in self._comps.items()}
+        )
 
-    # -- comparisons / display ---------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, CrossedElement):
-            if not self.parent.same_context(other.parent):
-                return False
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self == self.parent.one() * other
-        return NotImplemented
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
-        if not self._terms:
+        if not self._comps:
             return "0"
         parts = [
             f"[{','.join(map(str, m))}|p^{k}]:{c!r}" for (m, k), c in self.terms()
@@ -541,10 +455,6 @@ def tau_parity_trace(cp: CrossedProduct, j: int, k: int) -> TwistedTrace:
         return four if (m[0] % 2, m[1] % 2) == (j, k) else None
 
     return TwistedTrace(cp, rule, s=1, name=f"tau_{j}{k}")
-
-
-def trace_eval(t: TraceFunctional, x: CrossedElement) -> PhasedScalar:
-    return t.eval(x)
 
 
 def random_torus_element(rng: random.Random, algebra: NcTorus, degree: int, terms: int = 2) -> TorusElement:
@@ -717,7 +627,7 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
     if family == "B3":
         x = v * p * tp(Fraction(1, 3))
         defect_x = _order_defect(cp, x)
-        assert defect_x.is_zero(), "cubic V p generator unexpectedly fails its order"
+        certify(defect_x.is_zero(), "cubic V p generator unexpectedly fails its order")
         y_tab = v * v * p * tp(Fraction(2, 3))
         defect_y = _order_defect(cp, y_tab)
         y = v * v * p * tp(Fraction(4, 3))
@@ -728,7 +638,7 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
                 f" Y^3 - 1 = {defect_y!r}; the minimal theta-phase correction"
                 " e^{4 pi i theta/3} restores Y^3 = 1 and is used below",
             ))
-        assert _order_defect(cp, y).is_zero()
+        certify(_order_defect(cp, y).is_zero(), "corrected cubic V^2 p generator fails its order")
         elements = {
             "[1]": cp.one(),
             "[Q1(p)]": cp.q_projector(1, p),
@@ -744,9 +654,9 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
 
     if family == "B4":
         x = v * p * tp(half)
-        assert _order_defect(cp, x).is_zero(), "quartic V p generator unexpectedly fails its order"
+        certify(_order_defect(cp, x).is_zero(), "quartic V p generator unexpectedly fails its order")
         vp2 = v * p ** 2
-        assert _order_defect(cp, vp2).is_zero()
+        certify(_order_defect(cp, vp2).is_zero(), "quartic V p^2 generator fails its order")
         elements = {
             "[1]": cp.one(),
             "[Q2(p)]": cp.q_projector(2, p),
@@ -775,12 +685,12 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
             " y = e^{i pi theta/3} V p^2 (y^3 = 1) is used below",
         ))
     y_half = y_tab * tp(Fraction(1, 3))
-    assert _order_defect(cp, y_half).is_zero()
-    assert y_half ** 3 == -cp.one()
+    certify(_order_defect(cp, y_half).is_zero(), "theta-corrected hexic V p^2 fails y^6 = 1")
+    certify(y_half ** 3 == -cp.one(), "theta-corrected hexic V p^2 fails y^3 = -1")
     y = v * p ** 2 * tp(Fraction(1, 3))
-    assert y ** 3 == cp.one()
+    certify(y ** 3 == cp.one(), "hexic y fails y^3 = 1")
     vp3 = v * p ** 3
-    assert _order_defect(cp, vp3).is_zero()
+    certify(_order_defect(cp, vp3).is_zero(), "hexic V p^3 generator fails its order")
     elements = {
         "[1]": cp.one(),
         "[Q4(p)]": cp.q_projector(4, p),
@@ -866,7 +776,7 @@ def hexic_reading_comparison(cp: CrossedProduct) -> list[CheckOutcome]:
         raise ContextError("the reading comparison concerns the hexic crossed product")
     p = cp.p()
     checks = []
-    third = [cp.q_projector_variant(n, p, period=3) for n in range(6)]
+    third = [cp.q_projector(n, p, period=3) for n in range(6)]
     sixth = [cp.q_projector(n, p) for n in range(6)]
     idem = all(q * q == q for q in third)
     checks.append(CheckOutcome("period3-idempotent", idem))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import families
 from .crossed import CanonicalTrace, CheckOutcome, crossed_product, k0_generator_table, tau_parity_trace
+from .scalars import certify
 
 __all__ = [
     "smith_normal_form",
@@ -203,9 +204,9 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
 
     diag = tuple(d[i][i] for i in range(min(rows, cols)))
     for a, b in zip(diag, diag[1:]):
-        assert b == 0 or (a != 0 and b % a == 0), "divisor chain violated"
-    assert mat_mul(mat_mul(u, [list(map(int, r)) for r in matrix]), v) == d
-    assert abs(int_det(u)) == 1 and abs(int_det(v)) == 1
+        certify(b == 0 or (a != 0 and b % a == 0), "divisor chain violated")
+    certify(mat_mul(mat_mul(u, [list(map(int, r)) for r in matrix]), v) == d, "U M V != S")
+    certify(abs(int_det(u)) == 1 and abs(int_det(v)) == 1, "transforms are not unimodular")
     return SNFResult(s=d, u=u, v=v, diagonal=diag)
 
 

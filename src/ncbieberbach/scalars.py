@@ -13,6 +13,10 @@ Two layers:
   representation is canonical as well.  Substituting a rational value for
   theta is an explicit operation (``rational_theta_fold``), never a default.
 
+``SparseElement`` holds the ring boilerplate of every sparse dict type in the
+package (``PhasedScalar`` here, ``TorusElement`` and ``CrossedElement``
+downstream); each subclass adds only its own product and involution.
+
 All arithmetic is Fraction-exact.  There is no floating point in this module.
 """
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "OrderMismatchError",
     "Cyclotomic",
     "PhasedScalar",
+    "SparseElement",
     "session_order",
     "cyclotomic_polynomial",
     "cyc_root",
@@ -37,11 +42,15 @@ __all__ = [
 DEFAULT_CYCLOTOMIC_ORDER = 24
 _ORDER_ENV = "NBK_CYCLOTOMIC_ORDER"
 
-ScalarLike = "int | Fraction | Cyclotomic"
-
 
 class OrderMismatchError(ValueError):
     """A required root of unity lies outside the session cyclotomic field."""
+
+
+def certify(ok: bool, message: str) -> None:
+    """Raise AssertionError unless ``ok``; unlike ``assert`` it survives ``python -O``."""
+    if not ok:
+        raise AssertionError(message)
 
 
 def session_order() -> int:
@@ -61,28 +70,19 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
-
 def _poly_divexact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ...]:
-    # Long division of integer polynomials, asserting a zero remainder.
+    # Long division of integer polynomials, certifying a zero remainder.
     num_l = list(num)
     deg_n, deg_d = len(num_l) - 1, len(den) - 1
     out = [0] * (deg_n - deg_d + 1)
     for k in range(deg_n - deg_d, -1, -1):
         coeff = num_l[k + deg_d]
-        assert coeff % den[deg_d] == 0
+        certify(coeff % den[deg_d] == 0, "polynomial division is not exact")
         q = coeff // den[deg_d]
         out[k] = q
         for j, dj in enumerate(den):
             num_l[k + j] -= q * dj
-    assert not any(num_l), "polynomial division left a remainder"
+    certify(not any(num_l), "polynomial division left a remainder")
     return tuple(out)
 
 
@@ -132,7 +132,7 @@ def _field_tables(order: int):
         if carry:
             shifted = [s + carry * t for s, t in zip(shifted, top)]
         cur = tuple(shifted)
-    assert cur == roots[0], "zeta^order must reduce to 1"
+    certify(cur == roots[0], "zeta^order must reduce to 1")
 
     root_index = {vec: k for k, vec in enumerate(roots)}
     return deg, tuple(overflow), tuple(roots), root_index
@@ -352,7 +352,116 @@ class Cyclotomic:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class PhasedScalar:
+class SparseElement:
+    """Ring boilerplate shared by PhasedScalar, TorusElement and CrossedElement.
+
+    An element is a context (the ring it lives in) and a dict from keys to
+    nonzero coefficients, which form a ring of their own.  A subclass names its
+    two slots in the class statement, ``class X(SparseElement, ctx=..., data=...)``;
+    the base reaches them through the aliases ``_ctx`` and ``_data`` of their slot
+    descriptors.  The subclass supplies ``__mul__`` (which hands scalars to
+    ``_scale``) and two hooks: ``_one``, the unit of its context, and ``_check``,
+    which raises the subclass's error for an element of another context.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, ctx: str, data: str, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._ctx = getattr(cls, ctx)
+        cls._data = getattr(cls, data)
+
+    def __init__(self, ctx, data: dict):
+        self._ctx = ctx
+        self._data = {k: c for k, c in data.items() if not c.is_zero()}
+
+    @classmethod
+    def _raw(cls, ctx, data: dict):
+        """Internal constructor trusting an already pruned, key-normalized dict."""
+        self = object.__new__(cls)
+        self._ctx = ctx
+        self._data = data
+        return self
+
+    def _coerce(self, other):
+        """``other`` as an element of this context, or None for foreign types."""
+        if isinstance(other, type(self)):
+            self._check(other)
+            return other
+        if isinstance(other, SCALARS):
+            return self._one() * other
+        return None
+
+    def _scale(self, s):
+        """Multiplication by a central scalar, applied coefficientwise."""
+        if not isinstance(s, SCALARS):
+            return NotImplemented
+        if not s:
+            return self._raw(self._ctx, {})
+        return self._raw(self._ctx, {k: c * s for k, c in self._data.items()})
+
+    def is_zero(self) -> bool:
+        return not self._data
+
+    def __bool__(self):
+        return bool(self._data)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        out = dict(self._data)
+        for k, c in o._data.items():
+            cur = out.get(k)
+            if cur is None:
+                out[k] = c
+            else:
+                s = cur + c
+                if s.is_zero():
+                    del out[k]
+                else:
+                    out[k] = s
+        return self._raw(self._ctx, out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __neg__(self):
+        return self._raw(self._ctx, {k: -c for k, c in self._data.items()})
+
+    def __rmul__(self, other):
+        return self * other  # only scalars reach here, and they are central
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not supported; use star() or conj() on unitaries")
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        try:
+            o = self._coerce(other)
+        except ValueError:  # elements of different contexts are never equal
+            return False
+        if o is None:
+            return NotImplemented
+        return self._data == o._data
+
+
+class PhasedScalar(SparseElement, ctx="order", data="_terms"):
     """Finite sum of cyclotomic coefficients times formal phases e^{i pi b theta}.
 
     Internally the exponents b are dict keys stored as reduced integer pairs
@@ -371,14 +480,6 @@ class PhasedScalar:
                 if not c.is_zero():
                     pruned[_bkey(b)] = c
         self._terms = pruned
-
-    @classmethod
-    def _raw(cls, order: int, terms: dict) -> "PhasedScalar":
-        """Internal constructor trusting an already pruned, key-normalized dict."""
-        self = object.__new__(cls)
-        self.order = order
-        self._terms = terms
-        return self
 
     # -- constructors ----------------------------------------------------
 
@@ -425,9 +526,6 @@ class PhasedScalar:
     def coefficient(self, b) -> Cyclotomic:
         return self._terms.get(_bkey(b), Cyclotomic.zero(self.order))
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_one(self) -> bool:
         if len(self._terms) != 1:
             return False
@@ -450,82 +548,32 @@ class PhasedScalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, PhasedScalar):
-            if other.order != self.order:
-                raise OrderMismatchError("mixed scalar orders")
-            return other
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return PhasedScalar.of(other, self.order)
-        return None
+    def _one(self) -> "PhasedScalar":
+        return PhasedScalar.one(self.order)
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for b, c in o._terms.items():
-            cur = out.get(b)
-            if cur is None:
-                out[b] = c
-            else:
-                s = cur + c
-                if s.is_zero():
-                    del out[b]
-                else:
-                    out[b] = s
-        return PhasedScalar._raw(self.order, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __neg__(self):
-        return PhasedScalar._raw(self.order, {b: -c for b, c in self._terms.items()})
+    def _check(self, other: "PhasedScalar"):
+        if other.order != self.order:
+            raise OrderMismatchError("mixed scalar orders")
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if len(self._terms) == 1 and len(o._terms) == 1:
+        if not isinstance(other, PhasedScalar):
+            return self._scale(other)
+        self._check(other)
+        if len(self._terms) == 1 and len(other._terms) == 1:
             (b1, c1), = self._terms.items()
-            (b2, c2), = o._terms.items()
+            (b2, c2), = other._terms.items()
             c = c1 * c2
             if c.is_zero():
                 return PhasedScalar._raw(self.order, {})
             return PhasedScalar._raw(self.order, {_key_add(b1, b2): c})
         out: dict = {}
         for b1, c1 in self._terms.items():
-            for b2, c2 in o._terms.items():
+            for b2, c2 in other._terms.items():
                 b = _key_add(b1, b2)
                 c = c1 * c2
                 cur = out.get(b)
                 out[b] = c if cur is None else cur + c
         return PhasedScalar._raw(self.order, {b: c for b, c in out.items() if not c.is_zero()})
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported; use conj for unit phases")
-        result = PhasedScalar.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conj(self) -> "PhasedScalar":
         """Complex conjugation: (b, c) -> (-b, conj(c))."""
@@ -544,15 +592,6 @@ class PhasedScalar:
 
     # -- comparisons / display ------------------------------------------------
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
-
-    def __bool__(self):
-        return not self.is_zero()
-
     def __repr__(self):
         if not self._terms:
             return "0"
@@ -563,6 +602,9 @@ class PhasedScalar:
             else:
                 parts.append(f"({c!r})*E[{b}]")
         return " + ".join(parts)
+
+
+SCALARS = (int, Fraction, Cyclotomic, PhasedScalar)
 
 
 def _bkey(b) -> tuple[int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .scalars import Cyclotomic, PhasedScalar, cyc_root, session_order
+from .scalars import PhasedScalar, SparseElement, cyc_root, session_order
 
 __all__ = [
     "ThetaEntry",
@@ -74,10 +74,6 @@ class ThetaMatrix:
                 raise ValueError(f"slot ({j},{k}) is not an upper-triangle position")
             if not entry.is_zero():
                 self._upper[(j, k)] = entry
-
-    @classmethod
-    def from_upper(cls, d: int, entries: dict[tuple[int, int], ThetaEntry]) -> "ThetaMatrix":
-        return cls(d, entries)
 
     @classmethod
     def standard_3d(cls) -> "ThetaMatrix":
@@ -149,7 +145,7 @@ class NcTorus:
         return (self.theta.key(), self.theta_value, self.order)
 
     def same_algebra(self, other: "NcTorus") -> bool:
-        return isinstance(other, NcTorus) and self.key() == other.key()
+        return other is self or (isinstance(other, NcTorus) and self.key() == other.key())
 
     # -- scalars -----------------------------------------------------------
 
@@ -231,21 +227,10 @@ class NcTorus:
         return f"NcTorus({self.theta!r}, {mode}, order={self.order})"
 
 
-class TorusElement:
+class TorusElement(SparseElement, ctx="algebra", data="_terms"):
     """Finite map from exponent vectors to PhasedScalar coefficients."""
 
     __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: NcTorus, terms: dict[Monomial, PhasedScalar]):
-        self.algebra = algebra
-        self._terms = {m: c for m, c in terms.items() if not c.is_zero()}
-
-    @classmethod
-    def _raw(cls, algebra: NcTorus, terms: dict) -> "TorusElement":
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self._terms = terms
-        return self
 
     # -- inspection --------------------------------------------------------
 
@@ -258,9 +243,6 @@ class TorusElement:
     def coefficient(self, m: Iterable[int]) -> PhasedScalar:
         return self._terms.get(tuple(m), self.algebra.scalar_zero())
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def single_term(self) -> tuple[Monomial, PhasedScalar]:
         if len(self._terms) != 1:
             raise ValueError("element is not a single monomial term")
@@ -271,78 +253,29 @@ class TorusElement:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def _one(self) -> "TorusElement":
+        return self.algebra.one()
+
     def _check(self, other: "TorusElement"):
         if not self.algebra.same_algebra(other.algebra):
             raise ValueError("elements live in different algebras")
 
-    def __add__(self, other):
-        if isinstance(other, TorusElement):
-            self._check(other)
-            out = dict(self._terms)
-            for m, c in other._terms.items():
-                cur = out.get(m)
-                if cur is None:
-                    out[m] = c
-                else:
-                    s = cur + c
-                    if s.is_zero():
-                        del out[m]
-                    else:
-                        out[m] = s
-            return TorusElement._raw(self.algebra, out)
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self + self.algebra.one() * other
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TorusElement) else -(self.algebra.one() * other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return TorusElement._raw(self.algebra, {m: -c for m, c in self._terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, TorusElement):
-            self._check(other)
-            alg = self.algebra
-            out: dict[Monomial, PhasedScalar] = {}
-            for m, cm in self._terms.items():
-                for n, cn in other._terms.items():
-                    phase = alg.cocycle(m, n)
-                    target = tuple(a + b for a, b in zip(m, n))
-                    contrib = cm * cn
-                    if not phase.is_one():
-                        contrib = contrib * phase
-                    cur = out.get(target)
-                    out[target] = contrib if cur is None else cur + contrib
-            return TorusElement._raw(alg, {m: c for m, c in out.items() if not c.is_zero()})
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            s = self.algebra.scalar(other)
-            if s.is_zero():
-                return TorusElement._raw(self.algebra, {})
-            return TorusElement._raw(self.algebra, {m: c * s for m, c in self._terms.items()})
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self * other  # scalars are central
-        return NotImplemented
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers only via star() on unitary monomials")
-        result = self.algebra.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        if not isinstance(other, TorusElement):
+            return self._scale(other)
+        self._check(other)
+        alg = self.algebra
+        out: dict[Monomial, PhasedScalar] = {}
+        for m, cm in self._terms.items():
+            for n, cn in other._terms.items():
+                phase = alg.cocycle(m, n)
+                target = tuple(a + b for a, b in zip(m, n))
+                contrib = cm * cn
+                if not phase.is_one():
+                    contrib = contrib * phase
+                cur = out.get(target)
+                out[target] = contrib if cur is None else cur + contrib
+        return TorusElement._raw(alg, {m: c for m, c in out.items() if not c.is_zero()})
 
     def star(self) -> "TorusElement":
         """The involution: delta_m -> delta_{-m} with conjugated coefficients.
@@ -355,16 +288,7 @@ class TorusElement:
             {tuple(-x for x in m): c.conj() for m, c in self._terms.items()},
         )
 
-    # -- comparisons / display --------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, TorusElement):
-            if not self.algebra.same_algebra(other.algebra):
-                return False
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction, Cyclotomic, PhasedScalar)):
-            return self == self.algebra.one() * other
-        return NotImplemented
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         if not self._terms:

@@ -98,7 +98,7 @@ def test_deformed_families_compatible_at_bound_three(preset, family):
 
 
 def test_b3_rejects_a_half_twist_slot():
-    matrix = ThetaMatrix.from_upper(3, {
+    matrix = ThetaMatrix(3, {
         (0, 1): ThetaEntry.of(Fraction(1, 2), 0),
         (1, 2): ThetaEntry.of(0, 1),
     })
@@ -107,7 +107,7 @@ def test_b3_rejects_a_half_twist_slot():
 
 
 def test_untwisted_classical_actions_compatible():
-    algebra = NcTorus(ThetaMatrix.from_upper(3, {}))
+    algebra = NcTorus(ThetaMatrix(3, {}))
     for family in families.FAMILIES:
         assert check_compatibility(classical_action(family, algebra), algebra, 2), family
 
@@ -140,7 +140,7 @@ def _literal_box_identity(action, algebra, bound):
     ],
 )
 def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
-    algebra = NcTorus(ThetaMatrix.from_upper(3, upper))
+    algebra = NcTorus(ThetaMatrix(3, upper))
     action = classical_action(family, algebra)
     gens = action.generators()
     fast = check_compatibility(action, algebra, 1)
@@ -151,7 +151,7 @@ def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
 def test_counterexample_rendering():
     from ncbieberbach.actions import compatibility_counterexample
 
-    matrix = ThetaMatrix.from_upper(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0),
+    matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0),
                                         (1, 2): ThetaEntry.of(0, 1)})
     algebra = NcTorus(matrix)
     action = classical_action("B3", algebra)
@@ -211,7 +211,7 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
                 upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[slot]] = ThetaEntry.of(0, 1)
             for name, value in assignment:
                 upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[name]] = ThetaEntry.of(value, 0)
-            algebra = NcTorus(ThetaMatrix.from_upper(3, upper))
+            algebra = NcTorus(ThetaMatrix(3, upper))
             action = classical_action(family, algebra)
             assert check_compatibility(action, algebra, 3), (family, assignment)
             order_ok = check_order(action, algebra)
@@ -224,7 +224,7 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
 
 
 def test_n2_half_slot_order_restored_by_quarter_turn_coefficient():
-    matrix = ThetaMatrix.from_upper(3, {(0, 1): ThetaEntry.of(0, 1),
+    matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(0, 1),
                                         (1, 2): ThetaEntry.of(Fraction(1, 2), 0)})
     algebra = NcTorus(matrix)
     plain = classical_action("N2", algebra)
@@ -286,7 +286,7 @@ def test_freeness_witnesses(preset):
         assert freeness_witness(deformed_action(family, preset), preset), family
     # the product families have no jointly homogeneous generator, so the
     # (sufficient-only) witness is not found there
-    zero_theta = NcTorus(ThetaMatrix.from_upper(3, {}))
+    zero_theta = NcTorus(ThetaMatrix(3, {}))
     for family in families.PRODUCT_FAMILIES:
         assert not freeness_witness(classical_action(family, zero_theta), zero_theta), family
 
@@ -311,7 +311,7 @@ def test_parse_action_round_trip(preset):
 
 
 def test_parse_product_action():
-    zero_theta = NcTorus(ThetaMatrix.from_upper(3, {}))
+    zero_theta = NcTorus(ThetaMatrix(3, {}))
     text = """
     order: 2 x 2
     e1: U -> -1 U

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +63,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["ktheory"])
     assert err.value.code == 2
+    # sample sizes that would let a check pass after evaluating nothing
+    for argv in (["verify", "--suite", "traces", "--samples", "0"],
+                 ["verify", "--suite", "traces", "--samples", "-3"],
+                 ["verify", "--suite", "morita", "--degree", "-1"],
+                 ["verify", "--suite", "morita", "--degree", "0"]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 def test_verify_homology_suite(capsys):
@@ -90,6 +99,23 @@ def test_report_byte_stability(tmp_path):
                      "--format", "json", "--out", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("verify_all_seed11.json", []),
+    ("verify_all_seed11_theta1-5.json", ["--theta", "1/5"]),
+])
+def test_verify_report_matches_golden(tmp_path, monkeypatch, name, extra):
+    # the golden files pin the exact report bytes, anomaly reprs included
+    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
+    path = tmp_path / name
+    code = main(["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11",
+                 "--format", "json", "--out", str(path), *extra])
+    assert code == 0
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_markdown_rendering(capsys):

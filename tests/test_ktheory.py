@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncbieberbach
 from ncbieberbach import families
 from ncbieberbach.ktheory import (
     AbelianGroup,
@@ -64,6 +69,24 @@ def test_bareiss_det_agrees_with_cofactor_expansion():
     assert bareiss_det([[0, 1], [1, 0]]) == -1
     assert bareiss_det([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0
 
+
+
+def test_snf_certificate_survives_optimize_flag():
+    # under python -O a plain assert would vanish; the certificate must still raise
+    code = (
+        "import sys\n"
+        "import ncbieberbach.ktheory as kt\n"
+        "kt.int_det = lambda m: 2\n"
+        "try:\n"
+        "    kt.smith_normal_form([[2, 0], [0, 3]])\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "1 transforms are not unimodular"
 
 # ---------------------------------------------------------------------------
 # abelian groups

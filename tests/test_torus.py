@@ -118,11 +118,11 @@ def test_theta_entry_phase_comparison_is_mod_two():
 
 
 def test_theta_matrix_antisymmetry():
-    m = ThetaMatrix.from_upper(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0)})
+    m = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0)})
     assert m.entry(1, 0) == -m.entry(0, 1)
     assert m.entry(2, 2).is_zero()
     with pytest.raises(ValueError):
-        ThetaMatrix.from_upper(3, {(1, 0): ThetaEntry.of(1, 0)})
+        ThetaMatrix(3, {(1, 0): ThetaEntry.of(1, 0)})
 
 
 def test_folded_mode_collapses_phases():
