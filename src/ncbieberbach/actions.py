@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import PhasedScalar, certify, cyc_root
-from .torus import Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement
+from .scalars import PhasedScalar, _key_add, certify, cyc_root
+from .torus import _ONE_PAIR, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement
 
 __all__ = [
     "GeneratorImage",
@@ -57,8 +57,12 @@ class GeneratorImage:
     target: Monomial
 
     def __post_init__(self):
-        if not self.coeff.is_unit_phase():
-            raise ValueError("generator image coefficient must be a unit single phase")
+        try:
+            self.coeff.unit_exponents()
+        except ValueError:
+            raise ValueError(
+                "generator image coefficient must be a root of unity times a theta phase"
+            ) from None
 
 
 class FiniteAction:
@@ -115,21 +119,26 @@ class ProductAction:
 
 
 class ActionOnTorus:
-    """Cached evaluation of one cyclic action on one torus algebra."""
+    """Cached evaluation of one cyclic action on one torus algebra.
+
+    Images are cached as (target, r, theta key): g^k . delta_m is the unit
+    phase zeta^r e^{i pi b theta} times delta_target (see ``torus``), so
+    powers compose by adding exponents and the crossed-product kernel reads
+    the phase without building a scalar.
+    """
 
     def __init__(self, action: FiniteAction, algebra: NcTorus):
         if action.dimension != algebra.d:
             raise ValueError("dimension mismatch between action and algebra")
         self.action = action
         self.algebra = algebra
-        self._one = algebra.scalar(1)
-        self._images: dict[Monomial, tuple[PhasedScalar, Monomial]] = {}
-        self._powers: dict[tuple[int, Monomial], tuple[PhasedScalar, Monomial]] = {}
+        self._images: dict[Monomial, tuple[Monomial, int, tuple[int, int]]] = {}
+        self._powers: dict[tuple[int, Monomial], tuple[Monomial, int, tuple[int, int]]] = {}
         self._elements = [
             algebra.delta(img.target) * img.coeff for img in action.images
         ]
 
-    def monomial_image(self, m: Monomial) -> tuple[PhasedScalar, Monomial]:
+    def _image(self, m: Monomial) -> tuple[Monomial, int, tuple[int, int]]:
         cached = self._images.get(m)
         if cached is not None:
             return cached
@@ -150,22 +159,35 @@ class ActionOnTorus:
         certify(target_check == m, "normal-ordered product lost its monomial")
         image = prod * c_m.conj()
         term, coeff = image.single_term()
-        result = (coeff, term)
+        result = (term, *coeff.unit_exponents())
         self._images[m] = result
+        return result
+
+    def monomial_image(self, m: Monomial) -> tuple[PhasedScalar, Monomial]:
+        target, r, key = self._image(m)
+        return PhasedScalar.unit(self.algebra.order, r, key), target
+
+    def power_pair(self, k: int, m: Monomial) -> tuple[Monomial, int, tuple[int, int]]:
+        """g^k . delta_m as (target, r, theta key)."""
+        if k == 0:
+            return (m, *_ONE_PAIR)
+        cached = self._powers.get((k, m))
+        if cached is not None:
+            return cached
+        target, r, key = self._image(m)
+        rest_target, rest_r, rest_key = self.power_pair(k - 1, target)
+        result = (rest_target, (r + rest_r) % self.algebra.order, _key_add(key, rest_key))
+        self._powers[(k, m)] = result
         return result
 
     def power_image(self, k: int, m: Monomial) -> tuple[PhasedScalar, Monomial]:
         """Image of delta_m under the k-fold application of the generator."""
-        if k == 0:
-            return (self._one, m)
-        cached = self._powers.get((k, m))
-        if cached is not None:
-            return cached
-        phi, target = self.monomial_image(m)
-        rest_phi, rest_target = self.power_image(k - 1, target)
-        result = (phi * rest_phi, rest_target)
-        self._powers[(k, m)] = result
-        return result
+        target, r, key = self.power_pair(k, m)
+        return PhasedScalar.unit(self.algebra.order, r, key), target
+
+    def image_terms(self, x: TorusElement, power: int) -> list:
+        """The terms of g^power . x as (target, r, theta key, coefficient)."""
+        return [(*self.power_pair(power, m), c) for m, c in x._terms.items()]
 
     def apply(self, x: TorusElement, power: int = 1) -> TorusElement:
         if not self.algebra.same_algebra(x.algebra):
@@ -173,9 +195,8 @@ class ActionOnTorus:
         if not power:
             return x
         out: dict[Monomial, PhasedScalar] = {}
-        for m, c in x._terms.items():
-            phi, target = self.power_image(power, m)
-            contrib = c if phi.is_one() else c * phi
+        for target, r, key, c in self.image_terms(x, power):
+            contrib = c.times_unit(r, key)
             cur = out.get(target)
             out[target] = contrib if cur is None else cur + contrib
         return TorusElement(self.algebra, out)
@@ -184,8 +205,8 @@ class ActionOnTorus:
         for i in range(self.algebra.d):
             e_i = [0] * self.algebra.d
             e_i[i] = 1
-            phi, target = self.power_image(self.action.order, tuple(e_i))
-            if target != tuple(e_i) or not phi.is_one():
+            target, r, key = self.power_pair(self.action.order, tuple(e_i))
+            if target != tuple(e_i) or (r, key) != _ONE_PAIR:
                 return False
         return True
 

@@ -30,6 +30,7 @@ from .crossed import (
     crossed_product,
     hexic_reading_comparison,
     k0_generator_table,
+    psi_multiplicativity_mismatch,
     tau_parity_trace,
     verify_exchange_iso,
     verify_projections,
@@ -160,15 +161,10 @@ def _theta_order(theta: Fraction | None) -> int | None:
     return math.lcm(session_order(), 12 * theta.denominator)
 
 
-def _base_config(args, **extra) -> dict:
-    theta = getattr(args, "theta", None)
-    config = {
-        "cyclotomic_order": session_order() if theta is None else _theta_order(theta),
-        "theta_mode": "symbolic" if theta is None else str(theta),
-    }
-    for key in ("seed", "samples", "degree", "denominator"):
-        if hasattr(args, key):
-            config[key] = getattr(args, key)
+def _config(args, *options, **extra) -> dict:
+    """The report's config: the named options of ``args`` plus ``extra``,
+    which together are exactly what the command reads."""
+    config = {key: getattr(args, key) for key in options}
     config.update(extra)
     return config
 
@@ -189,7 +185,7 @@ def _pattern_payload(result) -> dict:
 
 
 def cmd_scan(args) -> int:
-    report = Report("scan", _base_config(args, family=args.family))
+    report = Report("scan", _config(args, "denominator", "family", cyclotomic_order=session_order()))
     result = scan_cocycles(args.family, args.denominator)
     reference = result.reference()
     report.payload["computed"] = _pattern_payload(result)
@@ -233,7 +229,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
-    report = Report("ktheory", _base_config(args, family=args.family, epsilon=args.epsilon))
+    report = Report("ktheory", _config(args, "family", "epsilon"))
     data = beta_star_matrix(args.family, args.epsilon)
     k0, k1 = pv_solve(data)
     snf = smith_normal_form(data.matrix)
@@ -436,16 +432,12 @@ def _suite_morita(report: Report, args, theta, order):
             for comp in cp.psi_components(x):
                 if cp.rt.apply(comp) != comp:
                     invariant_ok = False
-            mx, my, mxy = cp.psi_matrix(x), cp.psi_matrix(y), cp.psi_matrix(x * y)
-            for i in range(cp.n):
-                for j in range(cp.n):
-                    acc = cp.zero()
-                    for k in range(cp.n):
-                        acc = acc + mx[i][k] * my[k][j]
-                    if acc != mxy[i][j]:
-                        psi_ok = False
-                        psi_ce = {"x": repr(x), "y": repr(y), "entry": (i, j),
-                                  "lhs": repr(acc), "rhs": repr(mxy[i][j])}
+            mismatch = psi_multiplicativity_mismatch(cp, x, y)
+            if mismatch is not None:
+                i, j, lhs, rhs = mismatch
+                psi_ok, psi_ce = False, {"x": repr(x), "y": repr(y), "entry": (i, j),
+                                         "lhs": repr(lhs), "rhs": repr(rhs)}
+                break
         report.add(f"psi-multiplicative[{family}]", psi_ok, counterexample=psi_ce)
         report.add(f"psi-components-invariant[{family}]", invariant_ok)
         exchange = verify_exchange_iso(family, degree=args.degree, theta_value=theta, order=order)
@@ -484,9 +476,13 @@ _SUITE_RUNNERS = {
 
 
 def cmd_verify(args) -> int:
-    report = Report("verify", _base_config(args, suite=args.suite, strict=args.strict))
     theta = args.theta
     order = _theta_order(theta)
+    report = Report("verify", _config(
+        args, "seed", "samples", "degree", "denominator", "suite", "strict",
+        cyclotomic_order=session_order() if order is None else order,
+        theta_mode="symbolic" if theta is None else str(theta),
+    ))
     suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
     for suite in suites:
         _SUITE_RUNNERS[suite](report, args, theta, order)
@@ -494,7 +490,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    report = Report("homology", _base_config(args, family=args.family or "all"))
+    report = Report("homology", _config(args, family=args.family or "all"))
     fams = [args.family] if args.family else list(families.K_FAMILIES)
     for family in fams:
         h1 = bieberbach_h1(family)
@@ -540,21 +536,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, theta=True):
+    def common(p):
         p.add_argument("--format", choices=("json", "md"), default="md")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--seed", type=int, default=2024)
-        p.add_argument("--samples", type=_positive_int, default=40)
-        p.add_argument("--degree", type=_positive_int, default=2)
-        p.add_argument("--denominator", type=int, default=6)
         p.add_argument("--strict", action="store_true",
                        help="treat anomalies as failures")
-        if theta:
-            p.add_argument("--theta", type=_fraction, default=None,
-                           help="run in folded rational-theta mode at this value")
+
+    def denominator(p):
+        p.add_argument("--denominator", type=int, default=6,
+                       help="grid denominator of the cocycle scan")
 
     p_scan = sub.add_parser("scan", help="admissible theta patterns for one family")
     p_scan.add_argument("--family", required=True, choices=families.FAMILIES)
+    denominator(p_scan)
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
 
@@ -566,6 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("--suite", choices=SUITES, default="all")
+    p_v.add_argument("--seed", type=int, default=2024)
+    p_v.add_argument("--samples", type=_positive_int, default=40)
+    p_v.add_argument("--degree", type=_positive_int, default=2)
+    p_v.add_argument("--theta", type=_fraction, default=None,
+                     help="run in folded rational-theta mode at this value")
+    denominator(p_v)
     common(p_v)
     p_v.set_defaults(func=cmd_verify)
 

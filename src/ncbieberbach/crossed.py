@@ -6,10 +6,16 @@ Elements are finite sums ``sum_k a_k p^k`` with ``a_k`` torus elements and
     (a p^k)(b p^j) = a alpha^k(b) p^{k+j mod N}.
 
 A ``CrossedElement`` stores exactly these N components, a dict from k mod N to
-the nonzero torus element a_k, so its product is the action
-(``ActionOnTorus.apply``) followed by the torus product.  Sums, negation,
-powers, scalar multiples and equality come from ``scalars.SparseElement``,
-the base shared with ``PhasedScalar`` and ``TorusElement``.
+the nonzero torus element a_k.  Its product is one pass of the torus kernel
+``torus.Accumulator``: for each pair of components the action image of b is
+read as (target, r, theta key) unit pairs (``ActionOnTorus.image_terms``) and
+its phase is added to the cocycle's, so no intermediate torus element is
+built.  ``CrossedProduct.dot`` sums many products x_i y_i in one accumulator
+and reduces the coefficients once; the matrix work (``_matrix_of``, the
+u-power matrices, ``psi_matrix``, ``psi_multiplicativity_mismatch``) is built
+on it.  Sums, negation, powers, scalar multiples and equality come from
+``scalars.SparseElement``, the base shared with ``PhasedScalar`` and
+``TorusElement``.
 
 On top of the arithmetic this module provides:
 
@@ -38,7 +44,7 @@ from fractions import Fraction
 from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
 from .families import K_FAMILIES
 from .scalars import PhasedScalar, SparseElement, certify, cyc_root
-from .torus import Monomial, NcTorus, ThetaMatrix, TorusElement
+from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement
 
 __all__ = [
     "ContextError",
@@ -57,6 +63,7 @@ __all__ = [
     "k0_generator_table",
     "verify_projections",
     "hexic_reading_comparison",
+    "psi_multiplicativity_mismatch",
     "CheckOutcome",
 ]
 
@@ -125,6 +132,25 @@ class CrossedProduct:
 
     def torus_generators(self) -> list["CrossedElement"]:
         return [self.embed(g) for g in self.algebra.basis_generators()]
+
+    # -- products -------------------------------------------------------------
+
+    def dot(self, pairs) -> "CrossedElement":
+        """sum_i x_i y_i over the (x_i, y_i) pairs, accumulated in one pass.
+
+        (a p^k)(b p^j) = a alpha^k(b) p^{k+j}: each pair of components adds
+        a times the unit-phased image terms of b into component k + j.
+        """
+        acc = Accumulator(self.algebra)
+        rt, n = self.rt, self.n
+        for x, y in pairs:
+            for z in (x, y):
+                if not self.same_context(z.parent):
+                    raise ContextError("elements live in different crossed products")
+            for k, a in x._comps.items():
+                for j, b in y._comps.items():
+                    acc.add((k + j) % n, a, rt.image_terms(b, k))
+        return CrossedElement._raw(self, acc.components())
 
     # -- structure maps -------------------------------------------------------
 
@@ -235,16 +261,20 @@ class CrossedProduct:
     def _matrix_of(self, x: "CrossedElement") -> list[list["CrossedElement"]]:
         """Entry (i, j) is sum_m E_mi x E_jm, the coefficient of x on E_ij."""
         units = self.matrix_units()
-        out = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                acc = self.zero()
-                for m in range(self.n):
-                    acc = acc + units[m][i] * x * units[j][m]
-                row.append(acc)
-            out.append(row)
-        return out
+        n = self.n
+        left = [[units[m][i] * x for m in range(n)] for i in range(n)]
+        return [
+            [self.dot((left[i][m], units[j][m]) for m in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+
+    def _matrix_product(self, left, right) -> list[list["CrossedElement"]]:
+        """The N x N product of two matrices over the crossed product."""
+        n = self.n
+        return [
+            [self.dot((left[i][k], right[k][j]) for k in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
 
     def _psi_powers_matrix(self) -> list[list[list["CrossedElement"]]]:
         """Matrices of u^k over the invariant subalgebra, with exact
@@ -258,22 +288,10 @@ class CrossedProduct:
             ]
             powers = [identity]
             for _ in range(self.n - 1):
-                prev = powers[-1]
-                nxt = []
-                for i in range(self.n):
-                    row = []
-                    for j in range(self.n):
-                        acc = self.zero()
-                        for k in range(self.n):
-                            acc = acc + prev[i][k] * mat_u[k][j]
-                        row.append(acc)
-                    nxt.append(row)
-                powers.append(nxt)
+                powers.append(self._matrix_product(powers[-1], mat_u))
+            cells = list(itertools.product(range(self.n), repeat=2))
             for k, mat in enumerate(powers):
-                acc = self.zero()
-                for i in range(self.n):
-                    for j in range(self.n):
-                        acc = acc + mat[i][j] * units[i][j]
+                acc = self.dot((mat[i][j], units[i][j]) for i, j in cells)
                 certify(acc == self.delta((k, 0, 0), 0), "matrix reconstruction of u^k failed")
             self._psi_matrix_powers = powers
         return self._psi_matrix_powers
@@ -286,18 +304,11 @@ class CrossedProduct:
         matrix-unit sandwich of x.
         """
         powers = self._psi_powers_matrix()
-        out = [[self.zero() for _ in range(self.n)] for _ in range(self.n)]
-        for k, comp in enumerate(self.psi_components(x)):
-            ce = self.embed(comp)
-            if ce.is_zero():
-                continue
-            mat = powers[k]
-            for i in range(self.n):
-                for j in range(self.n):
-                    entry = mat[i][j]
-                    if not entry.is_zero():
-                        out[i][j] = out[i][j] + ce * entry
-        return out
+        comps = [(k, self.embed(comp)) for k, comp in enumerate(self.psi_components(x)) if comp]
+        return [
+            [self.dot((ce, powers[k][i][j]) for k, ce in comps) for j in range(self.n)]
+            for i in range(self.n)
+        ]
 
     def __repr__(self):
         return f"CrossedProduct({self.family or 'custom'}, N={self.n}, d={self.algebra.d})"
@@ -344,19 +355,10 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
             raise ContextError("elements live in different crossed products")
 
     def __mul__(self, other):
-        """(a p^k)(b p^j) = a alpha^k(b) p^{k+j}."""
+        """(a p^k)(b p^j) = a alpha^k(b) p^{k+j}, one pass of the kernel."""
         if not isinstance(other, CrossedElement):
             return self._scale(other)
-        self._check(other)
-        cp = self.parent
-        out: dict[int, TorusElement] = {}
-        for k, a in self._comps.items():
-            for j, b in other._comps.items():
-                t = (k + j) % cp.n
-                prod = a * cp.rt.apply(b, power=k)
-                cur = out.get(t)
-                out[t] = prod if cur is None else cur + prod
-        return CrossedElement(cp, out)
+        return self.parent.dot(((self, other),))
 
     def star(self) -> "CrossedElement":
         """(a p^k)* = alpha^{-k}(a*) p^{-k}."""
@@ -374,6 +376,21 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
             f"[{','.join(map(str, m))}|p^{k}]:{c!r}" for (m, k), c in self.terms()
         ]
         return "CrossedElement{" + "; ".join(parts) + "}"
+
+
+def psi_multiplicativity_mismatch(cp: CrossedProduct, x: TorusElement, y: TorusElement,
+                                  xy: TorusElement | None = None):
+    """The first entry (i, j, lhs, rhs) where psi(x) psi(y) != psi(xy), or None.
+
+    ``xy`` defaults to x * y, so None for every sampled pair is the
+    multiplicativity of psi; each entry of psi(x) psi(y) is one ``dot``.
+    """
+    lhs = cp._matrix_product(cp.psi_matrix(x), cp.psi_matrix(y))
+    rhs = cp.psi_matrix(x * y if xy is None else xy)
+    for i, j in itertools.product(range(cp.n), repeat=2):
+        if lhs[i][j] != rhs[i][j]:
+            return i, j, lhs[i][j], rhs[i][j]
+    return None
 
 
 def crossed_product(family: str, dim: int = 2, theta_value=None, order: int | None = None) -> CrossedProduct:

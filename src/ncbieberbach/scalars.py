@@ -13,6 +13,14 @@ Two layers:
   representation is canonical as well.  Substituting a rational value for
   theta is an explicit operation (``rational_theta_fold``), never a default.
 
+A unit phase ``zeta^r * e^{i pi b theta}`` (a cocycle value, the phase of an
+action image) is carried downstream as the integer pair ``(r, key)``: the root
+exponent r modulo the order and the reduced theta key ``(numerator,
+denominator)`` of b.  Composing two unit phases adds the pairs
+(``_key_add`` for the keys); ``PhasedScalar.unit`` and ``unit_exponents``
+convert between the pair and the scalar, and ``_root_table`` applies
+``zeta^r`` to a numerator vector without a general product.
+
 ``SparseElement`` holds the ring boilerplate of every sparse dict type in the
 package (``PhasedScalar`` here, ``TorusElement`` and ``CrossedElement``
 downstream); each subclass adds only its own product and involution.
@@ -136,6 +144,16 @@ def _field_tables(order: int):
 
     root_index = {vec: k for k, vec in enumerate(roots)}
     return deg, tuple(overflow), tuple(roots), root_index
+
+
+@functools.lru_cache(maxsize=None)
+def _root_table(order: int):
+    """``table[e]``: the nonzero (index, value) entries of zeta^e for
+    0 <= e < 3 * order, so a sum of up to three reduced exponents (two
+    basis indices and a root exponent) indexes it without a modulo."""
+    _, _, roots, _ = _field_tables(order)
+    sparse = tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in roots)
+    return sparse * 3
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -292,6 +310,20 @@ class Cyclotomic:
         return Cyclotomic(self.order, _convolve(self.order, self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
+
+    def times_root(self, r: int) -> "Cyclotomic":
+        """self * zeta^r.  The root is a unit of Z[zeta], so the numerator
+        content, and with it the lowest-terms form, is unchanged."""
+        r %= self.order
+        if not r:
+            return self
+        table = _root_table(self.order)
+        out = [0] * len(self.num)
+        for j, a in enumerate(self.num):
+            if a:
+                for k, v in table[r + j]:
+                    out[k] += a * v
+        return Cyclotomic(self.order, tuple(out), self.den, reduce=False)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -516,6 +548,11 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
             return cls._raw(order, {})
         return cls._raw(order, {_bkey(b): c})
 
+    @classmethod
+    def unit(cls, order: int, r: int, key: tuple[int, int]) -> "PhasedScalar":
+        """The unit phase zeta_order^r * e^{i pi b theta} of the pair (r, key of b)."""
+        return cls._raw(order, {key: Cyclotomic.root(order, r)})
+
     # -- inspection -------------------------------------------------------
 
     def terms(self) -> tuple[tuple[Fraction, Cyclotomic], ...]:
@@ -539,12 +576,23 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
         ((n, d), c), = self._terms.items()
         return Fraction(n, d), c
 
-    def is_unit_phase(self) -> bool:
-        try:
-            _, c = self.single_phase()
-        except ValueError:
-            return False
-        return c.is_unit_modulus()
+    def unit_exponents(self) -> tuple[int, tuple[int, int]]:
+        """The pair (r, theta key) with self == PhasedScalar.unit(order, r, key).
+
+        Raises ValueError unless self is one root of unity times one theta phase.
+        """
+        if len(self._terms) != 1:
+            raise ValueError(f"{self!r} is not a single phased term")
+        (key, c), = self._terms.items()
+        return c.root_exponent(), key
+
+    def times_unit(self, r: int, key: tuple[int, int]) -> "PhasedScalar":
+        """self * zeta^r * e^{i pi b theta} for the unit phase (r, key of b)."""
+        if key == _ZERO_KEY and not r % self.order:
+            return self
+        return PhasedScalar._raw(
+            self.order, {_key_add(b, key): c.times_root(r) for b, c in self._terms.items()}
+        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -605,6 +653,7 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
 
 
 SCALARS = (int, Fraction, Cyclotomic, PhasedScalar)
+_ZERO_KEY = (0, 1)  # the theta key of b = 0
 
 
 def _bkey(b) -> tuple[int, int]:

@@ -15,23 +15,53 @@ The standard presets give three unitary generators with relations
     u v = v u,   u w = w u,   w v = e^{2 pi i theta} v w,
 
 and the matching two-generator restriction for the rotation subalgebra.
+
+Every cocycle value is a unit phase e^{i pi (a + b theta)}.  The algebra keeps
+it as the integer pair (r, key): zeta^r with r = a * order / 2 modulo the
+session order, and the reduced theta key of b (``scalars``).  ``NcTorus``
+caches these pairs per pair of active coordinates; ``cocycle`` builds the
+public ``PhasedScalar`` from them.
+
+All products go through one multiply-accumulate kernel, ``Accumulator``: it
+sums c_m c_n zeta^r e^{i pi b theta} delta_{m+n} p^t over pairs of terms into
+unreduced integer numerators over one denominator per (t, monomial, theta key)
+and reduces each coefficient to a canonical ``Cyclotomic`` once, at the end.
+``TorusElement.__mul__`` is one pass of it; the crossed product (``crossed``)
+folds the action phases into the same pass.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .scalars import PhasedScalar, SparseElement, cyc_root, session_order
+from .scalars import (
+    Cyclotomic,
+    OrderMismatchError,
+    PhasedScalar,
+    SparseElement,
+    _bkey,
+    _field_tables,
+    _key_add,
+    _root_table,
+    session_order,
+)
 
 __all__ = [
     "ThetaEntry",
     "ThetaMatrix",
     "NcTorus",
     "TorusElement",
+    "Accumulator",
     "generators",
 ]
 
 Monomial = tuple[int, ...]
+UnitPair = tuple[int, tuple[int, int]]  # (root exponent r, theta key): zeta^r e^{i pi b theta}
+_ONE_PAIR: UnitPair = (0, (0, 1))
+_COCYCLE_CACHE_CAP = 200_000
 
 
 class ThetaEntry(NamedTuple):
@@ -49,12 +79,6 @@ class ThetaEntry(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def value_at(self, theta_value: Fraction | None) -> Fraction:
-        """Numeric value once theta is folded to a rational."""
-        if theta_value is None:
-            raise ValueError("theta is symbolic; no numeric value")
-        return self.a + self.b * theta_value
 
     def phase_equal(self, other: "ThetaEntry") -> bool:
         """Equality of the phases e^{i pi (.)}: a is compared modulo 2."""
@@ -120,7 +144,7 @@ class NcTorus:
     e^{i pi b theta} into the cyclotomic field of the given session order.
     """
 
-    __slots__ = ("theta", "theta_value", "order", "_active", "_cocycle_cache", "_one_phase")
+    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs")
 
     def __init__(self, theta: ThetaMatrix, theta_value=None, order: int | None = None):
         self.theta = theta
@@ -131,9 +155,10 @@ class NcTorus:
         for (j, k), _ in theta.upper_items():
             active.add(j)
             active.add(k)
-        self._active = tuple(sorted(active))
-        self._cocycle_cache: dict = {}
-        self._one_phase = PhasedScalar.one(self.order)
+        # the cocycle cache key: the active coordinates of m and of n (a
+        # nonzero slot couples two coordinates, so the getter returns tuples)
+        self._pair_key = operator.itemgetter(*sorted(active)) if active else None
+        self._cocycle_pairs: dict = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -162,40 +187,49 @@ class NcTorus:
             return PhasedScalar.phase(b, 1, order=self.order)
         return PhasedScalar.phase(b, 1, order=self.order).fold(self.theta_value)
 
-    def phase_of_entry(self, a: Fraction, b: Fraction) -> PhasedScalar:
-        """e^{i pi (a + b theta)} as a single-term PhasedScalar.
+    def unit_pair(self, a: Fraction, b: Fraction) -> UnitPair:
+        """e^{i pi (a + b theta)} as the pair (r, theta key), folded when theta has a value.
 
-        The rational part e^{i pi a} with a = p/q is the root of unity
-        zeta_{2q}^p, so 2q must divide the session order.
+        The rational part e^{i pi a} with a = p/q is zeta_{2q}^p, so 2q must
+        divide the session order.
         """
         if self.theta_value is not None:
             a = a + b * self.theta_value
             b = Fraction(0)
-        coeff = cyc_root(2 * a.denominator, a.numerator, order=self.order)
-        return PhasedScalar.phase(b, coeff, order=self.order)
+        q = 2 * a.denominator
+        if self.order % q:
+            raise OrderMismatchError(f"order {q} does not divide the session order {self.order}")
+        return (a.numerator * (self.order // q)) % self.order, _bkey(b)
+
+    def phase_of_entry(self, a: Fraction, b: Fraction) -> PhasedScalar:
+        """e^{i pi (a + b theta)} as a single-term PhasedScalar."""
+        return PhasedScalar.unit(self.order, *self.unit_pair(a, b))
+
+    def _cocycle_pair(self, m: Monomial, n: Monomial) -> UnitPair:
+        """omega(m, n) as a unit pair, cached per pair of active coordinates."""
+        get = self._pair_key
+        if get is None:
+            return _ONE_PAIR
+        key = (get(m), get(n))
+        pair = self._cocycle_pairs.get(key)
+        if pair is None:
+            a = Fraction(0)
+            b = Fraction(0)
+            for (j, k), entry in self.theta.upper_items():
+                cross = m[j] * n[k] - m[k] * n[j]
+                if cross:
+                    a += entry.a * cross
+                    b += entry.b * cross
+            pair = self.unit_pair(a, b)
+            if len(self._cocycle_pairs) < _COCYCLE_CACHE_CAP:
+                self._cocycle_pairs[key] = pair
+        return pair
 
     def cocycle(self, m: Monomial, n: Monomial) -> PhasedScalar:
         """omega(m, n) = e^{i pi sum theta_jk m_j n_k}, a single unit phase."""
         if len(m) != self.d or len(n) != self.d:
             raise ValueError(f"dimension mismatch: expected vectors of length {self.d}")
-        active = self._active
-        if not active:
-            return self._one_phase
-        key = tuple(m[i] for i in active) + tuple(n[i] for i in active)
-        cached = self._cocycle_cache.get(key)
-        if cached is not None:
-            return cached
-        a = Fraction(0)
-        b = Fraction(0)
-        for (j, k), entry in self.theta.upper_items():
-            cross = m[j] * n[k] - m[k] * n[j]
-            if cross:
-                a += entry.a * cross
-                b += entry.b * cross
-        result = self.phase_of_entry(a, b)
-        if len(self._cocycle_cache) < 200_000:
-            self._cocycle_cache[key] = result
-        return result
+        return PhasedScalar.unit(self.order, *self._cocycle_pair(m, n))
 
     # -- elements ------------------------------------------------------------
 
@@ -210,9 +244,6 @@ class NcTorus:
         if len(m) != self.d:
             raise ValueError(f"dimension mismatch: expected length {self.d}")
         return TorusElement(self, {m: self.scalar(coeff)})
-
-    def element(self, terms: dict[Monomial, PhasedScalar]) -> "TorusElement":
-        return TorusElement(self, dict(terms))
 
     def basis_generators(self) -> list["TorusElement"]:
         gens = []
@@ -236,9 +267,6 @@ class TorusElement(SparseElement, ctx="algebra", data="_terms"):
 
     def terms(self) -> tuple[tuple[Monomial, PhasedScalar], ...]:
         return tuple(sorted(self._terms.items()))
-
-    def support(self) -> tuple[Monomial, ...]:
-        return tuple(sorted(self._terms))
 
     def coefficient(self, m: Iterable[int]) -> PhasedScalar:
         return self._terms.get(tuple(m), self.algebra.scalar_zero())
@@ -264,18 +292,9 @@ class TorusElement(SparseElement, ctx="algebra", data="_terms"):
         if not isinstance(other, TorusElement):
             return self._scale(other)
         self._check(other)
-        alg = self.algebra
-        out: dict[Monomial, PhasedScalar] = {}
-        for m, cm in self._terms.items():
-            for n, cn in other._terms.items():
-                phase = alg.cocycle(m, n)
-                target = tuple(a + b for a, b in zip(m, n))
-                contrib = cm * cn
-                if not phase.is_one():
-                    contrib = contrib * phase
-                cur = out.get(target)
-                out[target] = contrib if cur is None else cur + contrib
-        return TorusElement._raw(alg, {m: c for m, c in out.items() if not c.is_zero()})
+        acc = Accumulator(self.algebra)
+        acc.add(0, self, [(n, *_ONE_PAIR, c) for n, c in other._terms.items()])
+        return acc.components().get(0) or self.algebra.zero()
 
     def star(self) -> "TorusElement":
         """The involution: delta_m -> delta_{-m} with conjugated coefficients.
@@ -295,6 +314,106 @@ class TorusElement(SparseElement, ctx="algebra", data="_terms"):
             return "0"
         parts = [f"[{','.join(map(str, m))}]:{c!r}" for m, c in self.terms()]
         return "TorusElement{" + "; ".join(parts) + "}"
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _nonzero(num: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The nonzero (index, value) entries of a numerator; cached because the
+    same coefficients recur across the entries of a matrix product."""
+    return tuple((j, a) for j, a in enumerate(num) if a)
+
+
+def _split(coeff: PhasedScalar):
+    """(theta key, denominator, nonzero (index, numerator) pairs) per term."""
+    return [(b, c.den, _nonzero(c.num)) for b, c in coeff._terms.items()]
+
+
+class Accumulator:
+    """Sum of c_m c_n zeta^r e^{i pi b theta} delta_{m+n} p^t over pairs of terms.
+
+    Each entry is keyed by (t, monomial, theta key) and holds ``[den, num]``:
+    an unreduced integer numerator list over one positive denominator.  A
+    coefficient is read as its nonzero power-basis entries a_j zeta^j, so a
+    product of coefficients with the unit phase is a sum of a_i a_j
+    zeta^(i+j+r), each looked up reduced in ``_root_table``; no general
+    product and no intermediate scalar is built.  ``components`` reduces
+    each coefficient to a canonical ``Cyclotomic`` once.
+    """
+
+    __slots__ = ("algebra", "_entries")
+
+    def __init__(self, algebra: NcTorus):
+        self.algebra = algebra
+        self._entries: dict = {}
+
+    def add(self, t: int, left: "TorusElement", right) -> None:
+        """Add left * (sum of unit-phased terms) into component t.
+
+        ``right`` holds (n, r, key, c_n) quadruples: the term c_n delta_n
+        scaled by the unit phase (r, key), as the action leaves it.
+        """
+        alg = self.algebra
+        order = alg.order
+        deg = _field_tables(order)[0]
+        roots = _root_table(order)
+        entries = self._entries
+        get = alg._pair_key
+        cache = alg._cocycle_pairs
+        pair_of = alg._cocycle_pair
+        key_add = _key_add
+        add = operator.add
+        lhs = [(m, _split(c)) for m, c in left._terms.items()]
+        rhs = [(n, r, b, _split(c)) for n, r, b, c in right]
+        for m, cm in lhs:
+            for n, r0, b0, cn in rhs:
+                if get is None:
+                    r, bw = r0, b0
+                else:
+                    r, bw = cache.get((get(m), get(n))) or pair_of(m, n)
+                    r = (r + r0) % order
+                    bw = (bw[0] + b0[0], 1) if bw[1] == b0[1] == 1 else key_add(bw, b0)
+                target = tuple(map(add, m, n))
+                for b1, d1, s1 in cm:
+                    # theta keys are integral (denominator 1) on the hot path
+                    bb = (bw[0] + b1[0], 1) if bw[1] == b1[1] == 1 else key_add(bw, b1)
+                    for b2, d2, s2 in cn:
+                        if bb[1] == b2[1] == 1:
+                            key = (t, target, (bb[0] + b2[0], 1))
+                        else:
+                            key = (t, target, key_add(bb, b2))
+                        den = d1 * d2
+                        scale = 1
+                        entry = entries.get(key)
+                        if entry is None:
+                            entry = entries[key] = [den, [0] * deg]
+                        elif entry[0] != den:
+                            lcm = math.lcm(entry[0], den)
+                            if lcm != entry[0]:
+                                grow = lcm // entry[0]
+                                entry[1] = [x * grow for x in entry[1]]
+                                entry[0] = lcm
+                            scale = lcm // den
+                        out = entry[1]
+                        for i, a1 in s1:
+                            a1 *= scale
+                            for j, a2 in s2:
+                                x = a1 * a2
+                                for k, v in roots[i + j + r]:
+                                    out[k] += x * v
+
+    def components(self) -> dict[int, "TorusElement"]:
+        """The nonzero sums per component t, each coefficient reduced once."""
+        order = self.algebra.order
+        per_t: dict = {}
+        for (t, m, b), (den, num) in self._entries.items():
+            if any(num):
+                per_t.setdefault(t, {}).setdefault(m, {})[b] = Cyclotomic(order, tuple(num), den)
+        return {
+            t: TorusElement._raw(
+                self.algebra, {m: PhasedScalar._raw(order, cs) for m, cs in terms.items()}
+            )
+            for t, terms in per_t.items()
+        }
 
 
 class Generators3(NamedTuple):

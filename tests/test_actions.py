@@ -32,6 +32,17 @@ def preset():
 # evaluation
 
 
+def test_generator_image_coefficient_is_a_root_of_unity_times_a_theta_phase(preset):
+    i = cyc_root(4, 1, order=preset.order)
+    image = GeneratorImage(preset.theta_phase(1) * i, (1, 0, 0))
+    assert image.coeff.unit_exponents() == (preset.order // 4, (1, 1))
+    # unit modulus is not enough: (3 + 4i)/5 is no root of unity
+    for coeff in (preset.scalar(2), preset.scalar(i * Fraction(4, 5) + Fraction(3, 5)),
+                  preset.scalar(1) + preset.theta_phase(1)):
+        with pytest.raises(ValueError):
+            GeneratorImage(coeff, (1, 0, 0))
+
+
 def test_b2_generator_images(preset):
     action = deformed_action("B2", preset)
     u, v, w = preset.basis_generators()

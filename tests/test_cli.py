@@ -67,7 +67,12 @@ def test_usage_error_exit_code():
     for argv in (["verify", "--suite", "traces", "--samples", "0"],
                  ["verify", "--suite", "traces", "--samples", "-3"],
                  ["verify", "--suite", "morita", "--degree", "-1"],
-                 ["verify", "--suite", "morita", "--degree", "0"]):
+                 ["verify", "--suite", "morita", "--degree", "0"],
+                 # options a subcommand would not read
+                 ["ktheory", "B3", "--theta", "1/5"],
+                 ["ktheory", "B3", "--samples", "7"],
+                 ["homology", "--samples", "7"],
+                 ["scan", "--family", "B2", "--seed", "3"]):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
