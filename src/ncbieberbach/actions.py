@@ -12,22 +12,31 @@ form ``g . delta_m = phi(m) delta_{A m}`` with ``A`` the integer matrix of
 target exponents and
 
     phi(m) = prod_i mu_i^{m_i} * e^{i pi sum_{j<k} s_jk m_j m_k},
-    s_jk   = t_j^T Theta t_k - Theta_jk.
+    s_jk   = t_j^T Theta t_k - Theta_jk = sum_{p<q} C[jk][pq] Theta_pq,
+    C[jk][pq] = t_j[p] t_k[q] - t_j[q] t_k[p] - [pq = jk].
 
+The slot matrix ``C`` is an integer matrix read from the theta-free targets.
 The multiplicativity identity is bilinear in the pair of monomials, so the
 degree-bounded compatibility check reduces to the finitely many slot
 conditions ``s_jk integral (rational part) and zero (theta part)``; the check
 below verifies exactly that and the test suite cross-validates it against the
 literal identity ``g.(x y) = (g.x)(g.y)`` evaluated with the generic product.
+
+The cocycle scan reads the slot conditions on the grid ``k/D`` as integer
+congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
+for the theta coefficients ``b``, and rejects candidates with those alone.
+Only the survivors are built as an algebra and an action, and each gets the
+full certificate: ``check_compatibility`` and ``check_order``.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import PhasedScalar, _key_add, certify, cyc_root
+from .scalars import PhasedScalar, _key_add, certify, cyc_root, session_order
 from .torus import _ONE_PAIR, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement
 
 __all__ = [
@@ -237,34 +246,31 @@ def check_order(action, algebra: NcTorus) -> bool:
     return action.runtime(algebra).check_order()
 
 
-def _theta_pair(algebra: NcTorus, j: int, k: int) -> tuple[Fraction, Fraction]:
-    entry = algebra.theta.entry(j, k)
+def _slot_matrix(targets) -> list[list[int]]:
+    """The integer matrix C with s_jk = sum_{p<q} C[jk][pq] Theta_pq.
+
+    Rows and columns run over the upper slots in order (12, 13, 23 in 3d).
+    """
+    slots = list(itertools.combinations(range(len(targets)), 2))
+    return [
+        [targets[j][p] * targets[k][q] - targets[j][q] * targets[k][p] - ((j, k) == (p, q))
+         for p, q in slots]
+        for j, k in slots
+    ]
+
+
+def _slot_obstructions(action: FiniteAction, algebra: NcTorus) -> dict:
+    """{(j, k): (a, b)} with s_jk = a + b theta, for every upper slot."""
+    slots = list(itertools.combinations(range(algebra.d), 2))
+    entries = [algebra.theta.entry(p, q) for p, q in slots]
     if algebra.theta_value is not None:
-        return entry.a + entry.b * algebra.theta_value, Fraction(0)
-    return entry.a, entry.b
-
-
-def _coeff_pair(algebra: NcTorus, coeff: PhasedScalar) -> tuple[Fraction, Fraction]:
-    """Exponent pair (a, b) with coeff = e^{i pi (a + b theta)}."""
-    b, c = coeff.single_phase()
-    k = c.root_exponent()
-    return Fraction(2 * k, algebra.order), b
-
-
-def _pairing(algebra: NcTorus, m: Monomial, n: Monomial) -> tuple[Fraction, Fraction]:
-    """m^T Theta n as an (a, b) exponent pair."""
-    a = Fraction(0)
-    b = Fraction(0)
-    for j in range(algebra.d):
-        if not m[j]:
-            continue
-        for k in range(algebra.d):
-            if not n[k]:
-                continue
-            ea, eb = _theta_pair(algebra, j, k)
-            a += ea * m[j] * n[k]
-            b += eb * m[j] * n[k]
-    return a, b
+        entries = [(a + b * algebra.theta_value, 0) for a, b in entries]
+    matrix = _slot_matrix([img.target for img in action.images])
+    return {
+        slot: (sum((c * a for c, (a, _) in zip(row, entries)), Fraction(0)),
+               sum((c * b for c, (_, b) in zip(row, entries)), Fraction(0)))
+        for slot, row in zip(slots, matrix)
+    }
 
 
 def compatibility_obstructions(action: FiniteAction, algebra: NcTorus):
@@ -273,16 +279,10 @@ def compatibility_obstructions(action: FiniteAction, algebra: NcTorus):
     The multiplicative-extension identity holds for every pair of monomials
     iff each s_jk has integral rational part and vanishing theta part.
     """
-    targets = [img.target for img in action.images]
-    bad = []
-    for j in range(algebra.d):
-        for k in range(j + 1, algebra.d):
-            pa, pb = _pairing(algebra, targets[j], targets[k])
-            ta, tb = _theta_pair(algebra, j, k)
-            da, db = pa - ta, pb - tb
-            if da.denominator != 1 or db != 0:
-                bad.append(((j, k), da, db))
-    return bad
+    return [
+        (slot, a, b) for slot, (a, b) in _slot_obstructions(action, algebra).items()
+        if a.denominator != 1 or b != 0
+    ]
 
 
 def check_compatibility(action, algebra: NcTorus, degree_bound: int = 2) -> bool:
@@ -306,57 +306,50 @@ def check_compatibility(action, algebra: NcTorus, degree_bound: int = 2) -> bool
     return True
 
 
-def _phase_poly(action: FiniteAction, algebra: NcTorus):
-    """Linear and quadratic exponent data of phi(m) for one generator."""
-    lin = [_coeff_pair(algebra, img.coeff) for img in action.images]
-    targets = [img.target for img in action.images]
-    quad = {}
-    for j in range(algebra.d):
-        for k in range(j + 1, algebra.d):
-            pa, pb = _pairing(algebra, targets[j], targets[k])
-            ta, tb = _theta_pair(algebra, j, k)
-            quad[(j, k)] = (pa - ta, pb - tb)
-    return lin, quad
+def _phase_poly(action: FiniteAction, algebra: NcTorus) -> list:
+    """phi(m) = e^{i pi sum (a + b theta) prod_{i in coords} m_i} as (coords, a, b)
+    terms: one per image coefficient and one per slot obstruction s_jk."""
+    poly = []
+    for i, img in enumerate(action.images):
+        r, key = img.coeff.unit_exponents()
+        poly.append(((i,), Fraction(2 * r, algebra.order), Fraction(*key)))
+    return poly + [(slot, a, b) for slot, (a, b) in _slot_obstructions(action, algebra).items()]
 
 
-def _phase_at(lin, quad, m: Monomial) -> tuple[Fraction, Fraction]:
-    a = Fraction(0)
-    b = Fraction(0)
-    for i, mi in enumerate(m):
-        if mi:
-            a += lin[i][0] * mi
-            b += lin[i][1] * mi
-    for (j, k), (qa, qb) in quad.items():
-        if m[j] and m[k]:
-            a += qa * m[j] * m[k]
-            b += qb * m[j] * m[k]
+def _phase_at(poly, m: Monomial) -> tuple[int, int]:
+    a = b = 0
+    for coords, pa, pb in poly:
+        w = math.prod(m[i] for i in coords)
+        a += pa * w
+        b += pb * w
     return a, b
 
 
-def _exponent_matrix(action: FiniteAction) -> list[list[int]]:
-    d = action.dimension
-    return [[action.images[j].target[i] for j in range(d)] for i in range(d)]
-
-
-def _mat_vec(mat, m):
-    return tuple(sum(mat[i][j] * m[j] for j in range(len(m))) for i in range(len(mat)))
+def _target_of(action: FiniteAction, m: Monomial) -> Monomial:
+    """A m, the exponent vector of g . delta_m."""
+    return tuple(sum(mj * img.target[i] for mj, img in zip(m, action.images)) for i in range(len(m)))
 
 
 def _generators_commute(g1: FiniteAction, g2: FiniteAction, algebra: NcTorus, bound: int) -> bool:
-    a1 = _exponent_matrix(g1)
-    a2 = _exponent_matrix(g2)
-    lin1, quad1 = _phase_poly(g1, algebra)
-    lin2, quad2 = _phase_poly(g2, algebra)
+    """g1 g2 and g2 g1 agree on every delta_m of the box |m_i| <= bound.
+
+    The phase exponents are integers over one common denominator L, so two
+    phases agree iff their rational parts agree modulo 2L and their theta
+    parts are equal.
+    """
+    polys = [_phase_poly(g, algebra) for g in (g1, g2)]
+    den = math.lcm(*(x.denominator for poly in polys for _, a, b in poly for x in (a, b)))
+    poly1, poly2 = ([(coords, int(a * den), int(b * den)) for coords, a, b in poly] for poly in polys)
     for m in itertools.product(range(-bound, bound + 1), repeat=algebra.d):
-        m12 = _mat_vec(a2, m)
-        m21 = _mat_vec(a1, m)
-        if _mat_vec(a1, m12) != _mat_vec(a2, m21):
+        m12 = _target_of(g2, m)
+        m21 = _target_of(g1, m)
+        if _target_of(g1, m12) != _target_of(g2, m21):
             return False
-        pa2, pb2 = _phase_at(lin2, quad2, m)
-        pa1, pb1 = _phase_at(lin1, quad1, m12)
-        qa1, qb1 = _phase_at(lin1, quad1, m)
-        qa2, qb2 = _phase_at(lin2, quad2, m21)
-        if (pa2 + pa1 - qa1 - qa2) % 2 != 0 or pb2 + pb1 - qb1 - qb2 != 0:
+        pa2, pb2 = _phase_at(poly2, m)
+        pa1, pb1 = _phase_at(poly1, m12)
+        qa1, qb1 = _phase_at(poly1, m)
+        qa2, qb2 = _phase_at(poly2, m21)
+        if (pa2 + pa1 - qa1 - qa2) % (2 * den) or pb2 + pb1 - qb1 - qb2:
             return False
     return True
 
@@ -391,6 +384,7 @@ class ScanResult:
     denominator: int
     patterns: dict  # designated free slot -> frozenset of fixed assignments
     all_rational: frozenset  # admissible fully rational assignments
+    order: int  # cyclotomic order the candidates were certified at
     order_flags: dict = field(default_factory=dict)  # pattern -> order check with tabulated coefficients
 
     def free_slot(self) -> str | None:
@@ -435,50 +429,54 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     """Enumerate admissible theta matrices for one family.
 
     Candidates put the symbolic theta in one designated slot (or none) and
-    run the two remaining slots over the grid {k/denominator}; a candidate is
-    admissible iff every group generator passes check_compatibility at
-    degree bound 2 (product families also need commuting generators).
+    run the remaining slots over the grid {k/denominator}.  The slot
+    conditions are integer congruences first: with grid numerators n and
+    theta coefficients b, every group generator's slot matrix C needs
+    ``C n = 0 (mod denominator)`` and ``C b = 0``.  Only the candidates that
+    pass are built; each gets the full certificate, check_compatibility at
+    degree bound 2 (product families also need commuting generators), and
+    its check_order flag.  Without an ``order`` the scan works at
+    lcm(session order, 2 * denominator), which holds every grid phase.
     """
     if denominator < 1 or denominator > 12:
         raise ValueError("grid denominator must be between 1 and 12")
     kind, spec = families.classical_spec(family)
-    grid = [Fraction(k, denominator) for k in range(denominator)]
+    if order is None:
+        order = math.lcm(session_order(), 2 * denominator)
+    rows = [
+        row
+        for _, images in ([spec] if kind == "cyclic" else spec)
+        for row in _slot_matrix([target for _, target in images])
+    ]
 
-    def admissible(matrix: ThetaMatrix) -> tuple[bool, bool]:
-        algebra = NcTorus(matrix, order=order)
-        action = _build_action(spec, kind, algebra)
-        ok = check_compatibility(action, algebra, degree_bound=2)
-        order_ok = check_order(action, algebra) if ok else False
-        return ok, order_ok
-
-    patterns: dict[str, set] = {slot: set() for slot in _SLOTS}
+    found: dict[str | None, set] = {slot: set() for slot in (*_SLOTS, None)}  # None: no theta slot
     order_flags: dict = {}
-    for designated in _SLOTS:
-        fixed_slots = tuple(s for s in _SLOTS if s != designated)
-        for combo in itertools.product(grid, repeat=2):
-            assign = {designated: ThetaEntry.of(0, 1)}
-            for slot, value in zip(fixed_slots, combo):
-                assign[slot] = ThetaEntry.of(value, 0)
-            ok, order_ok = admissible(_candidate_matrix(assign))
-            if ok:
-                key = tuple(sorted(zip(fixed_slots, combo)))
-                patterns[designated].add(key)
-                order_flags[(designated, key)] = order_ok
+    for designated in (*_SLOTS, None):
+        if designated is not None and any(row[_SLOTS.index(designated)] for row in rows):
+            continue  # C b != 0 for the theta in this slot
+        fixed = tuple(s for s in _SLOTS if s != designated)
+        for combo in itertools.product(range(denominator), repeat=len(fixed)):
+            numerators = dict(zip(fixed, combo))
+            n = [numerators.get(slot, 0) for slot in _SLOTS]
+            if any(sum(c * x for c, x in zip(row, n)) % denominator for row in rows):
+                continue
+            assign = {} if designated is None else {designated: ThetaEntry.of(0, 1)}
+            for slot, k in numerators.items():
+                assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
+            algebra = NcTorus(_candidate_matrix(assign), order=order)
+            action = _build_action(spec, kind, algebra)
+            if check_compatibility(action, algebra, degree_bound=2):
+                key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))
+                found[designated].add(key)
+                order_flags[(designated, key)] = check_order(action, algebra)
 
-    all_rational: set = set()
-    for combo in itertools.product(grid, repeat=3):
-        assign = {slot: ThetaEntry.of(value, 0) for slot, value in zip(_SLOTS, combo)}
-        ok, order_ok = admissible(_candidate_matrix(assign))
-        if ok:
-            key = tuple(sorted(zip(_SLOTS, combo)))
-            all_rational.add(key)
-            order_flags[(None, key)] = order_ok
-
+    all_rational = found.pop(None)
     return ScanResult(
         family=family,
         denominator=denominator,
-        patterns={slot: frozenset(vals) for slot, vals in patterns.items()},
+        patterns={slot: frozenset(vals) for slot, vals in found.items()},
         all_rational=frozenset(all_rational),
+        order=order,
         order_flags=order_flags,
     )
 

@@ -185,8 +185,8 @@ def _pattern_payload(result) -> dict:
 
 
 def cmd_scan(args) -> int:
-    report = Report("scan", _config(args, "denominator", "family", cyclotomic_order=session_order()))
     result = scan_cocycles(args.family, args.denominator)
+    report = Report("scan", _config(args, "denominator", "family", cyclotomic_order=result.order))
     reference = result.reference()
     report.payload["computed"] = _pattern_payload(result)
     report.payload["reference"] = {

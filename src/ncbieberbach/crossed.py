@@ -475,16 +475,16 @@ def tau_parity_trace(cp: CrossedProduct, j: int, k: int) -> TwistedTrace:
 
 
 def random_torus_element(rng: random.Random, algebra: NcTorus, degree: int, terms: int = 2) -> TorusElement:
-    out = algebra.zero()
+    out: dict[Monomial, PhasedScalar] = {}
     for _ in range(terms):
         m = tuple(rng.randint(-degree, degree) for _ in range(algebra.d))
         root = cyc_root(algebra.order, rng.randrange(algebra.order), order=algebra.order)
         coeff = PhasedScalar.phase(Fraction(rng.randint(-2, 2)), root, order=algebra.order)
         if algebra.theta_value is not None:
             coeff = coeff.fold(algebra.theta_value)
-        scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
-        out = out + algebra.delta(m) * (coeff * scale)
-    return out
+        coeff = coeff * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        out[m] = out[m] + coeff if m in out else coeff
+    return TorusElement(algebra, out)
 
 
 def random_crossed_element(rng: random.Random, cp: CrossedProduct, degree: int, terms: int = 2) -> CrossedElement:

@@ -1,14 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import scan_oracle
 
 from ncbieberbach import families
 from ncbieberbach.actions import (
     FiniteAction,
     GeneratorImage,
     ProductAction,
+    _generators_commute,
     apply_action,
     check_compatibility,
     check_order,
@@ -197,6 +200,51 @@ def test_scan_rejects_bad_inputs():
         scan_cocycles("B7", 6)
     with pytest.raises(ValueError):
         scan_cocycles("B2", 13)
+    with pytest.raises(ValueError):
+        scan_cocycles("B2", 0)
+
+
+@pytest.mark.parametrize("denominator", range(1, 13))
+def test_scan_matches_the_fraction_enumeration(denominator):
+    """The integer filter keeps exactly the candidates that every-candidate
+    certification in Fraction arithmetic admits (``tests/scan_oracle.py``)."""
+    order = math.lcm(24, 2 * denominator)
+    for family in families.FAMILIES:
+        result = scan_cocycles(family, denominator, order)
+        patterns, all_rational, order_flags = scan_oracle.reference_scan(family, denominator, order)
+        assert result.patterns == patterns, family
+        assert result.all_rational == all_rational, family
+        assert result.order_flags == order_flags, family
+
+
+def _times_phase(g, i, phase):
+    """g with the coefficient of its i-th image multiplied by ``phase``."""
+    images = list(g.images)
+    images[i] = GeneratorImage(images[i].coeff * phase, images[i].target)
+    return FiniteAction(g.order, tuple(images))
+
+
+@pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
+def test_integer_commutation_check_matches_fraction_reference(theta_value, order):
+    """The integer-exponent commutation check against ``Fraction`` exponents.
+
+    The grid candidates of the product families all commute, so one image
+    coefficient also gets a quarter turn or a theta phase, which breaks the
+    commutation for some pairs.  Every third candidate of the grid 1/2 keeps
+    the test short."""
+    outcomes = set()
+    for family in families.PRODUCT_FAMILIES:
+        for _, _, upper in itertools.islice(scan_oracle.candidates(2), 0, None, 3):
+            algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
+            g1, g2 = classical_action(family, algebra).generators()
+            quarter = algebra.scalar(cyc_root(4, 1, order=order))
+            for a, b in ((g1, g2), (_times_phase(g1, 0, quarter), g2),
+                         (g1, _times_phase(g2, 2, algebra.theta_phase(1)))):
+                for bound in (1, 2):
+                    expected = scan_oracle.generators_commute(a, b, algebra, bound)
+                    assert _generators_commute(a, b, algebra, bound) == expected, (family, upper, bound)
+                    outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_n1_n2_tabulated_rows_coincide_but_checker_separates():

@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from ncbieberbach import families
 from ncbieberbach.cli import main
+from ncbieberbach.scalars import session_order
 
 
 def run_json(capsys, *argv):
@@ -46,6 +49,17 @@ def test_scan_matching_family(capsys):
 def test_scan_subgrid(capsys):
     code, report = run_json(capsys, "scan", "--family", "B2", "--denominator", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("denominator", [5, 7])
+def test_scan_works_at_the_order_of_its_grid(capsys, denominator):
+    """Grid phases k/D need zeta_{2D}: every family reports, none exits 2."""
+    for family in families.FAMILIES:
+        code, report = run_json(capsys, "scan", "--family", family, "--denominator", str(denominator))
+        assert code in (0, 1), family
+        assert report["config"]["cyclotomic_order"] == math.lcm(session_order(), 2 * denominator)
+    code, _ = run_json(capsys, "verify", "--suite", "actions", "--denominator", str(denominator))
+    assert code in (0, 1)
 
 
 def test_scan_documented_mismatch_exits_nonzero(capsys):
