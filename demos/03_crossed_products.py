@@ -11,10 +11,10 @@ from ncbieberbach.crossed import (
     CanonicalTrace,
     NotRootOfUnityError,
     crossed_product,
-    hexic_reading_comparison,
     k0_generator_table,
     tau_parity_trace,
 )
+from ncbieberbach.verify import hexic_reading_comparison
 
 cp = crossed_product("B2", dim=2)
 v, w = cp.torus_generators()
@@ -50,5 +50,5 @@ for note in table.anomalies:
 # The hexic projector exponents admit a period-3 misreading; compare both.
 cp6 = crossed_product("B6", dim=2)
 print()
-for check in hexic_reading_comparison(cp6):
-    print(f"hexic {check.name}: {check.ok}")
+for check in hexic_reading_comparison(cp6):  # rows named hexic-<law>
+    print(f"{check.name.replace('-', ' ', 1)}: {check.ok}")

@@ -43,8 +43,6 @@ from .crossed import (  # noqa: F401
     crossed_product,
     k0_generator_table,
     tau_parity_trace,
-    verify_exchange_iso,
-    verify_trace_laws,
 )
 from .ktheory import (  # noqa: F401
     AbelianGroup,
@@ -55,5 +53,12 @@ from .ktheory import (  # noqa: F401
     kernel_cokernel,
     pv_solve,
     smith_normal_form,
+)
+from .verify import (  # noqa: F401
+    Check,
+    hexic_reading_comparison,
     verify_beta_star,
+    verify_exchange_iso,
+    verify_projections,
+    verify_trace_laws,
 )

@@ -26,10 +26,8 @@ On top of the arithmetic this module provides:
 * the stable-isomorphism witness pair (p, p_hat) with its matrix units, the
   inversion identity, and the matrix decomposition of torus elements over the
   invariant subalgebra;
-* canonical and twisted trace functionals together with samplers verifying
-  the trace laws and the beta_hat scaling law;
-* the exchange identity between acting first by Z and then by Z_N or the
-  other way around, checked on bounded monomials;
+* canonical and twisted trace functionals, and seeded random elements for
+  the samplers in ``verify``;
 * the tabulated K0 generator projections per family, with exact anomaly
   detection for the two tabulated coefficients that fail their order
   precondition (the cubic V^2 p generator and the hexic V p^2 generator).
@@ -56,15 +54,10 @@ __all__ = [
     "CanonicalTrace",
     "TwistedTrace",
     "tau_parity_trace",
-    "verify_trace_laws",
-    "verify_exchange_iso",
     "AnomalyNote",
     "GeneratorTable",
     "k0_generator_table",
-    "verify_projections",
-    "hexic_reading_comparison",
     "psi_multiplicativity_mismatch",
-    "CheckOutcome",
 ]
 
 
@@ -78,13 +71,6 @@ class NotRootOfUnityError(ValueError):
     def __init__(self, message: str, residual: "CrossedElement"):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class CheckOutcome:
-    name: str
-    ok: bool
-    detail: str = ""
 
 
 class CrossedProduct:
@@ -495,95 +481,6 @@ def random_crossed_element(rng: random.Random, cp: CrossedProduct, degree: int, 
     return out
 
 
-@dataclass
-class TraceLawReport:
-    name: str
-    checks: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_trace_laws(t: TraceFunctional, cp: CrossedProduct, samples: int = 200,
-                      seed: int = 7, degree: int = 2) -> TraceLawReport:
-    """Sample the twist laws of the base functional and the trace laws upstairs."""
-    rng = random.Random(seed)
-    report = TraceLawReport(name=t.name)
-    sigma = cp.rt
-    s = t.s
-
-    inv_ok, twist_ok, tracial_ok, scale_ok = True, True, True, True
-    inv_ce = twist_ce = tracial_ce = scale_ce = ""
-    factor = cyc_root(cp.n, s, order=cp.algebra.order)
-    for _ in range(samples):
-        a = random_torus_element(rng, cp.algebra, degree)
-        b = random_torus_element(rng, cp.algebra, degree)
-        if inv_ok and t.base_eval(sigma.apply(a)) != t.base_eval(a):
-            inv_ok, inv_ce = False, f"a={a!r}"
-        if twist_ok and t.base_eval(a * b) != t.base_eval(sigma.apply(b, power=s % cp.n) * a):
-            twist_ok, twist_ce = False, f"a={a!r}, b={b!r}"
-        x = random_crossed_element(rng, cp, degree)
-        y = random_crossed_element(rng, cp, degree)
-        if tracial_ok and t.eval(x * y) != t.eval(y * x):
-            tracial_ok, tracial_ce = False, f"x={x!r}, y={y!r}"
-        if scale_ok and t.eval(cp.beta_hat(x)) != t.eval(x) * factor:
-            scale_ok, scale_ce = False, f"x={x!r}"
-    report.checks.append(CheckOutcome("base-invariance", inv_ok, inv_ce))
-    report.checks.append(CheckOutcome("base-twist-law", twist_ok, twist_ce))
-    report.checks.append(CheckOutcome("tracial-on-crossed-product", tracial_ok, tracial_ce))
-    report.checks.append(CheckOutcome("beta-hat-scaling", scale_ok, scale_ce))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# exchange of the two crossed products
-
-
-@dataclass
-class ExchangeReport:
-    family: str
-    checks: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def verify_exchange_iso(family: str, degree: int = 3, theta_value=None,
-                        order: int | None = None) -> ExchangeReport:
-    """Check that conjugation by u implements beta_hat on the plane subalgebra.
-
-    In the three-torus crossed product the relations p u = lambda u p and
-    u x u* = beta_hat(x) for x in the plane crossed subalgebra are exactly
-    the defining relations of the opposite iterated crossed product, so
-    verifying them on bounded monomials verifies the exchange isomorphism.
-    """
-    if family not in K_FAMILIES:
-        raise ContextError(f"the exchange identity is set up for {K_FAMILIES}")
-    cp = crossed_product(family, dim=3, theta_value=theta_value, order=order)
-    report = ExchangeReport(family=family)
-    u = cp.delta((1, 0, 0), 0)
-    u_inv = cp.delta((-1, 0, 0), 0)
-
-    rel = cp.p() * u == u * cp.p() * cp.lam
-    report.checks.append(CheckOutcome("p-u-commutation", rel, "" if rel else "p u != lambda u p"))
-
-    ok = True
-    detail = ""
-    for m2, m3 in itertools.product(range(-degree, degree + 1), repeat=2):
-        for k in range(cp.n):
-            x = cp.delta((0, m2, m3), k)
-            if u * x * u_inv != cp.beta_hat(x):
-                ok = False
-                detail = f"monomial (0,{m2},{m3}) p^{k}"
-                break
-        if not ok:
-            break
-    report.checks.append(CheckOutcome("conjugation-implements-beta-hat", ok, detail))
-    return report
-
-
 # ---------------------------------------------------------------------------
 # tabulated K0 generators
 
@@ -743,68 +640,3 @@ def spectral_arguments(family: str, cp: CrossedProduct) -> dict:
     if family == "B6":
         return {"p": p, "y": v * p ** 2 * tp(Fraction(1, 3)), "Vp3": v * p ** 3}
     raise ValueError(f"unknown family {family!r}")
-
-
-def verify_projections(family: str, cp: CrossedProduct) -> list[CheckOutcome]:
-    """Idempotency, self-adjointness, orthogonality, and completeness checks."""
-    checks: list[CheckOutcome] = []
-    for stem, x in spectral_arguments(family, cp).items():
-        projectors = [cp.q_projector(n, x) for n in range(cp.n)]
-        total = cp.zero()
-        ok = True
-        detail = ""
-        for n, q in enumerate(projectors):
-            total = total + q
-            if q * q != q:
-                ok, detail = False, f"Q{n}({stem}) not idempotent"
-                break
-            if q.star() != q:
-                ok, detail = False, f"Q{n}({stem}) not self-adjoint"
-                break
-        if ok:
-            for n1 in range(cp.n):
-                for n2 in range(n1 + 1, cp.n):
-                    if not (projectors[n1] * projectors[n2]).is_zero():
-                        ok, detail = False, f"Q{n1}({stem}) Q{n2}({stem}) != 0"
-                        break
-                if not ok:
-                    break
-        if ok and total != cp.one():
-            ok, detail = False, f"sum of projectors of {stem} is not 1"
-        checks.append(CheckOutcome(f"projector-laws[{stem}]", ok, detail))
-    if family == "B2":
-        table = k0_generator_table(family, cp)
-        for lbl, el in table.non_exotic():
-            if lbl == "[1]":
-                continue
-            good = el * el == el and el.star() == el
-            checks.append(CheckOutcome(f"projection{lbl}", good, "" if good else f"{lbl} fails"))
-    return checks
-
-
-def hexic_reading_comparison(cp: CrossedProduct) -> list[CheckOutcome]:
-    """Compare the period-3 and period-6 exponent readings of the hexic projectors.
-
-    Both readings give idempotents; only the period-6 reading yields six
-    distinct projectors that sum to one.  The period-3 reading repeats with
-    period three and sums to 1 + x^3.
-    """
-    if cp.n != 6:
-        raise ContextError("the reading comparison concerns the hexic crossed product")
-    p = cp.p()
-    checks = []
-    third = [cp.q_projector(n, p, period=3) for n in range(6)]
-    sixth = [cp.q_projector(n, p) for n in range(6)]
-    idem = all(q * q == q for q in third)
-    checks.append(CheckOutcome("period3-idempotent", idem))
-    checks.append(CheckOutcome("period3-repeats", third[0] == third[3] and third[1] == third[4]))
-    total3 = cp.zero()
-    for q in third:
-        total3 = total3 + q
-    checks.append(CheckOutcome("period3-completeness-fails", total3 == cp.one() + p ** 3 and total3 != cp.one()))
-    total6 = cp.zero()
-    for q in sixth:
-        total6 = total6 + q
-    distinct = len({repr(q) for q in sixth}) == 6
-    checks.append(CheckOutcome("period6-laws", total6 == cp.one() and distinct))
-    return checks

@@ -15,12 +15,10 @@ must reproduce K0 up to one free summand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import families
-from .crossed import CanonicalTrace, CheckOutcome, crossed_product, k0_generator_table, tau_parity_trace
 from .scalars import certify
 
 __all__ = [
@@ -31,8 +29,6 @@ __all__ = [
     "BetaStarData",
     "beta_star_matrix",
     "pv_solve",
-    "verify_beta_star",
-    "BetaStarReport",
     "load_fixture_matrix",
     "fixture_comparison",
     "bieberbach_h1",
@@ -448,142 +444,6 @@ def fixture_comparison(family: str, epsilon: int = 1) -> dict:
                     "k_groups_agree": groups_match,
                 }
     return {"status": "mismatch"}
-
-
-# ---------------------------------------------------------------------------
-# consistency layers
-
-
-@dataclass
-class BetaStarReport:
-    family: str
-    epsilon: int | None
-    checks: list = field(default_factory=list)
-    anomalies: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
-def _as_affine(value) -> tuple[Fraction, Fraction]:
-    """Read a theta-free PhasedScalar as (rational, theta-coefficient)."""
-    if value.is_zero():
-        return Fraction(0), Fraction(0)
-    b, c = value.single_phase()
-    if b != 0:
-        raise ValueError("trace value is not theta-free")
-    return c.rational_value(), Fraction(0)
-
-
-def _row_times_matrix(row, matrix: IntMatrix):
-    n = len(matrix)
-    out = []
-    for j in range(n):
-        a = Fraction(0)
-        b = Fraction(0)
-        for i in range(n):
-            if matrix[i][j]:
-                a += row[i][0] * matrix[i][j]
-                b += row[i][1] * matrix[i][j]
-        out.append((a, b))
-    return out
-
-
-def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
-                     order: int | None = None) -> BetaStarReport:
-    """Three consistency layers for the induced-map data.
-
-    (i) the induced map has the right order and fixes the identity class;
-    (ii) each non-exotic column is the exact element-level image under the
-    dual automorphism, computed independently in the crossed product;
-    (iii) for the order-2 family, the tabulated trace vectors transform with
-    the signs forced by the twist (invariant for the canonical trace and the
-    pairing row, sign-reversed for the parity traces).
-    """
-    data = beta_star_matrix(family, epsilon)
-    report = BetaStarReport(family=family, epsilon=data.epsilon)
-
-    try:
-        data.validate()
-        report.checks.append(CheckOutcome("induced-map-order-and-unit", True))
-    except ValueError as exc:
-        report.checks.append(CheckOutcome("induced-map-order-and-unit", False, str(exc)))
-
-    cp = crossed_product(family, dim=2, theta_value=theta_value, order=order)
-    table = k0_generator_table(family, cp)
-    report.anomalies.extend(f"{a.label}: {a.message}" for a in table.anomalies)
-    induced = data.induced_map()
-    index = {lbl: i for i, lbl in enumerate(data.basis)}
-    exotic = [lbl for lbl, el in table.elements.items() if el is None]
-
-    ok = True
-    detail = ""
-    for lbl, element in table.non_exotic():
-        j = index[lbl]
-        for bad in exotic:
-            if induced[index[bad]][j]:
-                ok, detail = False, f"column {lbl} touches the exotic class"
-        expected = cp.zero()
-        for i, base_lbl in enumerate(data.basis):
-            coeff = induced[i][j]
-            if coeff:
-                expected = expected + table.elements[base_lbl] * coeff
-        if cp.beta_hat(element) != expected:
-            ok, detail = False, f"column {lbl} disagrees with the element-level image"
-            break
-    report.checks.append(CheckOutcome("element-level-transport", ok, detail))
-
-    if family == "B2":
-        eps = Fraction(epsilon)
-        tau = CanonicalTrace(cp)
-        vectors = []
-        tau_row = [
-            _as_affine(tau.eval(table.elements[lbl])) for lbl in data.basis[:-1]
-        ] + [(Fraction(0), Fraction(1, 2))]
-        vectors.append(("tau", tau_row, 1))
-        paired = {"(0, 0)": "[e00]", "(1, 0)": "[e01]", "(0, 1)": "[e10]", "(1, 1)": "[e11]"}
-        m2_by_generator = {"[e00]": Fraction(1), "[e01]": -eps, "[e10]": eps, "[e11]": Fraction(-1)}
-        for j, k in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            t = tau_parity_trace(cp, j, k)
-            row = [_as_affine(t.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
-            row.append((Fraction(m2_by_generator[paired[str((j, k))]]), Fraction(0)))
-            vectors.append((t.name, row, -1))
-        pairing_row = [(Fraction(0), Fraction(0))] * (len(data.basis) - 1) + [(Fraction(1), Fraction(0))]
-        vectors.append(("chern-pairing", pairing_row, 1))
-
-        ok = True
-        detail = ""
-        for name, row, sign in vectors:
-            lhs = _row_times_matrix(row, induced)
-            rhs = [(sign * a, sign * b) for a, b in row]
-            if lhs != rhs:
-                ok, detail = False, f"{name} does not transform with sign {sign}"
-                break
-        report.checks.append(CheckOutcome("trace-row-constraints", ok, detail))
-        report.anomalies.append(
-            "the tabulated parity-trace column labels are transposed against the"
-            " closed formula; values on the exotic class are keyed by the paired"
-            " generator (supported monomial), which is the assignment the"
-            " transport law confirms"
-        )
-
-    comparison = fixture_comparison(family, epsilon)
-    if comparison["status"] == "exact":
-        report.checks.append(CheckOutcome("fixture-comparison", True, "exact match"))
-    elif comparison["status"] == "basis-transposition":
-        report.checks.append(CheckOutcome(
-            "fixture-comparison", True,
-            f"fixture matches after exchanging {comparison['swapped']}",
-        ))
-        report.anomalies.append(
-            f"displayed matrix for {family} orders the basis with"
-            f" {comparison['swapped'][0]} and {comparison['swapped'][1]} exchanged;"
-            " K-groups agree either way"
-        )
-    else:
-        report.checks.append(CheckOutcome("fixture-comparison", False, "fixture mismatch"))
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from ncbieberbach import families
+import ncbieberbach
+from ncbieberbach import families, verify
 from ncbieberbach.cli import main
 from ncbieberbach.scalars import session_order
 
@@ -62,6 +66,34 @@ def test_scan_works_at_the_order_of_its_grid(capsys, denominator):
     assert code in (0, 1)
 
 
+@pytest.mark.parametrize("extra, order", [
+    (["--denominator", "5"], 120),
+    (["--theta", "1/5"], 120),
+], ids=["denominator-5", "theta-1-5"])
+def test_verify_reports_the_order_its_scans_ran_at(capsys, monkeypatch, extra, order):
+    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
+    orders = []
+    scan_cocycles = verify.scan_cocycles
+
+    def recording_scan(*args, **kwargs):
+        result = scan_cocycles(*args, **kwargs)
+        orders.append(result.order)
+        return result
+
+    monkeypatch.setattr(verify, "scan_cocycles", recording_scan)
+    _, report = run_json(capsys, "verify", "--suite", "actions", *extra)
+    assert report["config"]["cyclotomic_order"] == order
+    assert orders == [order] * len(families.FAMILIES)
+
+
+def test_scan_row_is_an_anomaly_only_for_the_pinned_defect(capsys):
+    # at D = 3 N2 computes a set other than its pinned defect set
+    _, report = run_json(capsys, "verify", "--suite", "actions", "--denominator", "3")
+    statuses = {r["name"]: r["status"] for r in report["results"]}
+    assert statuses["scan[N2]"] == "fail"
+    assert statuses["scan[B6]"] == "anomaly"
+
+
 def test_scan_documented_mismatch_exits_nonzero(capsys):
     code, report = run_json(capsys, "scan", "--family", "N2")
     assert code == 1
@@ -82,6 +114,9 @@ def test_usage_error_exit_code():
                  ["verify", "--suite", "traces", "--samples", "-3"],
                  ["verify", "--suite", "morita", "--degree", "-1"],
                  ["verify", "--suite", "morita", "--degree", "0"],
+                 # a grid denominator below 1 leaves no order for the run
+                 ["verify", "--suite", "algebra", "--denominator", "0"],
+                 ["scan", "--family", "B2", "--denominator", "-2"],
                  # options a subcommand would not read
                  ["ktheory", "B3", "--theta", "1/5"],
                  ["ktheory", "B3", "--samples", "7"],
@@ -135,6 +170,20 @@ def test_verify_report_matches_golden(tmp_path, monkeypatch, name, extra):
                  "--format", "json", "--out", str(path), *extra])
     assert code == 0
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_verify_report_matches_golden_under_optimize_flag():
+    # the checks must not rest on plain asserts, which python -O removes
+    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("NBK_CYCLOTOMIC_ORDER", None)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "ncbieberbach.cli", "verify", "--suite", "all", "--samples", "3",
+         "--degree", "1", "--seed", "11", "--format", "json"],
+        env=env, capture_output=True, check=True,
+    )
+    assert run.stdout == (GOLDEN / "verify_all_seed11.json").read_bytes()
 
 
 def test_markdown_rendering(capsys):

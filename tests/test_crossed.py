@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,17 +14,22 @@ from ncbieberbach.crossed import (
     random_crossed_element,
     random_torus_element,
     crossed_product,
-    hexic_reading_comparison,
     k0_generator_table,
     spectral_arguments,
     tau_parity_trace,
-    verify_exchange_iso,
-    verify_projections,
-    verify_trace_laws,
 )
 from ncbieberbach.families import K_FAMILIES
 from ncbieberbach.scalars import cyc_root
 from ncbieberbach.torus import NcTorus, ThetaMatrix
+from ncbieberbach.verify import (
+    Settings,
+    check_matrix_units,
+    hexic_reading_comparison,
+    morita,
+    verify_exchange_iso,
+    verify_projections,
+    verify_trace_laws,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +204,10 @@ def test_beta_hat_transport_on_projections(plane_products):
 # stable-isomorphism witnesses
 
 
-def test_phat_identities(torus_products):
-    for family, cp in torus_products.items():
-        ph = cp.phat()
-        assert ph ** cp.n == cp.one()
-        assert cp.p() * ph == ph * cp.p() * cp.lam
+def test_morita_suite_passes():
+    checks = morita(Settings(seed=3, samples=3, degree=1, denominator=6))
+    assert len(checks) == 7 * len(K_FAMILIES)
+    assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
 
 
 def test_phat_requires_central_scaled_generator():
@@ -215,6 +220,8 @@ def test_phat_requires_central_scaled_generator():
 
 
 def test_matrix_units(torus_products):
+    # all N^4 relations E_ij E_kl = delta_jk E_il, independently of the
+    # 2 N^2 products the morita suite checks
     for family, cp in torus_products.items():
         units = cp.matrix_units()
         total = cp.zero()
@@ -223,11 +230,24 @@ def test_matrix_units(torus_products):
             for j in range(cp.n):
                 assert units[i][j].star() == units[j][i]
         assert total == cp.one()
-        n = cp.n
-        assert units[0][1 % n] * units[1 % n][0] == units[0][0]
-        if n > 2:
-            assert (units[0][1] * units[2][0]).is_zero()
-            assert units[0][1] * units[1][2] == units[0][2]
+        for i, j, k, l in itertools.product(range(cp.n), repeat=4):
+            expected = units[i][l] if j == k else cp.zero()
+            assert units[i][j] * units[k][l] == expected, (family, i, j, k, l)
+        assert check_matrix_units(cp).status == "pass"
+
+
+def test_matrix_unit_check_catches_a_sign_flip(monkeypatch):
+    # negating E_12 and E_21 keeps the star relation, sum E_ii = 1 and
+    # E_01 E_10 = E_00, but breaks E_01 E_12 = E_02
+    cp = crossed_product("B3", dim=3)
+    units = [list(row) for row in cp.matrix_units()]
+    units[1][2], units[2][1] = -units[1][2], -units[2][1]
+    assert all(units[i][j].star() == units[j][i] for i in range(3) for j in range(3))
+    assert units[0][0] + units[1][1] + units[2][2] == cp.one()
+    assert units[0][1] * units[1][0] == units[0][0]
+    monkeypatch.setattr(cp, "matrix_units", lambda: units)
+    check = check_matrix_units(cp)
+    assert (check.name, check.status) == ("matrix-units[B3]", "fail")
 
 
 def test_psi_decomposition(torus_products):
@@ -281,14 +301,14 @@ def test_trace_values(plane_products):
 def test_parity_trace_laws(plane_products):
     cp = plane_products["B2"]
     for j, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        report = verify_trace_laws(tau_parity_trace(cp, j, k), cp, samples=60, seed=11)
-        assert report.ok, [c for c in report.checks if not c.ok]
+        checks = verify_trace_laws(tau_parity_trace(cp, j, k), cp, samples=60, seed=11)
+        assert all(c.ok for c in checks), [c for c in checks if not c.ok]
 
 
 def test_canonical_trace_laws_all_families(plane_products):
     for family, cp in plane_products.items():
-        report = verify_trace_laws(CanonicalTrace(cp), cp, samples=30, seed=11)
-        assert report.ok, (family, [c for c in report.checks if not c.ok])
+        checks = verify_trace_laws(CanonicalTrace(cp), cp, samples=30, seed=11)
+        assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
 
 
 def test_twisted_trace_requires_valid_twist(plane_products):
@@ -315,8 +335,8 @@ def test_beta_hat_scaling_reduces_to_invariance_at_full_twist(plane_products):
 
 def test_exchange_iso(torus_products):
     for family in K_FAMILIES:
-        report = verify_exchange_iso(family)
-        assert report.ok, (family, [c for c in report.checks if not c.ok])
+        checks = verify_exchange_iso(family)
+        assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
 
 
 def test_exchange_relation_b2():
