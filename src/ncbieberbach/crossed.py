@@ -28,9 +28,10 @@ On top of the arithmetic this module provides:
   invariant subalgebra;
 * canonical and twisted trace functionals, and seeded random elements for
   the samplers in ``verify``;
-* the tabulated K0 generator projections per family, with exact anomaly
-  detection for the two tabulated coefficients that fail their order
-  precondition (the cubic V^2 p generator and the hexic V p^2 generator).
+* the K0 generator projections and their spectral arguments, built from the
+  one table ``families.K0_GENERATORS``, with exact anomaly detection for the
+  two tabulated coefficients that fail their order precondition (the cubic
+  V^2 p generator and the hexic V p^2 generator).
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
-from .families import K_FAMILIES
+from .families import K0_GENERATORS, K0Spec
 from .scalars import PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement
 
@@ -494,7 +495,6 @@ class AnomalyNote:
 @dataclass
 class GeneratorTable:
     family: str
-    labels: tuple[str, ...]
     elements: dict  # label -> CrossedElement | None (None marks the exotic class)
     anomalies: list = field(default_factory=list)
 
@@ -502,141 +502,45 @@ class GeneratorTable:
         return [(lbl, el) for lbl, el in self.elements.items() if el is not None]
 
 
-def _order_defect(cp: CrossedProduct, x: CrossedElement) -> CrossedElement:
-    return x ** cp.n - cp.one()
-
-
-def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
-    """The tabulated K0 generator projections, with exact anomaly handling.
-
-    Two tabulated coefficients fail the order precondition of their spectral
-    projector; for those the minimal phase correction restoring x^N = 1 is
-    adopted and the defect is recorded as an anomaly instead of being hidden.
-    """
-    if family not in K_FAMILIES:
-        raise ValueError(f"K0 generators are tabulated for {K_FAMILIES}")
+def _k0_spec(family: str, cp: CrossedProduct) -> K0Spec:
+    if family not in K0_GENERATORS:
+        raise ValueError(f"K0 generators are tabulated for {tuple(K0_GENERATORS)}")
     if cp.algebra.d != 2 or cp.family != family:
         raise ContextError("expected the plane crossed product of the same family")
-    alg = cp.algebra
+    return K0_GENERATORS[family]
+
+
+def _stem_element(cp: CrossedProduct, word, k: int, phase) -> CrossedElement:
+    """V^i W^j p^k e^{i pi (a + b theta)} for word (i, j) and phase (a, b)."""
     v, w = cp.torus_generators()
-    p = cp.p()
-    half = Fraction(1, 2)
-    anomalies: list[AnomalyNote] = []
-
-    def tp(b) -> PhasedScalar:
-        return alg.theta_phase(Fraction(b))
-
-    if family == "B2":
-        elements = {
-            "[1]": cp.one(),
-            "[e00]": (cp.one() + p) * half,
-            "[e01]": (cp.one() + v * p) * half,
-            "[e10]": (cp.one() + w * p) * half,
-            "[e11]": (cp.one() + v * w * p * tp(1)) * half,
-            "[M2]": None,
-        }
-        labels = ("[1]", "[e00]", "[e01]", "[e10]", "[e11]", "[M2]")
-        return GeneratorTable(family, labels, elements, anomalies)
-
-    if family == "B3":
-        x = v * p * tp(Fraction(1, 3))
-        defect_x = _order_defect(cp, x)
-        certify(defect_x.is_zero(), "cubic V p generator unexpectedly fails its order")
-        y_tab = v * v * p * tp(Fraction(2, 3))
-        defect_y = _order_defect(cp, y_tab)
-        y = v * v * p * tp(Fraction(4, 3))
-        if not defect_y.is_zero():
-            anomalies.append(AnomalyNote(
-                "[Q(Y)]",
-                "tabulated coefficient e^{2 pi i theta/3} on V^2 p gives"
-                f" Y^3 - 1 = {defect_y!r}; the minimal theta-phase correction"
-                " e^{4 pi i theta/3} restores Y^3 = 1 and is used below",
-            ))
-        certify(_order_defect(cp, y).is_zero(), "corrected cubic V^2 p generator fails its order")
-        elements = {
-            "[1]": cp.one(),
-            "[Q1(p)]": cp.q_projector(1, p),
-            "[Q0(p)]": cp.q_projector(0, p),
-            "[Q1(X)]": cp.q_projector(1, x),
-            "[Q0(X)]": cp.q_projector(0, x),
-            "[Q1(Y)]": cp.q_projector(1, y),
-            "[Q0(Y)]": cp.q_projector(0, y),
-            "[M3]": None,
-        }
-        labels = ("[1]", "[Q1(p)]", "[Q0(p)]", "[Q1(X)]", "[Q0(X)]", "[Q1(Y)]", "[Q0(Y)]", "[M3]")
-        return GeneratorTable(family, labels, elements, anomalies)
-
-    if family == "B4":
-        x = v * p * tp(half)
-        certify(_order_defect(cp, x).is_zero(), "quartic V p generator unexpectedly fails its order")
-        vp2 = v * p ** 2
-        certify(_order_defect(cp, vp2).is_zero(), "quartic V p^2 generator fails its order")
-        elements = {
-            "[1]": cp.one(),
-            "[Q2(p)]": cp.q_projector(2, p),
-            "[Q1(p)]": cp.q_projector(1, p),
-            "[Q0(p)]": cp.q_projector(0, p),
-            "[Q2(x)]": cp.q_projector(2, x),
-            "[Q1(x)]": cp.q_projector(1, x),
-            "[Q0(x)]": cp.q_projector(0, x),
-            "[Q0(Vp2)]": cp.q_projector(0, vp2),
-            "[M4]": None,
-        }
-        labels = ("[1]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]", "[Q2(x)]", "[Q1(x)]", "[Q0(x)]",
-                  "[Q0(Vp2)]", "[M4]")
-        return GeneratorTable(family, labels, elements, anomalies)
-
-    # B6
-    y_tab = v * p ** 2 * alg.scalar(cyc_root(6, 1, order=alg.order))
-    defect = _order_defect(cp, y_tab)
-    if not defect.is_zero():
-        anomalies.append(AnomalyNote(
-            "[Q(y)]",
-            "tabulated coefficient e^{i pi/3} on V p^2 gives"
-            f" y^6 - 1 = {defect!r}; with the theta-phase correction"
-            " e^{i pi theta/3} alone one gets y^3 = -1, which kills the"
-            " even-index projectors, so the sixth root is dropped and"
-            " y = e^{i pi theta/3} V p^2 (y^3 = 1) is used below",
-        ))
-    y_half = y_tab * tp(Fraction(1, 3))
-    certify(_order_defect(cp, y_half).is_zero(), "theta-corrected hexic V p^2 fails y^6 = 1")
-    certify(y_half ** 3 == -cp.one(), "theta-corrected hexic V p^2 fails y^3 = -1")
-    y = v * p ** 2 * tp(Fraction(1, 3))
-    certify(y ** 3 == cp.one(), "hexic y fails y^3 = 1")
-    vp3 = v * p ** 3
-    certify(_order_defect(cp, vp3).is_zero(), "hexic V p^3 generator fails its order")
-    elements = {
-        "[1]": cp.one(),
-        "[Q4(p)]": cp.q_projector(4, p),
-        "[Q3(p)]": cp.q_projector(3, p),
-        "[Q2(p)]": cp.q_projector(2, p),
-        "[Q1(p)]": cp.q_projector(1, p),
-        "[Q0(p)]": cp.q_projector(0, p),
-        "[Q2(y)]": cp.q_projector(2, y),
-        "[Q0(y)]": cp.q_projector(0, y),
-        "[Q0(Vp3)]": cp.q_projector(0, vp3),
-        "[M6]": None,
-    }
-    labels = ("[1]", "[Q4(p)]", "[Q3(p)]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]",
-              "[Q2(y)]", "[Q0(y)]", "[Q0(Vp3)]", "[M6]")
-    return GeneratorTable(family, labels, elements, anomalies)
+    a, b = phase
+    return v ** word[0] * w ** word[1] * cp.p(k) * cp.algebra.phase_of_entry(Fraction(a), Fraction(b))
 
 
 def spectral_arguments(family: str, cp: CrossedProduct) -> dict:
     """The order-N elements whose projectors generate K0, by label stem."""
-    alg = cp.algebra
-    v, w = cp.torus_generators()
-    p = cp.p()
+    return {name: _stem_element(cp, word, k, phase)
+            for name, word, k, phase in _k0_spec(family, cp).stems}
 
-    def tp(b):
-        return alg.theta_phase(Fraction(b))
 
-    if family == "B2":
-        return {"p": p, "Vp": v * p, "Wp": w * p, "VWp": v * w * p * tp(1)}
-    if family == "B3":
-        return {"p": p, "X": v * p * tp(Fraction(1, 3)), "Y": v * v * p * tp(Fraction(4, 3))}
-    if family == "B4":
-        return {"p": p, "x": v * p * tp(Fraction(1, 2)), "Vp2": v * p ** 2}
-    if family == "B6":
-        return {"p": p, "y": v * p ** 2 * tp(Fraction(1, 3)), "Vp3": v * p ** 3}
-    raise ValueError(f"unknown family {family!r}")
+def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
+    """The K0 generator projections of ``families.K0_GENERATORS``, with exact
+    anomaly handling.
+
+    Two tabulated coefficients fail the order precondition of their spectral
+    projector; for those the stem carries the minimal phase correction
+    restoring x^N = 1, and the defect is recorded as an anomaly instead of
+    being hidden.  ``q_projector`` certifies the order of every stem used.
+    """
+    spec = _k0_spec(family, cp)
+    stems = spectral_arguments(family, cp)
+    words = {name: (word, k) for name, word, k, _ in spec.stems}
+    anomalies = []
+    for name, phase, message in spec.tabulated:
+        defect = _stem_element(cp, *words[name], phase) ** cp.n - cp.one()
+        if not defect.is_zero():
+            anomalies.append(AnomalyNote(f"[Q({name})]", message % (defect,)))
+    elements = {lbl: cp.one() if stem is None else cp.q_projector(n, stems[stem])
+                for lbl, stem, n in spec.classes}
+    elements[spec.exotic[0]] = None
+    return GeneratorTable(family, elements, anomalies)

@@ -17,10 +17,19 @@ so the registries stay independent of the session cyclotomic order.
 literature for each family.  Two of those rows (B6 and N2) disagree with what
 the exact compatibility check yields; ``SCAN_KNOWN_DISCREPANCIES`` documents
 the corrected sets so the difference is surfaced rather than patched over.
+``FIXTURE_TRANSPOSITIONS`` pins the one basis exchange a displayed beta_hat_*
+matrix is known to make.
+
+``K0_GENERATORS`` is the one table of K0 generator data of the plane crossed
+products: the order-N stems, the basis classes as their spectral projectors,
+the typed-in column of the exotic class, and the tabulated coefficients that
+fail their order precondition.  The generator elements, the spectral
+arguments and every other beta_hat_* column are derived from it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "FAMILIES",
@@ -31,6 +40,9 @@ __all__ = [
     "DEFORMED",
     "SCAN_REFERENCE",
     "SCAN_KNOWN_DISCREPANCIES",
+    "FIXTURE_TRANSPOSITIONS",
+    "K0Spec",
+    "K0_GENERATORS",
     "K_EXPECTED",
 ]
 
@@ -117,6 +129,72 @@ SCAN_REFERENCE = {
 SCAN_KNOWN_DISCREPANCIES = {
     "B6": ("23", _pairs([(F(0), F(0))], ("12", "13"))),
     "N2": ("12", _pairs([(F(0), b) for b in _HALVES], ("13", "23"))),
+}
+
+# The displayed beta_hat_* matrices that order their basis with two classes
+# exchanged: the comparison reports exactly this exchange and fails on any other.
+FIXTURE_TRANSPOSITIONS = {"B2": ("[e01]", "[e10]")}
+
+
+class K0Spec(NamedTuple):
+    """K0 generator data of one family's plane crossed product.
+
+    * ``stems``: (name, (i, j), k, (a, b)), the order-N element
+      V^i W^j p^k e^{i pi (a + b theta)};
+    * ``classes``: (label, stem, n), the class of the spectral projector
+      Q_n(stem), or of the unit when the stem is None;
+    * ``exotic``: (label, column), the class with no element here and its
+      beta_hat_* image by label; "E" and "-E" stand for +/- epsilon, as in
+      the fixture files;
+    * ``tabulated``: (stem, (a, b), message), a tabulated coefficient that
+      fails x^N = 1 and the anomaly it raises (%r is the residual x^N - 1);
+      the stem carries the correction.
+    """
+
+    stems: tuple
+    classes: tuple
+    exotic: tuple
+    tabulated: tuple = ()
+
+
+K0_GENERATORS = {
+    "B2": K0Spec(
+        stems=(("p", (0, 0), 1, (0, 0)), ("Vp", (1, 0), 1, (0, 0)),
+               ("Wp", (0, 1), 1, (0, 0)), ("VWp", (1, 1), 1, (0, 1))),
+        classes=(("[1]", None, 0), ("[e00]", "p", 0), ("[e01]", "Vp", 0),
+                 ("[e10]", "Wp", 0), ("[e11]", "VWp", 0)),
+        exotic=("[M2]", (("[M2]", 1), ("[e00]", -1), ("[e11]", 1), ("[e10]", "-E"), ("[e01]", "E"))),
+    ),
+    "B3": K0Spec(
+        stems=(("p", (0, 0), 1, (0, 0)), ("X", (1, 0), 1, (0, F(1, 3))),
+               ("Y", (2, 0), 1, (0, F(4, 3)))),
+        classes=(("[1]", None, 0), ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0), ("[Q1(X)]", "X", 1),
+                 ("[Q0(X)]", "X", 0), ("[Q1(Y)]", "Y", 1), ("[Q0(Y)]", "Y", 0)),
+        exotic=("[M3]", (("[M3]", 1), ("[Q0(p)]", -1), ("[Q0(X)]", -1), ("[Q0(Y)]", -1), ("[1]", 1))),
+        tabulated=(("Y", (0, F(2, 3)),
+                    "tabulated coefficient e^{2 pi i theta/3} on V^2 p gives Y^3 - 1 = %r;"
+                    " the minimal theta-phase correction e^{4 pi i theta/3} restores"
+                    " Y^3 = 1 and is used below"),),
+    ),
+    "B4": K0Spec(
+        stems=(("p", (0, 0), 1, (0, 0)), ("x", (1, 0), 1, (0, F(1, 2))), ("Vp2", (1, 0), 2, (0, 0))),
+        classes=(("[1]", None, 0), ("[Q2(p)]", "p", 2), ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0),
+                 ("[Q2(x)]", "x", 2), ("[Q1(x)]", "x", 1), ("[Q0(x)]", "x", 0),
+                 ("[Q0(Vp2)]", "Vp2", 0)),
+        exotic=("[M4]", (("[M4]", 1), ("[Q0(Vp2)]", -1), ("[Q0(p)]", -1), ("[Q0(x)]", -1), ("[1]", 1))),
+    ),
+    "B6": K0Spec(
+        stems=(("p", (0, 0), 1, (0, 0)), ("y", (1, 0), 2, (0, F(1, 3))), ("Vp3", (1, 0), 3, (0, 0))),
+        classes=(("[1]", None, 0), ("[Q4(p)]", "p", 4), ("[Q3(p)]", "p", 3), ("[Q2(p)]", "p", 2),
+                 ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0), ("[Q2(y)]", "y", 2), ("[Q0(y)]", "y", 0),
+                 ("[Q0(Vp3)]", "Vp3", 0)),
+        exotic=("[M6]", (("[M6]", 1), ("[Q0(p)]", -1), ("[Q0(y)]", -1), ("[Q0(Vp3)]", -1), ("[1]", 1))),
+        tabulated=(("y", (F(1, 3), 0),
+                    "tabulated coefficient e^{i pi/3} on V p^2 gives y^6 - 1 = %r; with the"
+                    " theta-phase correction e^{i pi theta/3} alone one gets y^3 = -1, which"
+                    " kills the even-index projectors, so the sixth root is dropped and"
+                    " y = e^{i pi theta/3} V p^2 (y^3 = 1) is used below"),),
+    ),
 }
 
 # Expected K-groups per family: (free rank, torsion chain) for K0 and K1.

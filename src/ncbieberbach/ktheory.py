@@ -6,20 +6,28 @@ K-groups of the quotient from the exact sequence with vanishing odd corner:
 K1 is the kernel and K0 the cokernel of M, both presented canonically via the
 Smith normal form (divisor-chain torsion coefficients).
 
-``M`` is assembled from the per-generator transport formulas; the displayed
+The basis is read from ``families.K0_GENERATORS``.  Every column of
+beta_hat_* but the exotic [M_N] one is derived: the image beta_hat(e_j) of
+each generator element is solved for its integer coordinates in the other
+generators, exactly and with a certified Smith-normal-form solve
+(``solve_in_span``); only the exotic column is typed in.  The displayed
 reference matrices are shipped as plain-text fixtures and compared against
-the assembly, reporting (rather than patching) the one basis-order
-discrepancy.  A final cross-check computes the first homology of the
-corresponding flat space groups by abelianizing their presentations, which
-must reproduce K0 up to one free summand.
+the derived matrix, reporting (rather than patching) the one pinned
+basis-order discrepancy.  A final cross-check computes the first homology of
+the corresponding flat space groups by abelianizing their presentations,
+which must reproduce K0 up to one free summand.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from . import families
-from .scalars import certify
+from .crossed import crossed_product, k0_generator_table
+from .scalars import DEFAULT_CYCLOTOMIC_ORDER, certify
 
 __all__ = [
     "smith_normal_form",
@@ -28,6 +36,7 @@ __all__ = [
     "AbelianGroup",
     "BetaStarData",
     "beta_star_matrix",
+    "solve_in_span",
     "pv_solve",
     "load_fixture_matrix",
     "fixture_comparison",
@@ -269,64 +278,54 @@ def kernel_cokernel(matrix: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
 # the induced map on K0
 
 
-class _Eps:
-    """Symbolic +/- epsilon coefficient marker in the transport tables."""
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-
-_K_BASIS = {
-    "B2": ("[1]", "[e00]", "[e01]", "[e10]", "[e11]", "[M2]"),
-    "B3": ("[1]", "[Q1(p)]", "[Q0(p)]", "[Q1(X)]", "[Q0(X)]", "[Q1(Y)]", "[Q0(Y)]", "[M3]"),
-    "B4": ("[1]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]", "[Q2(x)]", "[Q1(x)]", "[Q0(x)]",
-           "[Q0(Vp2)]", "[M4]"),
-    "B6": ("[1]", "[Q4(p)]", "[Q3(p)]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]",
-           "[Q2(y)]", "[Q0(y)]", "[Q0(Vp3)]", "[M6]"),
-}
+def _coordinates(x) -> dict:
+    """The exact rational coordinates of a crossed element, keyed by monomial
+    and power of p, theta exponent and power-basis index."""
+    return {(mk, b, i): q for mk, s in x.terms() for b, c in s.terms()
+            for i, q in enumerate(c.coefficients()) if q}
 
 
-def _chain_images(stems, top: str):
-    """Index-shift transport for one spectral family: Qn -> Q(n-1), plus wrap."""
-    out = {}
-    labels = [f"[Q{n}({top})]" for n in stems]
-    for hi, lo in zip(labels, labels[1:]):
-        out[hi] = [(1, lo)]
-    out[labels[-1]] = [(1, "[1]")] + [(-1, lbl) for lbl in labels]
-    return out
+def solve_in_span(basis, targets) -> IntMatrix:
+    """The integer c with targets[j] = sum_i c[i][j] basis[i], certified.
+
+    The exact coordinates of the elements form a rational system E c = B,
+    each row scaled to integers.  With U E V = S its Smith normal form it is
+    solvable over Z iff E has full column rank, each of the first rows of U B
+    is divisible by its diagonal entry of S and the remaining rows vanish;
+    then c = V S^{-1} U B.  Every step is certified, so a target outside the
+    integer span raises AssertionError, also under ``python -O``.
+    """
+    columns = [_coordinates(x) for x in [*basis, *targets]]
+    rows = []
+    for key in sorted(set().union(*columns)):
+        row = [col.get(key, 0) for col in columns]
+        scale = math.lcm(*(Fraction(q).denominator for q in row))
+        rows.append([int(q * scale) for q in row])
+    n = len(basis)
+    snf = smith_normal_form([row[:n] for row in rows])
+    certify(snf.rank == n, "the basis elements are linearly dependent")
+    ub = mat_mul(snf.u, [row[n:] for row in rows])
+    for i, d in enumerate(snf.diagonal):
+        certify(all(x % d == 0 for x in ub[i]), "a target is not an integer combination of the basis")
+    certify(not any(any(row) for row in ub[n:]), "a target lies outside the span of the basis")
+    return mat_mul(snf.v, [[x // d for x in ub[i]] for i, d in enumerate(snf.diagonal)])
 
 
-def _k_images(family: str):
-    if family == "B2":
-        images = {"[1]": [(1, "[1]")]}
-        for lbl in ("[e00]", "[e01]", "[e10]", "[e11]"):
-            images[lbl] = [(1, "[1]"), (-1, lbl)]
-        images["[M2]"] = [
-            (1, "[M2]"), (-1, "[e00]"), (1, "[e11]"),
-            (_Eps(-1), "[e10]"), (_Eps(1), "[e01]"),
-        ]
-        return images
-    if family == "B3":
-        images = {"[1]": [(1, "[1]")]}
-        for stem in ("p", "X", "Y"):
-            images.update(_chain_images([1, 0], stem))
-        images["[M3]"] = [(1, "[M3]"), (-1, "[Q0(p)]"), (-1, "[Q0(X)]"), (-1, "[Q0(Y)]"), (1, "[1]")]
-        return images
-    if family == "B4":
-        images = {"[1]": [(1, "[1]")]}
-        images.update(_chain_images([2, 1, 0], "p"))
-        images.update(_chain_images([2, 1, 0], "x"))
-        images["[Q0(Vp2)]"] = [(1, "[1]"), (-1, "[Q0(Vp2)]")]
-        images["[M4]"] = [(1, "[M4]"), (-1, "[Q0(Vp2)]"), (-1, "[Q0(p)]"), (-1, "[Q0(x)]"), (1, "[1]")]
-        return images
-    if family == "B6":
-        images = {"[1]": [(1, "[1]")]}
-        images.update(_chain_images([4, 3, 2, 1, 0], "p"))
-        images.update(_chain_images([2, 0], "y"))
-        images["[Q0(Vp3)]"] = [(1, "[1]"), (-1, "[Q0(Vp3)]")]
-        images["[M6]"] = [(1, "[M6]"), (-1, "[Q0(p)]"), (-1, "[Q0(y)]"), (-1, "[Q0(Vp3)]"), (1, "[1]")]
-        return images
-    raise ValueError(f"unknown family {family!r}")
+@functools.lru_cache(maxsize=None)
+def _derived_columns(family: str, spec: families.K0Spec) -> tuple:
+    """beta_hat_* on the non-exotic classes of ``spec``, solved at formal theta
+    in a field fixed here, so that the matrix does not follow the session order."""
+    cp = crossed_product(family, dim=2, order=DEFAULT_CYCLOTOMIC_ORDER)
+    elements = [el for _, el in k0_generator_table(family, cp).non_exotic()]
+    columns = solve_in_span(elements, [cp.beta_hat(el) for el in elements])
+    return tuple(map(tuple, columns))  # shared by every caller, so immutable
+
+
+def _entry(token, epsilon: int) -> int:
+    """An integer table entry; the tokens E and -E stand for +/- epsilon."""
+    if token in ("E", "-E"):
+        return epsilon if token == "E" else -epsilon
+    return int(token)
 
 
 @dataclass
@@ -351,34 +350,28 @@ class BetaStarData:
             raise ValueError(f"{self.family}: the class of the identity is not fixed")
 
 
-_FAMILY_ORDER = {"B2": 2, "B3": 3, "B4": 4, "B6": 6}
-
-
 def beta_star_matrix(family: str, epsilon: int = 1) -> BetaStarData:
-    """Assemble id - beta_hat_* from the transport formulas on the stated basis."""
-    if family not in _K_BASIS:
-        raise ValueError(f"unknown family {family!r}; expected one of {tuple(_K_BASIS)}")
+    """id - beta_hat_* on the basis of ``families.K0_GENERATORS``.
+
+    Every column but the exotic one is solved from the generator elements
+    (``solve_in_span``, once per table entry and process); the exotic column
+    is the typed-in one of the table.
+    """
+    spec = families.K0_GENERATORS.get(family)
+    if spec is None:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(families.K0_GENERATORS)}")
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
-    basis = _K_BASIS[family]
-    index = {lbl: i for i, lbl in enumerate(basis)}
-    images = _k_images(family)
+    exotic, column = spec.exotic
+    basis = tuple(lbl for lbl, _, _ in spec.classes) + (exotic,)
     n = len(basis)
-    induced = [[0] * n for _ in range(n)]
-    for j, lbl in enumerate(basis):
-        for coeff, target in images[lbl]:
-            value = coeff.sign * epsilon if isinstance(coeff, _Eps) else coeff
-            induced[index[target]][j] += value
+    induced = [[*row, 0] for row in _derived_columns(family, spec)] + [[0] * n]
+    for lbl, token in column:
+        induced[basis.index(lbl)][-1] += _entry(token, epsilon)
     matrix = [[(1 if i == j else 0) - induced[i][j] for j in range(n)] for i in range(n)]
-    data = BetaStarData(
-        family=family,
-        basis=basis,
-        matrix=matrix,
-        order=_FAMILY_ORDER[family],
-        epsilon=epsilon if family == "B2" else None,
-    )
-    data.validate()
-    return data
+    uses_epsilon = any(token in ("E", "-E") for _, token in column)
+    return BetaStarData(family, basis, matrix, order=families.DEFORMED[family][0],
+                        epsilon=epsilon if uses_epsilon else None)
 
 
 def pv_solve(data: BetaStarData) -> tuple[AbelianGroup, AbelianGroup]:
@@ -403,15 +396,7 @@ def load_fixture_matrix(family: str, epsilon: int = 1) -> IntMatrix:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        row = []
-        for token in line.split():
-            if token == "E":
-                row.append(epsilon)
-            elif token == "-E":
-                row.append(-epsilon)
-            else:
-                row.append(int(token))
-        rows.append(row)
+        rows.append([_entry(token, epsilon) for token in line.split()])
     return rows
 
 
@@ -420,29 +405,28 @@ def _permute(matrix: IntMatrix, perm: list[int]) -> IntMatrix:
 
 
 def fixture_comparison(family: str, epsilon: int = 1) -> dict:
-    """Compare the assembled matrix with the displayed fixture.
+    """Compare the derived matrix with the displayed fixture.
 
     Returns a status of ``exact``, ``basis-transposition`` (the fixture
-    matches after exchanging two basis positions, reported not patched), or
-    ``mismatch``, plus identical K-groups evidence in the transposed case.
+    matches after the exchange pinned in ``families.FIXTURE_TRANSPOSITIONS``,
+    reported not patched), or ``mismatch`` (any other difference, another
+    exchange included), plus identical K-groups evidence in the transposed case.
     """
-    assembled = beta_star_matrix(family, epsilon).matrix
+    data = beta_star_matrix(family, epsilon)
     fixture = load_fixture_matrix(family, epsilon)
-    if assembled == fixture:
+    if data.matrix == fixture:
         return {"status": "exact"}
-    n = len(assembled)
-    for a in range(1, n - 1):
-        for b in range(a + 1, n - 1):
-            perm = list(range(n))
-            perm[a], perm[b] = perm[b], perm[a]
-            if _permute(assembled, perm) == fixture:
-                basis = _K_BASIS[family]
-                groups_match = kernel_cokernel(assembled) == kernel_cokernel(fixture)
-                return {
-                    "status": "basis-transposition",
-                    "swapped": (basis[a], basis[b]),
-                    "k_groups_agree": groups_match,
-                }
+    swapped = families.FIXTURE_TRANSPOSITIONS.get(family)
+    if swapped:
+        perm = list(range(len(data.basis)))
+        a, b = (data.basis.index(lbl) for lbl in swapped)
+        perm[a], perm[b] = b, a
+        if _permute(data.matrix, perm) == fixture:
+            return {
+                "status": "basis-transposition",
+                "swapped": swapped,
+                "k_groups_agree": kernel_cokernel(data.matrix) == kernel_cokernel(fixture),
+            }
     return {"status": "mismatch"}
 
 
@@ -455,7 +439,7 @@ def bieberbach_h1(family: str) -> AbelianGroup:
     (t2, t3) lattice, g t1 g^{-1} = t1, g^N = t1>, with A the integer holonomy
     read off the undeformed action table."""
     a = families.holonomy_matrix(family)
-    n = _FAMILY_ORDER[family]
+    n = families.DEFORMED[family][0]
     relations = [
         [0, a[0][0] - 1, a[1][0], 0],
         [0, a[0][1], a[1][1] - 1, 0],

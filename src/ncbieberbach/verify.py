@@ -294,7 +294,8 @@ def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
 
     (i) the induced map has the right order and fixes the identity class;
     (ii) each non-exotic column is the exact element-level image under the
-    dual automorphism, computed independently in the crossed product;
+    dual automorphism; the columns are solved at formal theta, so at a
+    rational theta this checks them against the folded elements;
     (iii) for the order-2 family, the tabulated trace vectors transform with
     the signs forced by the twist (invariant for the canonical trace and the
     pairing row, sign-reversed for the parity traces).

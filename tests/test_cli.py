@@ -172,18 +172,33 @@ def test_verify_report_matches_golden(tmp_path, monkeypatch, name, extra):
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
-def test_verify_report_matches_golden_under_optimize_flag():
-    # the checks must not rest on plain asserts, which python -O removes
+_KTHEORY_RUNS = [["ktheory", "B2", "--epsilon", "1"], ["ktheory", "B2", "--epsilon", "-1"],
+                 ["ktheory", "B3"], ["ktheory", "B4"], ["ktheory", "B6"]]
+
+
+def test_verify_report_matches_golden_under_optimize_flag(capsys, monkeypatch):
+    # the checks, and the certified solve behind beta_hat_*, must not rest on
+    # plain asserts, which python -O removes
+    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
+    runs = [["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11"],
+            *_KTHEORY_RUNS]
+    runs = [[*argv, "--format", "json"] for argv in runs]
+    expected = (GOLDEN / "verify_all_seed11.json").read_text()
+    for argv in runs[1:]:
+        assert main(argv) == 0
+        expected += capsys.readouterr().out
     src = str(Path(ncbieberbach.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("NBK_CYCLOTOMIC_ORDER", None)
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    run = subprocess.run(
-        [sys.executable, "-O", "-m", "ncbieberbach.cli", "verify", "--suite", "all", "--samples", "3",
-         "--degree", "1", "--seed", "11", "--format", "json"],
-        env=env, capture_output=True, check=True,
+    code = (
+        "import sys\n"
+        "from ncbieberbach.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "sys.exit(max(codes))\n"
     )
-    assert run.stdout == (GOLDEN / "verify_all_seed11.json").read_bytes()
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == expected
 
 
 def test_markdown_rendering(capsys):

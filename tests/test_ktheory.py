@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import ncbieberbach
-from ncbieberbach import families
+from ncbieberbach import families, ktheory
+from ncbieberbach.crossed import crossed_product, k0_generator_table
 from ncbieberbach.ktheory import (
     AbelianGroup,
     BetaStarData,
@@ -22,6 +24,7 @@ from ncbieberbach.ktheory import (
     mat_mul,
     pv_solve,
     smith_normal_form,
+    solve_in_span,
 )
 from ncbieberbach.verify import verify_beta_star
 from snf_oracle import bareiss_det, invariant_factors
@@ -72,10 +75,16 @@ def test_bareiss_det_agrees_with_cofactor_expansion():
 
 
 def test_snf_certificate_survives_optimize_flag():
-    # under python -O a plain assert would vanish; the certificate must still raise
+    # under python -O a plain assert would vanish; the certificates must still raise
     code = (
         "import sys\n"
         "import ncbieberbach.ktheory as kt\n"
+        "cp = kt.crossed_product('B3')\n"
+        "elements = [el for _, el in kt.k0_generator_table('B3', cp).non_exotic()]\n"
+        "try:\n"
+        "    kt.solve_in_span(elements[1:], [cp.one()])\n"
+        "except AssertionError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
         "kt.int_det = lambda m: 2\n"
         "try:\n"
         "    kt.smith_normal_form([[2, 0], [0, 3]])\n"
@@ -86,7 +95,10 @@ def test_snf_certificate_survives_optimize_flag():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "1 transforms are not unimodular"
+    assert run.stdout.splitlines() == [
+        "1 a target lies outside the span of the basis",
+        "1 transforms are not unimodular",
+    ]
 
 # ---------------------------------------------------------------------------
 # abelian groups
@@ -146,6 +158,31 @@ def test_transport_columns_match_stated_formulas():
     assert col[idx3["[Q0(p)]"]] == col[idx3["[Q0(X)]"]] == col[idx3["[Q0(Y)]"]] == -1
 
 
+def _b3_elements():
+    cp = crossed_product("B3")
+    table = k0_generator_table("B3", cp)
+    return cp, [el for _, el in table.non_exotic()]
+
+
+def test_solve_in_span_recovers_integer_combinations():
+    cp, elements = _b3_elements()
+    target = elements[1] * 2 - elements[4] + elements[6] * 3
+    assert solve_in_span(elements, [target, cp.one()]) == [
+        [0, 1], [2, 0], [0, 0], [0, 0], [-1, 0], [0, 0], [3, 0]]
+
+
+def test_solve_in_span_raises_outside_the_span():
+    cp, elements = _b3_elements()
+    images = [cp.beta_hat(el) for el in elements]
+    # without [1] the image Q2(p) = 1 - Q0(p) - Q1(p) of [Q0(p)] is out of reach
+    with pytest.raises(AssertionError, match="outside the span"):
+        solve_in_span(elements[1:], images[1:])
+    with pytest.raises(AssertionError, match="not an integer combination"):
+        solve_in_span(elements, [elements[2] * Fraction(1, 2)])
+    with pytest.raises(AssertionError, match="linearly dependent"):
+        solve_in_span(elements + [elements[1] + elements[3]], images)
+
+
 @pytest.mark.parametrize("family", families.K_FAMILIES)
 def test_pv_solver_reproduces_k_groups(family):
     k0, k1 = pv_solve(beta_star_matrix(family, 1))
@@ -202,6 +239,21 @@ def test_fixture_files_match_assembly():
         assert result["k_groups_agree"]
 
 
+@pytest.mark.parametrize("family, swap", [("B3", ("[Q1(p)]", "[Q0(p)]")), ("B2", ("[e00]", "[e11]"))])
+def test_only_the_pinned_fixture_transposition_is_accepted(monkeypatch, family, swap):
+    # a displayed matrix with any other two classes exchanged is a mismatch, not a note
+    data = beta_star_matrix(family, 1)
+    a, b = (data.basis.index(lbl) for lbl in swap)
+    perm = list(range(len(data.basis)))
+    perm[a], perm[b] = b, a
+    swapped = [[data.matrix[i][j] for j in perm] for i in perm]
+    monkeypatch.setattr(ktheory, "load_fixture_matrix", lambda fam, eps=1: swapped)
+    assert fixture_comparison(family, 1) == {"status": "mismatch"}
+    suffix = "[B2,eps=+1]" if family == "B2" else f"[{family}]"
+    row = next(c for c in verify_beta_star(family, 1) if c.name == f"fixture-comparison{suffix}")
+    assert row.status == "fail"
+
+
 def test_fixture_epsilon_substitution():
     plus = load_fixture_matrix("B2", 1)
     minus = load_fixture_matrix("B2", -1)
@@ -222,7 +274,38 @@ def test_verify_beta_star_layers(family):
 
 
 def test_verify_beta_star_folded_mode():
-    assert all(c.ok for c in verify_beta_star("B3", theta_value=Fraction(1, 5), order=120))
+    # the columns are derived at formal theta; element-level-transport checks
+    # them against the generator elements folded at a rational theta
+    for theta in (Fraction(1, 5), Fraction(2, 7)):
+        order = math.lcm(24, 12 * theta.denominator)
+        for family in families.K_FAMILIES:
+            for eps in (1, -1) if family == "B2" else (1,):
+                checks = verify_beta_star(family, eps, theta_value=theta, order=order)
+                assert any(c.name.startswith("element-level-transport") for c in checks)
+                assert all(c.ok for c in checks), (family, eps, theta, checks)
+
+
+def _rows(family):
+    return {c.name: c.status for c in verify_beta_star(family)}
+
+
+def test_checks_catch_a_corrupted_generator_table(monkeypatch):
+    spec = families.K0_GENERATORS["B3"]
+    assert _rows("B3")["fixture-comparison[B3]"] == "pass"
+    # exchanging the projector indices of [Q1(p)] and [Q0(p)] permutes the
+    # derived columns, which only the displayed fixture can see
+    classes = tuple((lbl, stem, {1: 0, 0: 1}[n] if stem == "p" else n) for lbl, stem, n in spec.classes)
+    monkeypatch.setitem(families.K0_GENERATORS, "B3", spec._replace(classes=classes))
+    rows = _rows("B3")
+    assert rows["fixture-comparison[B3]"] == "fail"
+    assert rows["induced-map-order-and-unit[B3]"] == rows["element-level-transport[B3]"] == "pass"
+    # a wrong entry in the typed-in exotic column breaks the order of the induced map
+    label, column = spec.exotic
+    column = tuple((lbl, 0 if lbl == "[1]" else v) for lbl, v in column)
+    monkeypatch.setitem(families.K0_GENERATORS, "B3", spec._replace(exotic=(label, column)))
+    rows = _rows("B3")
+    assert rows["induced-map-order-and-unit[B3]"] == "fail"
+    assert rows["element-level-transport[B3]"] == "pass"
 
 
 # ---------------------------------------------------------------------------
