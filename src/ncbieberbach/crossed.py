@@ -84,8 +84,7 @@ class CrossedProduct:
         self.n = action.order
         self.rt: ActionOnTorus = action.runtime(algebra)
         self.lam = cyc_root(self.n, 1, order=algebra.order)
-        images = tuple((img.target, img.coeff.terms()) for img in action.images)
-        self._key = (algebra.key(), self.n, images)
+        self._key = (algebra.key(), action.key())
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._psi_unit_powers: list["CrossedElement"] | None = None
         self._psi_matrix_powers: list[list[list["CrossedElement"]]] | None = None

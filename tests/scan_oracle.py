@@ -4,14 +4,16 @@ This scan has no integer filter: every grid candidate builds its own
 algebra and action, its slot obstructions
 s_jk = t_j^T Theta t_k - Theta_jk are summed term by term from the theta
 entries, and product families compare the generators' phases on the degree
-box with ``Fraction`` exponents.  Only the action builder and ``check_order``
-come from the package; no slot-condition or phase helper of ``actions`` is
-used, so the production filter and this enumeration share no arithmetic.
+box with ``Fraction`` exponents.  The order flag iterates the generic-product
+reference image of ``action_oracle``.  Only the action builder comes from the
+package; no slot-condition, phase or image helper of ``actions`` is used, so
+the production filter and this enumeration share no arithmetic.
 """
 import itertools
 from fractions import Fraction
 
-from ncbieberbach.actions import check_order, classical_action
+from action_oracle import order_ok
+from ncbieberbach.actions import classical_action
 from ncbieberbach.torus import NcTorus, ThetaEntry, ThetaMatrix
 
 SLOTS = ("12", "13", "23")
@@ -109,14 +111,14 @@ def generators_commute(g1, g2, algebra, bound):
 
 
 def admissible(family, upper, order):
-    """(slot conditions and commutation hold, check_order) for one candidate."""
+    """(slot conditions and commutation hold, order flag) for one candidate."""
     algebra = NcTorus(ThetaMatrix(3, upper), order=order)
     action = classical_action(family, algebra)
     gens = action.generators()
     ok = all(slots_hold(g, algebra) for g in gens) and all(
         generators_commute(g1, g2, algebra, 2) for g1, g2 in itertools.combinations(gens, 2)
     )
-    return ok, check_order(action, algebra) if ok else False
+    return ok, order_ok(action, algebra) if ok else False
 
 
 def candidates(denominator):

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import action_oracle
 import pytest
 import scan_oracle
 
@@ -100,6 +101,37 @@ def test_b4_fourth_root_on_u(preset):
     for _ in range(4):
         x = apply_action(action, preset, x)
     assert x == u
+
+
+def _oracle_cases():
+    """The four K families in 2d and 3d at formal and folded theta, then every
+    grid-1/2 scan candidate of every family, compatible or not."""
+    for family in families.K_FAMILIES:
+        for theta_value, order in ((None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)):
+            for theta in (ThetaMatrix.standard_2d(), ThetaMatrix.standard_3d()):
+                algebra = NcTorus(theta, theta_value=theta_value, order=order)
+                yield deformed_action(family, algebra), algebra
+    for family in families.FAMILIES:
+        for _, _, upper in scan_oracle.candidates(2):
+            algebra = NcTorus(ThetaMatrix(3, upper), order=24)
+            yield classical_action(family, algebra), algebra
+
+
+def test_closed_form_matches_the_generic_product_reference():
+    """``_image`` and ``power_pair(N, .)`` against the ordered generic product
+    of ``tests/action_oracle.py`` on the box |m_i| <= 1.  The incompatible
+    candidates matter: on compatible actions every s_jk is an integer, so a
+    sign error in its phase e^{i pi s_jk m_j m_k} cannot show there."""
+    compatible = set()
+    for action, algebra in _oracle_cases():
+        compatible.add(check_compatibility(action, algebra, 1))
+        for g in action.generators():
+            rt = g.runtime(algebra)
+            ref = action_oracle.Reference(g, algebra)
+            for m in itertools.product((-1, 0, 1), repeat=algebra.d):
+                assert rt._image(m) == ref.image(m), (g, algebra, m)
+                assert rt.power_pair(g.order, m) == ref.power(g.order, m), (g, algebra, m)
+    assert compatible == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +380,36 @@ def test_freeness_witnesses(preset):
     zero_theta = NcTorus(ThetaMatrix(3, {}))
     for family in families.PRODUCT_FAMILIES:
         assert not freeness_witness(classical_action(family, zero_theta), zero_theta), family
+
+
+@pytest.mark.parametrize("v_image,expected", [("-1 V", True), ("i V", False), ("V", False)])
+def test_freeness_witness_of_a_product_needs_spanning_sign_characters(v_image, expected):
+    """U and V homogeneous with characters (1, 0) and (0, 1) span the dual of
+    Z2 x Z2; an eigenvalue i is no sign character, and a trivial one spans less."""
+    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    text = f"""
+    order: 2 x 2
+    e1: U -> -1 U
+    e1: V -> V
+    e1: W -> W
+    e2: U -> U
+    e2: V -> {v_image}
+    e2: W -> W
+    """
+    assert freeness_witness(parse_action_text(text, zero_theta), zero_theta) is expected
+
+
+def test_freeness_witness_rejects_an_eigenvalue_of_smaller_order():
+    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    text = """
+    order: 4
+    e: U -> -1 U
+    e: V -> W
+    e: W -> V*
+    """
+    action = parse_action_text(text, zero_theta)
+    assert check_order(action, zero_theta)
+    assert not freeness_witness(action, zero_theta)
 
 
 # ---------------------------------------------------------------------------
