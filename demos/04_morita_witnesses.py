@@ -25,14 +25,15 @@ print("E01* == E10     :", units[0][1].star() == units[1][0])
 # A random torus element, its invariant components, and its matrix.
 rng = random.Random(1)
 x = random_torus_element(rng, cp.algebra, 2)
+comps = cp.psi_components(x)
 print()
 print("x reconstructs through the inversion identity:",
-      cp.psi_element(x) == cp.embed(x))
-for k, comp in enumerate(cp.psi_components(x)):
+      cp.psi_element(comps) == cp.embed(x))
+for k, comp in enumerate(comps):
     print(f"  component {k} invariant:", cp.rt.apply(comp) == comp)
 
 y = random_torus_element(rng, cp.algebra, 2)
-mx, my, mxy = cp.psi_matrix(x), cp.psi_matrix(y), cp.psi_matrix(x * y)
+mx, my, mxy = (cp.psi_matrix(cp.psi_components(z)) for z in (x, y, x * y))
 product_ok = all(
     sum((mx[i][k] * my[k][j] for k in range(cp.n)), cp.zero()) == mxy[i][j]
     for i in range(cp.n)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import _ZERO_KEY, PhasedScalar, _key_add, cyc_root, session_order
-from .torus import _ONE_PAIR, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement
+from .scalars import _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, cyc_root, session_order
+from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement, split_terms
 
 __all__ = [
     "GeneratorImage",
@@ -179,17 +179,14 @@ class ActionOnTorus:
         target, r, key = self.power_pair(k, m)
         return PhasedScalar.unit(self.algebra.order, r, key), target
 
-    def image_terms(self, x: TorusElement, power: int) -> list:
-        """The terms of g^power . x as (target, r, theta key, coefficient)."""
-        return [(*self.power_pair(power, m), c) for m, c in x._terms.items()]
-
     def apply(self, x: TorusElement, power: int = 1) -> TorusElement:
         if not self.algebra.same_algebra(x.algebra):
             raise ValueError("element lives in a different algebra")
         if not power:
             return x
         out: dict[Monomial, PhasedScalar] = {}
-        for target, r, key, c in self.image_terms(x, power):
+        for m, c in x._terms.items():
+            target, r, key = self.power_pair(power, m)
             contrib = c.times_unit(r, key)
             cur = out.get(target)
             out[target] = contrib if cur is None else cur + contrib
@@ -446,17 +443,23 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
 
 
 def homogeneous_components(action: FiniteAction, algebra: NcTorus, x: TorusElement):
-    """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x); sum_k x_k = x."""
+    """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x); sum_k x_k = x.
+
+    One kernel pass: (1/N) delta_0 times the orbit terms g^j . x shifted by
+    conj(lambda)^{kj} = zeta^{-kj order/N}, summed into component k."""
+    if not algebra.same_algebra(x.algebra):
+        raise ValueError("element lives in a different algebra")
+    n, order = action.order, algebra.order
+    if order % n:
+        raise OrderMismatchError(f"order {n} does not divide the session order {order}")
     rt = action.runtime(algebra)
-    n = action.order
-    images = [rt.apply(x, power=j) for j in range(n)]
-    comps = []
+    orbit = [(j, *rt.power_pair(j, m), c) for j in range(n) for m, c in split_terms(x)]
+    average = split_terms(algebra.delta((0,) * algebra.d, Fraction(1, n)))
+    acc = Accumulator(algebra)
     for k in range(n):
-        acc = algebra.zero()
-        for j, img in enumerate(images):
-            acc = acc + img * cyc_root(n, -k * j, order=algebra.order)
-        comps.append(acc * Fraction(1, n))
-    return comps
+        acc.add(k, average, [(t, (r - k * j * (order // n)) % order, key, c) for j, t, r, key, c in orbit])
+    comps = acc.components()
+    return [comps.get(k) or algebra.zero() for k in range(n)]
 
 
 def freeness_witness(action, algebra: NcTorus) -> bool:

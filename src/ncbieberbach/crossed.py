@@ -8,7 +8,7 @@ Elements are finite sums ``sum_k a_k p^k`` with ``a_k`` torus elements and
 A ``CrossedElement`` stores exactly these N components, a dict from k mod N to
 the nonzero torus element a_k.  Its product is one pass of the torus kernel
 ``torus.Accumulator``: for each pair of components the action image of b is
-read as (target, r, theta key) unit pairs (``ActionOnTorus.image_terms``) and
+read as (target, r, theta key) unit pairs (``ActionOnTorus.power_pair``) and
 its phase is added to the cocycle's, so no intermediate torus element is
 built.  ``CrossedProduct.dot`` sums many products x_i y_i in one accumulator
 and reduces the coefficients once; the matrix work (``_matrix_of``, the
@@ -43,7 +43,7 @@ from fractions import Fraction
 from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
 from .families import K0_GENERATORS, K0Spec
 from .scalars import PhasedScalar, SparseElement, certify, cyc_root
-from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement
+from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement, split_terms
 
 __all__ = [
     "ContextError",
@@ -87,7 +87,7 @@ class CrossedProduct:
         self._key = (algebra.key(), action.key())
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._psi_unit_powers: list["CrossedElement"] | None = None
-        self._psi_matrix_powers: list[list[list["CrossedElement"]]] | None = None
+        self._psi_matrix_powers: list[list[list["Operand"]]] | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -121,21 +121,27 @@ class CrossedProduct:
 
     # -- products -------------------------------------------------------------
 
+    def operand(self, x) -> "Operand":
+        """x prepared for ``dot``: an ``Operand`` passes through unchanged."""
+        if not self.same_context(x.parent):
+            raise ContextError("elements live in different crossed products")
+        return x if isinstance(x, Operand) else Operand(x)
+
     def dot(self, pairs) -> "CrossedElement":
         """sum_i x_i y_i over the (x_i, y_i) pairs, accumulated in one pass.
 
         (a p^k)(b p^j) = a alpha^k(b) p^{k+j}: each pair of components adds
-        a times the unit-phased image terms of b into component k + j.
+        the split terms of a times the image terms of b under g^k into
+        component k + j.  A factor used in several dots (a matrix entry) is
+        passed as one ``operand``, so it is split once.
         """
         acc = Accumulator(self.algebra)
-        rt, n = self.rt, self.n
+        n = self.n
         for x, y in pairs:
-            for z in (x, y):
-                if not self.same_context(z.parent):
-                    raise ContextError("elements live in different crossed products")
-            for k, a in x._comps.items():
-                for j, b in y._comps.items():
-                    acc.add((k + j) % n, a, rt.image_terms(b, k))
+            x, y = self.operand(x), self.operand(y)
+            for k, lhs in x.left:
+                for j, rhs in y.right(k):
+                    acc.add((k + j) % n, lhs, rhs)
         return CrossedElement._raw(self, acc.components())
 
     # -- structure maps -------------------------------------------------------
@@ -211,21 +217,16 @@ class CrossedProduct:
         return self._psi_unit_powers
 
     def psi_components(self, x: TorusElement) -> list[TorusElement]:
-        """The invariant coefficients x_k u^{-k} of the decomposition of x."""
+        """The invariant coefficients x_k u^{-k} of the decomposition of x;
+        ``psi_element`` and ``psi_matrix`` take this list."""
         comps = homogeneous_components(self.action, self.algebra, x)
-        out = []
-        for k, comp in enumerate(comps):
-            u_back = self.algebra.delta((-k, 0, 0))
-            out.append(comp * u_back)
-        return out
+        return [comp * self.algebra.delta((-k, 0, 0)) for k, comp in enumerate(comps)]
 
-    def psi_element(self, x: TorusElement) -> "CrossedElement":
-        """sum_k (x_k u^{-k}) psi_unit^k; equals embed(x) by the inversion identity."""
+    def psi_element(self, comps: list[TorusElement]) -> "CrossedElement":
+        """sum_k (x_k u^{-k}) psi_unit^k for the ``psi_components`` of x;
+        equals embed(x) by the inversion identity."""
         powers = self._psi_powers()
-        acc = self.zero()
-        for k, comp in enumerate(self.psi_components(x)):
-            acc = acc + self.embed(comp) * powers[k]
-        return acc
+        return self.dot((self.embed(comp), powers[k]) for k, comp in enumerate(comps) if comp)
 
     def matrix_units(self) -> list[list["CrossedElement"]]:
         """E[i][j] built from (p, p_hat): E_ij E_kl = delta_jk E_il, sum E_ii = 1."""
@@ -249,22 +250,22 @@ class CrossedProduct:
         units = self.matrix_units()
         n = self.n
         left = [[units[m][i] * x for m in range(n)] for i in range(n)]
-        return [
-            [self.dot((left[i][m], units[j][m]) for m in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        return self._matrix_product(left, [list(col) for col in zip(*units)])
 
     def _matrix_product(self, left, right) -> list[list["CrossedElement"]]:
-        """The N x N product of two matrices over the crossed product."""
+        """The N x N product of two matrices over the crossed product, each
+        entry prepared once for the N dots it appears in."""
         n = self.n
+        left = [[self.operand(e) for e in row] for row in left]
+        right = [[self.operand(e) for e in row] for row in right]
         return [
             [self.dot((left[i][k], right[k][j]) for k in range(n)) for j in range(n)]
             for i in range(n)
         ]
 
-    def _psi_powers_matrix(self) -> list[list[list["CrossedElement"]]]:
+    def _psi_powers_matrix(self) -> list[list[list["Operand"]]]:
         """Matrices of u^k over the invariant subalgebra, with exact
-        reconstruction sum_ij (m_k)_ij E_ij = u^k verified at build time."""
+        reconstruction sum_ij (m_k)_ij E_ij = u^k verified at build time, as operands."""
         if self._psi_matrix_powers is None:
             units = self.matrix_units()
             mat_u = self._matrix_of(self.delta((1, 0, 0), 0))
@@ -279,18 +280,18 @@ class CrossedProduct:
             for k, mat in enumerate(powers):
                 acc = self.dot((mat[i][j], units[i][j]) for i, j in cells)
                 certify(acc == self.delta((k, 0, 0), 0), "matrix reconstruction of u^k failed")
-            self._psi_matrix_powers = powers
+            self._psi_matrix_powers = [[[self.operand(e) for e in row] for row in mat] for mat in powers]
         return self._psi_matrix_powers
 
-    def psi_matrix(self, x: TorusElement) -> list[list["CrossedElement"]]:
-        """The N x N matrix of x over the invariant subalgebra.
+    def psi_matrix(self, comps: list[TorusElement]) -> list[list["CrossedElement"]]:
+        """The N x N matrix of x over the invariant subalgebra, from its ``psi_components``.
 
         Assembled as sum_k (x_k u^{-k}) (matrix of u)^k; by the verified
         reconstruction of the u-power matrices and linearity this equals the
         matrix-unit sandwich of x.
         """
         powers = self._psi_powers_matrix()
-        comps = [(k, self.embed(comp)) for k, comp in enumerate(self.psi_components(x)) if comp]
+        comps = [(k, self.operand(self.embed(comp))) for k, comp in enumerate(comps) if comp]
         return [
             [self.dot((ce, powers[k][i][j]) for k, ce in comps) for j in range(self.n)]
             for i in range(self.n)
@@ -298,6 +299,25 @@ class CrossedProduct:
 
     def __repr__(self):
         return f"CrossedProduct({self.family or 'custom'}, N={self.n}, d={self.algebra.d})"
+
+
+class Operand:
+    """A crossed element split once for the kernel: ``left`` holds the split terms
+    of each component, ``right(k)`` their image terms under g^k (built on first use)."""
+
+    __slots__ = ("parent", "left", "_images")
+
+    def __init__(self, x: "CrossedElement"):
+        self.parent = x.parent
+        self.left = [(k, split_terms(a)) for k, a in x._comps.items()]
+        self._images: dict = {}
+
+    def right(self, k: int) -> list:
+        terms = self._images.get(k)
+        if terms is None:
+            pair = self.parent.rt.power_pair
+            terms = self._images[k] = [(j, [(*pair(k, m), c) for m, c in split]) for j, split in self.left]
+        return terms
 
 
 class CrossedElement(SparseElement, ctx="parent", data="_comps"):
@@ -364,15 +384,16 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
         return "CrossedElement{" + "; ".join(parts) + "}"
 
 
-def psi_multiplicativity_mismatch(cp: CrossedProduct, x: TorusElement, y: TorusElement,
-                                  xy: TorusElement | None = None):
+def psi_multiplicativity_mismatch(cp: CrossedProduct, comps_x: list[TorusElement],
+                                  y: TorusElement, xy: TorusElement):
     """The first entry (i, j, lhs, rhs) where psi(x) psi(y) != psi(xy), or None.
 
-    ``xy`` defaults to x * y, so None for every sampled pair is the
-    multiplicativity of psi; each entry of psi(x) psi(y) is one ``dot``.
+    ``comps_x`` are the ``psi_components`` of x; with xy = x * y, None for
+    every sampled pair is the multiplicativity of psi.  Each entry of
+    psi(x) psi(y) is one ``dot``.
     """
-    lhs = cp._matrix_product(cp.psi_matrix(x), cp.psi_matrix(y))
-    rhs = cp.psi_matrix(x * y if xy is None else xy)
+    lhs = cp._matrix_product(cp.psi_matrix(comps_x), cp.psi_matrix(cp.psi_components(y)))
+    rhs = cp.psi_matrix(cp.psi_components(xy))
     for i, j in itertools.product(range(cp.n), repeat=2):
         if lhs[i][j] != rhs[i][j]:
             return i, j, lhs[i][j], rhs[i][j]
@@ -461,14 +482,15 @@ def tau_parity_trace(cp: CrossedProduct, j: int, k: int) -> TwistedTrace:
 
 
 def random_torus_element(rng: random.Random, algebra: NcTorus, degree: int, terms: int = 2) -> TorusElement:
+    """``terms`` monomials of degree <= ``degree``, coefficients (p/q) zeta^r e^{i pi b theta}."""
+    order = algebra.order
     out: dict[Monomial, PhasedScalar] = {}
     for _ in range(terms):
         m = tuple(rng.randint(-degree, degree) for _ in range(algebra.d))
-        root = cyc_root(algebra.order, rng.randrange(algebra.order), order=algebra.order)
-        coeff = PhasedScalar.phase(Fraction(rng.randint(-2, 2)), root, order=algebra.order)
-        if algebra.theta_value is not None:
-            coeff = coeff.fold(algebra.theta_value)
-        coeff = coeff * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        r = rng.randrange(order)
+        r_theta, key = algebra.unit_pair(Fraction(0), Fraction(rng.randint(-2, 2)))
+        p, q = rng.randint(1, 3), rng.randint(1, 2)
+        coeff = PhasedScalar.unit(order, (r + r_theta) % order, key) * Fraction(p, q)
         out[m] = out[m] + coeff if m in out else coeff
     return TorusElement(algebra, out)
 
@@ -477,7 +499,7 @@ def random_crossed_element(rng: random.Random, cp: CrossedProduct, degree: int, 
     out = cp.zero()
     for _ in range(terms):
         x = random_torus_element(rng, cp.algebra, degree, terms=1)
-        out = out + cp.embed(x) * cp.p(rng.randrange(cp.n))
+        out = out + CrossedElement(cp, {rng.randrange(cp.n): x})
     return out
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "NcTorus",
     "TorusElement",
     "Accumulator",
+    "split_terms",
     "generators",
 ]
 
@@ -144,7 +145,7 @@ class NcTorus:
     e^{i pi b theta} into the cyclotomic field of the given session order.
     """
 
-    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs")
+    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slots")
 
     def __init__(self, theta: ThetaMatrix, theta_value=None, order: int | None = None):
         self.theta = theta
@@ -159,6 +160,7 @@ class NcTorus:
         # nonzero slot couples two coordinates, so the getter returns tuples)
         self._pair_key = operator.itemgetter(*sorted(active)) if active else None
         self._cocycle_pairs: dict = {}
+        self._slots = None  # integer slot numerators, built on the first cache miss
 
     # -- identity ----------------------------------------------------------
 
@@ -206,21 +208,32 @@ class NcTorus:
         return PhasedScalar.unit(self.order, *self.unit_pair(a, b))
 
     def _cocycle_pair(self, m: Monomial, n: Monomial) -> UnitPair:
-        """omega(m, n) as a unit pair, cached per pair of active coordinates."""
+        """omega(m, n) as a unit pair, cached per pair of active coordinates;
+        a miss sums the slot numerators of theta over one denominator."""
         get = self._pair_key
         if get is None:
             return _ONE_PAIR
         key = (get(m), get(n))
         pair = self._cocycle_pairs.get(key)
         if pair is None:
-            a = Fraction(0)
-            b = Fraction(0)
-            for (j, k), entry in self.theta.upper_items():
+            if self._slots is None:
+                value = self.theta_value
+                entries = [(j, k, e.a, e.b) if value is None else (j, k, e.a + e.b * value, Fraction(0))
+                           for (j, k), e in self.theta.upper_items()]
+                den = math.lcm(*(x.denominator for *_, a, b in entries for x in (a, b)))
+                self._slots = [(j, k, int(a * den), int(b * den)) for j, k, a, b in entries], den
+            slots, den = self._slots
+            a = b = 0
+            for j, k, na, nb in slots:
                 cross = m[j] * n[k] - m[k] * n[j]
-                if cross:
-                    a += entry.a * cross
-                    b += entry.b * cross
-            pair = self.unit_pair(a, b)
+                a += na * cross
+                b += nb * cross
+            g = math.gcd(a, den)
+            q = 2 * den // g
+            if self.order % q:
+                raise OrderMismatchError(f"order {q} does not divide the session order {self.order}")
+            g_b = math.gcd(b, den)
+            pair = (a // g * (self.order // q) % self.order, (b // g_b, den // g_b))
             if len(self._cocycle_pairs) < _COCYCLE_CACHE_CAP:
                 self._cocycle_pairs[key] = pair
         return pair
@@ -293,7 +306,7 @@ class TorusElement(SparseElement, ctx="algebra", data="_terms"):
             return self._scale(other)
         self._check(other)
         acc = Accumulator(self.algebra)
-        acc.add(0, self, [(n, *_ONE_PAIR, c) for n, c in other._terms.items()])
+        acc.add(0, split_terms(self), [(n, *_ONE_PAIR, c) for n, c in split_terms(other)])
         return acc.components().get(0) or self.algebra.zero()
 
     def star(self) -> "TorusElement":
@@ -328,6 +341,11 @@ def _split(coeff: PhasedScalar):
     return [(b, c.den, _nonzero(c.num)) for b, c in coeff._terms.items()]
 
 
+def split_terms(x: "TorusElement") -> list:
+    """The terms of x as kernel operands: (monomial, split coefficient) pairs."""
+    return [(m, _split(c)) for m, c in x._terms.items()]
+
+
 class Accumulator:
     """Sum of c_m c_n zeta^r e^{i pi b theta} delta_{m+n} p^t over pairs of terms.
 
@@ -346,11 +364,12 @@ class Accumulator:
         self.algebra = algebra
         self._entries: dict = {}
 
-    def add(self, t: int, left: "TorusElement", right) -> None:
-        """Add left * (sum of unit-phased terms) into component t.
+    def add(self, t: int, lhs: list, rhs: list) -> None:
+        """Add (sum of the left terms) * (sum of the unit-phased right terms) into component t.
 
-        ``right`` holds (n, r, key, c_n) quadruples: the term c_n delta_n
-        scaled by the unit phase (r, key), as the action leaves it.
+        ``lhs`` holds (m, split c_m) pairs from ``split_terms``; ``rhs`` holds
+        (n, r, key, split c_n): the term c_n delta_n scaled by the unit phase
+        (r, key), as the action leaves it.
         """
         alg = self.algebra
         order = alg.order
@@ -362,14 +381,15 @@ class Accumulator:
         pair_of = alg._cocycle_pair
         key_add = _key_add
         add = operator.add
-        lhs = [(m, _split(c)) for m, c in left._terms.items()]
-        rhs = [(n, r, b, _split(c)) for n, r, b, c in right]
+        # the cocycle cache keys of every term, read once per call
+        rhs = [(n, get and get(n), r0, b0, cn) for n, r0, b0, cn in rhs]
         for m, cm in lhs:
-            for n, r0, b0, cn in rhs:
+            gm = get and get(m)
+            for n, gn, r0, b0, cn in rhs:
                 if get is None:
                     r, bw = r0, b0
                 else:
-                    r, bw = cache.get((get(m), get(n))) or pair_of(m, n)
+                    r, bw = cache.get((gm, gn)) or pair_of(m, n)
                     r = (r + r0) % order
                     bw = (bw[0] + b0[0], 1) if bw[1] == b0[1] == 1 else key_add(bw, b0)
                 target = tuple(map(add, m, n))

@@ -11,6 +11,7 @@ each sampling suite draws from one ``random.Random(seed)`` in a fixed order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -199,37 +200,42 @@ def check_matrix_units(cp: CrossedProduct) -> Check:
     return Check.of(f"matrix-units[{cp.family}]", ok)
 
 
-def verify_trace_laws(t: TraceFunctional, cp: CrossedProduct, samples: int = 200,
-                      seed: int = 7, degree: int = 2, label: str | None = None) -> list[Check]:
-    """Sample the twist laws of the base functional and the trace laws upstairs.
+def verify_trace_laws(traces: list[TraceFunctional], cp: CrossedProduct, samples: int = 200,
+                      seed: int = 7, degree: int = 2, labels: list[str] | None = None) -> list[Check]:
+    """Sample the twist laws of the base functionals and the trace laws upstairs.
 
-    The rows are named ``{label}-{law}``, ``label`` defaulting to the
-    trace's name.  Every law is tested on every sample until it fails.
+    The traces share one sample stream, whose products (alpha(a), a b,
+    alpha^s(b) a, x y, y x, beta_hat(x)) are computed once, when a trace
+    still tests the law; each trace tests each law on every sample until it
+    fails.  Rows ``{label}-{law}`` (label: the trace's name) go trace by trace.
     """
-    label = t.name if label is None else label
+    labels = [t.name for t in traces] if labels is None else labels
+    laws = ("base-invariance", "base-twist-law", "tracial-on-crossed-product", "beta-hat-scaling")
     rng = random.Random(seed)
-    inv_ok, twist_ok, tracial_ok, scale_ok = True, True, True, True
-    inv_ce = twist_ce = tracial_ce = scale_ce = ""
-    factor = cyc_root(cp.n, t.s, order=cp.algebra.order)
+    found: list[dict[str, str]] = [{} for _ in traces]  # law -> counterexample, per trace
+    factors = {t.s: cyc_root(cp.n, t.s, order=cp.algebra.order) for t in traces}
     for _ in range(samples):
         a = random_torus_element(rng, cp.algebra, degree)
         b = random_torus_element(rng, cp.algebra, degree)
-        if inv_ok and t.base_eval(cp.rt.apply(a)) != t.base_eval(a):
-            inv_ok, inv_ce = False, f"a={a!r}"
-        if twist_ok and t.base_eval(a * b) != t.base_eval(cp.rt.apply(b, power=t.s % cp.n) * a):
-            twist_ok, twist_ce = False, f"a={a!r}, b={b!r}"
         x = random_crossed_element(rng, cp, degree)
         y = random_crossed_element(rng, cp, degree)
-        if tracial_ok and t.eval(x * y) != t.eval(y * x):
-            tracial_ok, tracial_ce = False, f"x={x!r}, y={y!r}"
-        if scale_ok and t.eval(cp.beta_hat(x)) != t.eval(x) * factor:
-            scale_ok, scale_ce = False, f"x={x!r}"
-    return [
-        Check.of(f"{label}-base-invariance", inv_ok, inv_ce),
-        Check.of(f"{label}-base-twist-law", twist_ok, twist_ce),
-        Check.of(f"{label}-tracial-on-crossed-product", tracial_ok, tracial_ce),
-        Check.of(f"{label}-beta-hat-scaling", scale_ok, scale_ce),
-    ]
+        alpha_a = functools.cache(lambda: cp.rt.apply(a))
+        ab = functools.cache(lambda: a * b)
+        twisted = functools.cache(lambda s: cp.rt.apply(b, power=s % cp.n) * a)
+        xy = functools.cache(lambda: x * y)
+        yx = functools.cache(lambda: y * x)
+        beta_x = functools.cache(lambda: cp.beta_hat(x))
+        for t, fails in zip(traces, found):
+            if "base-invariance" not in fails and t.base_eval(alpha_a()) != t.base_eval(a):
+                fails["base-invariance"] = f"a={a!r}"
+            if "base-twist-law" not in fails and t.base_eval(ab()) != t.base_eval(twisted(t.s)):
+                fails["base-twist-law"] = f"a={a!r}, b={b!r}"
+            if "tracial-on-crossed-product" not in fails and t.eval(xy()) != t.eval(yx()):
+                fails["tracial-on-crossed-product"] = f"x={x!r}, y={y!r}"
+            if "beta-hat-scaling" not in fails and t.eval(beta_x()) != t.eval(x) * factors[t.s]:
+                fails["beta-hat-scaling"] = f"x={x!r}"
+    return [Check.of(f"{label}-{law}", law not in fails, fails.get(law, ""))
+            for label, fails in zip(labels, found) for law in laws]
 
 
 def verify_exchange_iso(family: str, degree: int = 3, theta_value=None,
@@ -518,9 +524,10 @@ def crossed(settings: Settings) -> list[Check]:
 
         def arithmetic():
             x, y, z = (random_crossed_element(rng, cp, 2) for _ in range(3))
-            if (x * y) * z != x * (y * z) or (x * y).star() != y.star() * x.star():
+            xy = x * y
+            if xy * z != x * (y * z) or xy.star() != y.star() * x.star():
                 return {"x": repr(x), "y": repr(y), "z": repr(z)}
-            if cp.beta_hat(x * y) != cp.beta_hat(x) * cp.beta_hat(y):
+            if cp.beta_hat(xy) != cp.beta_hat(x) * cp.beta_hat(y):
                 return {"x": repr(x), "y": repr(y)}
             orbit_end = x
             for _ in range(cp.n):
@@ -537,14 +544,13 @@ def crossed(settings: Settings) -> list[Check]:
 
 def traces(settings: Settings) -> list[Check]:
     cp2 = crossed_product("B2", dim=2, theta_value=settings.theta, order=settings.order)
-    checks: list[Check] = []
-    for j, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        checks += verify_trace_laws(tau_parity_trace(cp2, j, k), cp2, samples=settings.samples,
-                                    seed=settings.seed, degree=settings.degree)
+    parity = [tau_parity_trace(cp2, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    checks = verify_trace_laws(parity, cp2, samples=settings.samples, seed=settings.seed,
+                               degree=settings.degree)
     for family in families.K_FAMILIES:
         cp = crossed_product(family, dim=2, theta_value=settings.theta, order=settings.order)
-        checks += verify_trace_laws(CanonicalTrace(cp), cp, samples=max(5, settings.samples // 4),
-                                    seed=settings.seed, degree=settings.degree, label=f"tau[{family}]")
+        checks += verify_trace_laws([CanonicalTrace(cp)], cp, samples=max(5, settings.samples // 4),
+                                    seed=settings.seed, degree=settings.degree, labels=[f"tau[{family}]"])
     return checks
 
 
@@ -560,10 +566,11 @@ def morita(settings: Settings) -> list[Check]:
             nonlocal invariant_ok
             x = random_torus_element(rng, cp.algebra, 2, terms=1)
             y = random_torus_element(rng, cp.algebra, 2, terms=1)
-            if cp.psi_element(x) != cp.embed(x):
+            comps = cp.psi_components(x)
+            if cp.psi_element(comps) != cp.embed(x):
                 return {"x": repr(x)}
-            invariant_ok &= all(cp.rt.apply(comp) == comp for comp in cp.psi_components(x))
-            mismatch = psi_multiplicativity_mismatch(cp, x, y)
+            invariant_ok &= all(cp.rt.apply(comp) == comp for comp in comps)
+            mismatch = psi_multiplicativity_mismatch(cp, comps, y, x * y)
             if mismatch is None:
                 return None
             i, j, lhs, rhs = mismatch

@@ -5,10 +5,12 @@ The image of ``delta_m`` is the ordered product of generator-image powers
 relates ``delta_m`` to the same ordered product of basis monomials.  Every
 phase comes from ``TorusElement`` multiplication, so nothing here shares the
 closed form, the phase polynomial or the slot obstructions of ``actions``.
+The homogeneous components are summed the same way, element by element.
 """
 import itertools
+from fractions import Fraction
 
-from ncbieberbach.scalars import _key_add, certify
+from ncbieberbach.scalars import _key_add, certify, cyc_root
 
 ONE_PAIR = (0, (0, 1))
 
@@ -71,3 +73,19 @@ def order_ok(action, algebra):
         for r1, r2 in itertools.combinations(refs, 2)
         for e in units
     )
+
+
+def homogeneous_components(action, algebra, x):
+    """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x) as N^2 scale-and-add
+    steps on whole ``TorusElement`` values; the package sums them in one
+    kernel pass."""
+    rt = action.runtime(algebra)
+    n = action.order
+    images = [rt.apply(x, power=j) for j in range(n)]
+    comps = []
+    for k in range(n):
+        acc = algebra.zero()
+        for j, img in enumerate(images):
+            acc = acc + img * cyc_root(n, -k * j, order=algebra.order)
+        comps.append(acc * Fraction(1, n))
+    return comps

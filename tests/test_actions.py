@@ -23,7 +23,8 @@ from ncbieberbach.actions import (
     parse_action_text,
     scan_cocycles,
 )
-from ncbieberbach.scalars import cyc_root
+from ncbieberbach.crossed import random_torus_element
+from ncbieberbach.scalars import OrderMismatchError, cyc_root
 from ncbieberbach.torus import NcTorus, ThetaEntry, ThetaMatrix
 
 
@@ -370,6 +371,31 @@ def test_homogeneous_reconstruction_and_eigenvalues(preset, family):
             eig = lam ** k
             assert apply_action(action, preset, comp) == comp * eig
         assert total == x
+
+
+@pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
+def test_homogeneous_components_match_the_elementwise_sum(theta_value, order):
+    """The one-pass kernel decomposition against the N^2 scale-and-add loop of
+    ``tests/action_oracle.py``, on every cyclic family, in 2d and 3d."""
+    rng = random.Random(f"homogeneous:{theta_value}")
+    for family in families.CYCLIC_FAMILIES:
+        for theta in (ThetaMatrix.standard_2d(), ThetaMatrix.standard_3d()):
+            algebra = NcTorus(theta, theta_value=theta_value, order=order)
+            try:
+                action = deformed_action(family, algebra)
+            except ValueError:  # the plane restriction of an action moving the circle generator
+                continue
+            for _ in range(10):
+                x = random_torus_element(rng, algebra, 2, terms=3)
+                expected = action_oracle.homogeneous_components(action, algebra, x)
+                assert homogeneous_components(action, algebra, x) == expected, (family, theta)
+
+
+def test_homogeneous_components_need_the_group_order_in_the_field():
+    algebra = NcTorus(ThetaMatrix.standard_2d(), order=4)
+    images = tuple(GeneratorImage(algebra.scalar(1), e) for e in ((1, 0), (0, 1)))
+    with pytest.raises(OrderMismatchError, match="order 3 does not divide the session order 4"):
+        homogeneous_components(FiniteAction(3, images), algebra, algebra.one())
 
 
 def test_freeness_witnesses(preset):

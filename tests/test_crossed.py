@@ -19,7 +19,7 @@ from ncbieberbach.crossed import (
     tau_parity_trace,
 )
 from ncbieberbach.families import K_FAMILIES
-from ncbieberbach.scalars import cyc_root
+from ncbieberbach.scalars import PhasedScalar, cyc_root
 from ncbieberbach.torus import NcTorus, ThetaMatrix
 from ncbieberbach.verify import (
     Settings,
@@ -255,7 +255,7 @@ def test_psi_decomposition(torus_products):
     for family, cp in torus_products.items():
         for _ in range(5):
             x = random_torus_element(rng, cp.algebra, 2)
-            assert cp.psi_element(x) == cp.embed(x)
+            assert cp.psi_element(cp.psi_components(x)) == cp.embed(x)
             for comp in cp.psi_components(x):
                 assert cp.rt.apply(comp) == comp
 
@@ -266,7 +266,7 @@ def test_psi_matrix_multiplicative(torus_products):
         for _ in range(8):
             x = random_torus_element(rng, cp.algebra, 2, terms=1)
             y = random_torus_element(rng, cp.algebra, 2, terms=1)
-            mx, my, mxy = cp.psi_matrix(x), cp.psi_matrix(y), cp.psi_matrix(x * y)
+            mx, my, mxy = (cp.psi_matrix(cp.psi_components(z)) for z in (x, y, x * y))
             for i in range(cp.n):
                 for j in range(cp.n):
                     acc = cp.zero()
@@ -300,14 +300,63 @@ def test_trace_values(plane_products):
 
 def test_parity_trace_laws(plane_products):
     cp = plane_products["B2"]
-    for j, k in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        checks = verify_trace_laws(tau_parity_trace(cp, j, k), cp, samples=60, seed=11)
-        assert all(c.ok for c in checks), [c for c in checks if not c.ok]
+    parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    checks = verify_trace_laws(parity, cp, samples=60, seed=11)
+    assert len(checks) == 16 and all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def _scalar_product_sample(rng, algebra, degree, terms):
+    """``random_torus_element``'s draws, built by scalar products and ``fold``."""
+    out = algebra.zero()
+    for _ in range(terms):
+        m = tuple(rng.randint(-degree, degree) for _ in range(algebra.d))
+        root = cyc_root(algebra.order, rng.randrange(algebra.order), order=algebra.order)
+        coeff = PhasedScalar.phase(Fraction(rng.randint(-2, 2)), root, order=algebra.order)
+        if algebra.theta_value is not None:
+            coeff = coeff.fold(algebra.theta_value)
+        out = out + algebra.delta(m) * (coeff * Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+    return out
+
+
+@pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
+def test_random_samples_match_the_scalar_product_construction(theta_value, order):
+    cp = crossed_product("B4", dim=3, theta_value=theta_value, order=order)
+    for seed in range(30):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_torus_element(rng, cp.algebra, 2, terms=3) == _scalar_product_sample(ref, cp.algebra, 2, 3)
+        expected = cp.zero()
+        for _ in range(2):
+            x = _scalar_product_sample(ref, cp.algebra, 2, 1)
+            expected = expected + cp.embed(x) * cp.p(ref.randrange(cp.n))
+        assert random_crossed_element(rng, cp, 2) == expected
+        assert rng.random() == ref.random()  # the same number of draws
+
+
+def test_shared_trace_stream_equals_separate_runs(plane_products):
+    cp = plane_products["B2"]
+    parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    separate = [c for t in parity for c in verify_trace_laws([t], cp, samples=25, seed=3)]
+    assert verify_trace_laws(parity, cp, samples=25, seed=3) == separate
+
+
+def test_a_sabotaged_trace_fails_alone(plane_products):
+    """A functional supported on delta_(1,0) p alone is not twisted-tracial;
+    sharing its samples must not leak its failures into the other rows."""
+    cp = plane_products["B2"]
+    four = cp.algebra.scalar(4)
+    bad = TwistedTrace(cp, lambda m: four if m == (1, 0) else None, s=1, name="bad")
+    good = [tau_parity_trace(cp, 0, 0), tau_parity_trace(cp, 1, 1)]
+    shared = verify_trace_laws([good[0], bad, good[1]], cp, samples=25, seed=3)
+    alone = [verify_trace_laws([t], cp, samples=25, seed=3) for t in (good[0], bad, good[1])]
+    assert shared == [c for rows in alone for c in rows]
+    assert all(c.ok for c in shared[:4] + shared[8:])
+    failed = [c for c in shared[4:8] if not c.ok]
+    assert failed and all(c.name.startswith("bad-") and c.detail for c in failed)
 
 
 def test_canonical_trace_laws_all_families(plane_products):
     for family, cp in plane_products.items():
-        checks = verify_trace_laws(CanonicalTrace(cp), cp, samples=30, seed=11)
+        checks = verify_trace_laws([CanonicalTrace(cp)], cp, samples=30, seed=11)
         assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
 
 

@@ -97,6 +97,21 @@ def test_kernel_matches_term_loop(family, dim, theta):
         assert dict(cp.dot(pairs).terms()) == pruned(expected)
 
 
+@pytest.mark.parametrize("family", ["B3", "B6"])
+@pytest.mark.parametrize("theta", [None, "1/5"])
+def test_matrix_product_matches_entrywise_products(family, theta):
+    """Every entry of the prepared-operand matrix product is sum_k L[i][k] * R[k][j]."""
+    cp = make_product(family, 3, theta)
+    rng = random.Random(f"matrix:{family}:{theta}")
+    n = cp.n
+    left, right = ([[rand_crossed(rng, cp) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    left[0][0] = cp.zero()
+    product = cp._matrix_product(left, right)
+    for i in range(n):
+        for j in range(n):
+            assert product[i][j] == sum((left[i][k] * right[k][j] for k in range(n)), cp.zero()), (i, j)
+
+
 def test_kernel_cancels_to_zero():
     cp = crossed_product("B3", dim=3)
     rng = random.Random(5)
@@ -110,11 +125,12 @@ def test_psi_mismatch_reports_a_wrong_right_hand_side(torus_products):
     rng = random.Random(11)
     x = random_torus_element(rng, cp.algebra, 2, terms=1)
     y = random_torus_element(rng, cp.algebra, 2, terms=1)
-    assert psi_multiplicativity_mismatch(cp, x, y) is None
+    assert psi_multiplicativity_mismatch(cp, cp.psi_components(x), y, x * y) is None
     v, w = cp.algebra.basis_generators()[1:]
     assert v * w != w * v
-    mismatch = psi_multiplicativity_mismatch(cp, v, w, xy=w * v)
+    mismatch = psi_multiplicativity_mismatch(cp, cp.psi_components(v), w, w * v)
     assert mismatch is not None
     i, j, lhs, rhs = mismatch
     assert lhs != rhs
-    assert lhs == cp.dot((cp.psi_matrix(v)[i][k], cp.psi_matrix(w)[k][j]) for k in range(cp.n))
+    mv, mw = cp.psi_matrix(cp.psi_components(v)), cp.psi_matrix(cp.psi_components(w))
+    assert lhs == cp.dot((mv[i][k], mw[k][j]) for k in range(cp.n))

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ncbieberbach.scalars import cyc_root
-from ncbieberbach.torus import ThetaEntry, ThetaMatrix, generators
+from ncbieberbach.scalars import OrderMismatchError, PhasedScalar, cyc_root
+from ncbieberbach.torus import NcTorus, ThetaEntry, ThetaMatrix, generators
 
 
 def _random_element(rng, algebra, degree=2, terms=2):
@@ -133,6 +133,37 @@ def test_folded_mode_collapses_phases():
     assert c == cyc_root(6, 1, order=24)  # e^{i pi / 3}
     # the defining relation still holds after folding
     assert w * v == v * w * alg.theta_phase(2)
+
+
+def _fraction_cocycle(alg, m, n):
+    """omega(m, n) from the Fraction sum a + b theta, folded by ``PhasedScalar.fold``."""
+    a = b = Fraction(0)
+    for (j, k), entry in alg.theta.upper_items():
+        cross = m[j] * n[k] - m[k] * n[j]
+        a += entry.a * cross
+        b += entry.b * cross
+    phase = PhasedScalar.phase(b, cyc_root(2 * a.denominator, a.numerator, order=alg.order), order=alg.order)
+    return phase if alg.theta_value is None else phase.fold(alg.theta_value)
+
+
+@pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
+def test_cocycle_matches_the_fraction_formula(theta_value, order):
+    rng = random.Random(f"cocycle:{theta_value}")
+    for _ in range(40):
+        upper = {(0, 1): ThetaEntry.of(Fraction(rng.randrange(12), 12)),
+                 (0, 2): ThetaEntry.of(Fraction(rng.randrange(12), 12), Fraction(rng.randint(-2, 2), 3)),
+                 (1, 2): ThetaEntry.of(Fraction(rng.randrange(12), 12), -1)}
+        alg = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
+        for _ in range(10):
+            m, n = (tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(2))
+            assert alg.cocycle(m, n) == _fraction_cocycle(alg, m, n), (upper, m, n)
+
+
+def test_cocycle_outside_the_field_raises():
+    alg = NcTorus(ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 5))}), order=24)
+    assert alg.cocycle((5, 0, 0), (0, 1, 0)) == _fraction_cocycle(alg, (5, 0, 0), (0, 1, 0))
+    with pytest.raises(OrderMismatchError, match="order 10 does not divide the session order 24"):
+        alg.cocycle((1, 0, 0), (0, 1, 0))
 
 
 def test_elements_of_different_algebras_do_not_mix():
