@@ -40,7 +40,7 @@ print("X^3 == 1        :", x ** 3 == cp3.one())
 # refuses to build and reports the residual exactly.
 y_tab = v3 * v3 * cp3.p() * cp3.algebra.theta_phase(Fraction(2, 3))
 try:
-    cp3.q_projector(0, y_tab)
+    cp3.q_projector(y_tab)
 except NotRootOfUnityError as err:
     print("tabulated Y refused:", err.residual)
 table = k0_generator_table("B3", cp3)

@@ -312,20 +312,6 @@ def _generators_commute(g1: FiniteAction, g2: FiniteAction, algebra: NcTorus, bo
     return _commute_on(g1, g2, algebra, itertools.product(range(-bound, bound + 1), repeat=algebra.d))
 
 
-def compatibility_counterexample(action: FiniteAction, algebra: NcTorus):
-    """Both sides of the first violated identity, rendered exactly, or None."""
-    bad = compatibility_obstructions(action, algebra)
-    if not bad:
-        return None
-    (j, k), _, _ = bad[0]
-    rt = action.runtime(algebra)
-    units = _basis(algebra.d)
-    e_j, e_k = units[j], units[k]
-    lhs = rt.apply(algebra.delta(e_k) * algebra.delta(e_j))
-    rhs = rt.apply(algebra.delta(e_k)) * rt.apply(algebra.delta(e_j))
-    return {"pair": (e_k, e_j), "lhs": repr(lhs), "rhs": repr(rhs)}
-
-
 # ---------------------------------------------------------------------------
 # cocycle scan
 

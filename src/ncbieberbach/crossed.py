@@ -21,8 +21,9 @@ On top of the arithmetic this module provides:
 
 * ``beta_hat``, the dual automorphism fixing the torus and scaling p by the
   conjugate root of unity; it drives the K-theory computation downstream.
-* spectral projectors ``q_projector`` for elements of order N, with an exact
-  precondition check that reports the residual x^N - 1 on failure;
+* ``q_projector``: all N spectral projectors of an order-N element from one
+  chain of powers, with an exact precondition check that reports the
+  residual x^N - 1 on failure;
 * the stable-isomorphism witness pair (p, p_hat) with its matrix units, the
   inversion identity, and the matrix decomposition of torus elements over the
   invariant subalgebra;
@@ -144,6 +145,13 @@ class CrossedProduct:
                     acc.add((k + j) % n, lhs, rhs)
         return CrossedElement._raw(self, acc.components())
 
+    def _powers(self, x: "CrossedElement", count: int) -> list["CrossedElement"]:
+        """[1, x, ..., x^(count - 1)], one product per power."""
+        powers = [self.one()]
+        for _ in range(count - 1):
+            powers.append(powers[-1] * x)
+        return powers
+
     # -- structure maps -------------------------------------------------------
 
     def beta_hat(self, x: "CrossedElement") -> "CrossedElement":
@@ -152,23 +160,25 @@ class CrossedProduct:
         comps = {k: a * cyc_root(self.n, -k, order=order) for k, a in x._comps.items()}
         return CrossedElement._raw(self, comps)
 
-    def q_projector(self, n: int, x: "CrossedElement", period: int | None = None) -> "CrossedElement":
-        """Spectral projector (1/N) sum_k e^{2 pi i n k / period} x^k; needs x^N = 1.
+    def q_projector(self, x: "CrossedElement", *, period: int | None = None) -> list["CrossedElement"]:
+        """The spectral projectors [Q_0(x), ..., Q_{N-1}(x)] from one chain of
+        powers, Q_n(x) = (1/N) sum_k e^{2 pi i n k / period} x^k; needs x^N = 1.
 
         ``period`` defaults to N; other periods compare exponent readings.
         """
         period = self.n if period is None else period
-        acc = self.zero()
-        power = self.one()
-        for k in range(self.n):
-            acc = acc + power * cyc_root(period, n * k, order=self.algebra.order)
-            power = power * x
+        *powers, power = self._powers(x, self.n + 1)
         if power != self.one():
             raise NotRootOfUnityError(
                 f"element has no order {self.n}: x^{self.n} - 1 = {(power - self.one())!r}",
                 residual=power - self.one(),
             )
-        return acc * Fraction(1, self.n)
+        order = self.algebra.order
+        return [
+            sum((xk * cyc_root(period, n * k, order=order) for k, xk in enumerate(powers)), self.zero())
+            * Fraction(1, self.n)
+            for n in range(self.n)
+        ]
 
     # -- stable-isomorphism witnesses -----------------------------------------
 
@@ -209,11 +219,7 @@ class CrossedProduct:
 
     def _psi_powers(self) -> list["CrossedElement"]:
         if self._psi_unit_powers is None:
-            powers = [self.one()]
-            unit = self.psi_unit()
-            for _ in range(self.n - 1):
-                powers.append(powers[-1] * unit)
-            self._psi_unit_powers = powers
+            self._psi_unit_powers = self._powers(self.psi_unit(), self.n)
         return self._psi_unit_powers
 
     def psi_components(self, x: TorusElement) -> list[TorusElement]:
@@ -231,18 +237,12 @@ class CrossedProduct:
     def matrix_units(self) -> list[list["CrossedElement"]]:
         """E[i][j] built from (p, p_hat): E_ij E_kl = delta_jk E_il, sum E_ii = 1."""
         if self._matrix_units is None:
-            ph = self.phat()
-            ph_powers = [self.one()]
-            for _ in range(self.n - 1):
-                ph_powers.append(ph_powers[-1] * ph)
-            units = []
-            for i in range(self.n):
-                row = []
-                for j in range(self.n):
-                    shift = (j - i) % self.n
-                    row.append(ph_powers[shift] * self.q_projector(j, self.p()))
-                units.append(row)
-            self._matrix_units = units
+            ph_powers = self._powers(self.phat(), self.n)
+            projectors = self.q_projector(self.p())
+            self._matrix_units = [
+                [ph_powers[(j - i) % self.n] * projectors[j] for j in range(self.n)]
+                for i in range(self.n)
+            ]
         return self._matrix_units
 
     def _matrix_of(self, x: "CrossedElement") -> list[list["CrossedElement"]]:
@@ -337,19 +337,6 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
     def component(self, k: int) -> TorusElement:
         """The torus coefficient a_k of p^k."""
         return self._comps.get(k % self.parent.n) or self.parent.algebra.zero()
-
-    def torus_part(self) -> TorusElement:
-        """The underlying torus element, requiring all terms at k = 0."""
-        if self._comps.keys() - {0}:
-            raise ValueError("element has components outside the torus")
-        return self.component(0)
-
-    def is_invariant_torus(self) -> bool:
-        try:
-            t = self.torus_part()
-        except ValueError:
-            return False
-        return self.parent.rt.apply(t) == t
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -551,7 +538,8 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
     Two tabulated coefficients fail the order precondition of their spectral
     projector; for those the stem carries the minimal phase correction
     restoring x^N = 1, and the defect is recorded as an anomaly instead of
-    being hidden.  ``q_projector`` certifies the order of every stem used.
+    being hidden.  One ``q_projector`` call per stem builds all N of its
+    projectors and certifies its order; each class indexes that list.
     """
     spec = _k0_spec(family, cp)
     stems = spectral_arguments(family, cp)
@@ -561,7 +549,8 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
         defect = _stem_element(cp, *words[name], phase) ** cp.n - cp.one()
         if not defect.is_zero():
             anomalies.append(AnomalyNote(f"[Q({name})]", message % (defect,)))
-    elements = {lbl: cp.one() if stem is None else cp.q_projector(n, stems[stem])
+    projectors = {stem: cp.q_projector(x) for stem, x in stems.items()}
+    elements = {lbl: cp.one() if stem is None else projectors[stem][n]
                 for lbl, stem, n in spec.classes}
     elements[spec.exotic[0]] = None
     return GeneratorTable(family, elements, anomalies)

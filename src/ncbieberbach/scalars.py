@@ -18,8 +18,9 @@ action image) is carried downstream as the integer pair ``(r, key)``: the root
 exponent r modulo the order and the reduced theta key ``(numerator,
 denominator)`` of b.  Composing two unit phases adds the pairs
 (``_key_add`` for the keys); ``PhasedScalar.unit`` and ``unit_exponents``
-convert between the pair and the scalar, and ``_root_table`` applies
-``zeta^r`` to a numerator vector without a general product.
+convert between the pair and the scalar.  Every reduction reads one table,
+``_root_table``, the reduced vector of each ``zeta^e``: ``times_root``,
+``conj``, the general product and the torus kernel ``torus.Accumulator``.
 
 ``SparseElement`` holds the ring boilerplate of every sparse dict type in the
 package (``PhasedScalar`` here, ``TorusElement`` and ``CrossedElement``
@@ -110,26 +111,15 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _field_tables(order: int):
-    """Degree, overflow-reduction rows, root vectors, and root index for Q(zeta_order).
+    """Degree, root vectors, and root index for Q(zeta_order).
 
-    ``overflow[j]`` is the basis representation of ``zeta^(deg+j)`` for
-    ``0 <= j <= deg-2`` (all that a product of two reduced elements needs).
-    ``roots[k]`` is the basis representation of ``zeta^k`` for ``0 <= k < order``.
-    All vectors are integer tuples; the cyclotomic polynomial is monic, so the
-    reduction never introduces denominators.
+    ``roots[k]`` is the basis representation of ``zeta^k`` for ``0 <= k < order``,
+    an integer tuple: the cyclotomic polynomial is monic, so the reduction
+    never introduces denominators.  ``root_index`` maps a vector back to k.
     """
     poly = cyclotomic_polynomial(order)
     deg = len(poly) - 1
     top = tuple(-c for c in poly[:deg])  # zeta^deg
-
-    overflow: list[tuple[int, ...]] = [top]
-    for _ in range(deg - 2):
-        prev = overflow[-1]
-        shifted = [0] + list(prev[: deg - 1])
-        carry = prev[deg - 1]
-        if carry:
-            shifted = [s + carry * t for s, t in zip(shifted, top)]
-        overflow.append(tuple(shifted))
 
     roots: list[tuple[int, ...]] = []
     cur = tuple([1] + [0] * (deg - 1))
@@ -143,7 +133,7 @@ def _field_tables(order: int):
     certify(cur == roots[0], "zeta^order must reduce to 1")
 
     root_index = {vec: k for k, vec in enumerate(roots)}
-    return deg, tuple(overflow), tuple(roots), root_index
+    return deg, tuple(roots), root_index
 
 
 @functools.lru_cache(maxsize=None)
@@ -151,36 +141,9 @@ def _root_table(order: int):
     """``table[e]``: the nonzero (index, value) entries of zeta^e for
     0 <= e < 3 * order, so a sum of up to three reduced exponents (two
     basis indices and a root exponent) indexes it without a modulo."""
-    _, _, roots, _ = _field_tables(order)
+    _, roots, _ = _field_tables(order)
     sparse = tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in roots)
     return sparse * 3
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _convolve(order: int, left: tuple, right: tuple) -> tuple:
-    """Reduced integer product of two numerator tuples; cached because the
-    same root-of-unity factors recur throughout a computation."""
-    deg, overflow, _, _ = _field_tables(order)
-    out = [0] * deg
-    high = [0] * (deg - 1)
-    for i, a in enumerate(left):
-        if not a:
-            continue
-        for j, b in enumerate(right):
-            if not b:
-                continue
-            k = i + j
-            if k < deg:
-                out[k] += a * b
-            else:
-                high[k - deg] += a * b
-    for j, h in enumerate(high):
-        if h:
-            row = overflow[j]
-            for k in range(deg):
-                if row[k]:
-                    out[k] += h * row[k]
-    return tuple(out)
 
 
 class Cyclotomic:
@@ -214,19 +177,19 @@ class Cyclotomic:
 
     @classmethod
     def zero(cls, order: int) -> "Cyclotomic":
-        deg, _, _, _ = _field_tables(order)
+        deg, _, _ = _field_tables(order)
         return cls(order, (0,) * deg, 1, reduce=False)
 
     @classmethod
     def from_rational(cls, order: int, value) -> "Cyclotomic":
-        deg, _, _, _ = _field_tables(order)
+        deg, _, _ = _field_tables(order)
         q = Fraction(value)
         return cls(order, (q.numerator,) + (0,) * (deg - 1), q.denominator, reduce=False)
 
     @classmethod
     def root(cls, order: int, k: int) -> "Cyclotomic":
         """zeta_order^k in reduced form."""
-        _, _, roots, _ = _field_tables(order)
+        _, roots, _ = _field_tables(order)
         return cls(order, roots[k % order], 1, reduce=False)
 
     # -- helpers -------------------------------------------------------
@@ -262,7 +225,7 @@ class Cyclotomic:
 
     def root_exponent(self) -> int:
         """k with self == zeta_order^k, or raise ValueError."""
-        _, _, _, index = _field_tables(self.order)
+        _, _, index = _field_tables(self.order)
         k = index.get(self.num) if self.den == 1 else None
         if k is None:
             raise ValueError(f"{self!r} is not a power of zeta_{self.order}")
@@ -307,7 +270,16 @@ class Cyclotomic:
         if o.is_rational():
             p = o.num[0]
             return Cyclotomic(self.order, tuple(p * a for a in self.num), self.den * o.den)
-        return Cyclotomic(self.order, _convolve(self.order, self.num, o.num), self.den * o.den)
+        # sum a_i b_j zeta^(i+j), read through the root table like times_root
+        table = _root_table(self.order)
+        out = [0] * len(self.num)
+        right = [(j, b) for j, b in enumerate(o.num) if b]
+        for i, a in enumerate(self.num):
+            if a:
+                for j, b in right:
+                    for k, v in table[i + j]:
+                        out[k] += a * b * v
+        return Cyclotomic(self.order, tuple(out), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -338,21 +310,15 @@ class Cyclotomic:
         return result
 
     def conj(self) -> "Cyclotomic":
-        """Complex conjugation, zeta -> zeta^{-1}."""
-        _, _, roots, _ = _field_tables(self.order)
-        deg = len(self.num)
-        out = [0] * deg
+        """Complex conjugation, zeta^j -> zeta^(order - j); an automorphism of
+        Z[zeta], so the lowest-terms form is kept as in ``times_root``."""
+        table = _root_table(self.order)
+        out = [0] * len(self.num)
         for j, a in enumerate(self.num):
-            if not a:
-                continue
-            vec = roots[(self.order - j) % self.order]
-            for k in range(deg):
-                if vec[k]:
-                    out[k] += a * vec[k]
-        return Cyclotomic(self.order, tuple(out), self.den)
-
-    def is_unit_modulus(self) -> bool:
-        return (self * self.conj()).is_one()
+            if a:
+                for k, v in table[self.order - j]:
+                    out[k] += a * v
+        return Cyclotomic(self.order, tuple(out), self.den, reduce=False)
 
     # -- comparisons / display ------------------------------------------
 

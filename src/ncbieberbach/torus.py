@@ -81,10 +81,6 @@ class ThetaEntry(NamedTuple):
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def phase_equal(self, other: "ThetaEntry") -> bool:
-        """Equality of the phases e^{i pi (.)}: a is compared modulo 2."""
-        return (self.a - other.a) % 2 == 0 and self.b == other.b
-
 
 class ThetaMatrix:
     """Antisymmetric d x d matrix of ThetaEntry values (diagonal zero)."""

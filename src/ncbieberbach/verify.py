@@ -146,7 +146,7 @@ def verify_projections(family: str, cp: CrossedProduct) -> list[Check]:
     order precondition (as anomalies)."""
     checks = []
     for stem, x in spectral_arguments(family, cp).items():
-        failure = _projector_failure(cp, stem, [cp.q_projector(n, x) for n in range(cp.n)])
+        failure = _projector_failure(cp, stem, cp.q_projector(x))
         checks.append(Check.of(f"projector-laws[{stem}][{family}]", not failure, failure))
     table = k0_generator_table(family, cp)
     if family == "B2":
@@ -170,8 +170,8 @@ def hexic_reading_comparison(cp: CrossedProduct) -> list[Check]:
     if cp.n != 6:
         raise ContextError("the reading comparison concerns the hexic crossed product")
     p = cp.p()
-    third = [cp.q_projector(n, p, period=3) for n in range(6)]
-    sixth = [cp.q_projector(n, p) for n in range(6)]
+    third = cp.q_projector(p, period=3)
+    sixth = cp.q_projector(p)
     total3 = sum(third, cp.zero())
     total6 = sum(sixth, cp.zero())
     distinct = len({repr(q) for q in sixth}) == 6
@@ -497,11 +497,15 @@ def actions(settings: Settings) -> list[Check]:
     checks: list[Check] = []
     for family in families.CYCLIC_FAMILIES:
         action = deformed_action(family, alg)
+        rt = action.runtime(alg)
 
         def reconstruction():
+            """x_0 + ... + x_{N-1} = x, and g . x_k = lambda^k x_k."""
             x = random_torus_element(rng, alg, 2)
-            total = sum(homogeneous_components(action, alg, x), alg.zero())
-            return None if total == x else {"x": repr(x), "component_sum": repr(total)}
+            comps = homogeneous_components(action, alg, x)
+            ok = sum(comps, alg.zero()) == x and all(
+                rt.apply(comp) == comp * cyc_root(action.order, k, order=alg.order) for k, comp in enumerate(comps))
+            return None if ok else {"x": repr(x), "components": [repr(comp) for comp in comps]}
 
         checks += [
             Check.of(f"order[{family}]", check_order(action, alg)),

@@ -7,7 +7,7 @@ import action_oracle
 import pytest
 import scan_oracle
 
-from ncbieberbach import families
+from ncbieberbach import families, verify
 from ncbieberbach.actions import (
     FiniteAction,
     GeneratorImage,
@@ -17,6 +17,7 @@ from ncbieberbach.actions import (
     check_compatibility,
     check_order,
     classical_action,
+    compatibility_obstructions,
     deformed_action,
     freeness_witness,
     homogeneous_components,
@@ -196,14 +197,18 @@ def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
 
 
 def test_counterexample_rendering():
-    from ncbieberbach.actions import compatibility_counterexample
-
     matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0),
                                         (1, 2): ThetaEntry.of(0, 1)})
     algebra = NcTorus(matrix)
     action = classical_action("B3", algebra)
-    ce = compatibility_counterexample(action, algebra)
-    assert ce is not None and ce["lhs"] != ce["rhs"]
+    bad = compatibility_obstructions(action, algebra)
+    assert bad
+    (j, k), _, _ = bad[0]
+    e_j, e_k = (tuple(int(i == s) for i in range(3)) for s in (j, k))
+    rt = action.runtime(algebra)
+    lhs = rt.apply(algebra.delta(e_k) * algebra.delta(e_j))
+    rhs = rt.apply(algebra.delta(e_k)) * rt.apply(algebra.delta(e_j))
+    assert repr(lhs) != repr(rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +394,20 @@ def test_homogeneous_components_match_the_elementwise_sum(theta_value, order):
                 x = random_torus_element(rng, algebra, 2, terms=3)
                 expected = action_oracle.homogeneous_components(action, algebra, x)
                 assert homogeneous_components(action, algebra, x) == expected, (family, theta)
+
+
+def test_reconstruction_row_catches_rotated_components(monkeypatch):
+    """Components rotated k -> k+1 still sum to x, so only the eigen-relation
+    g . x_k = lambda^k x_k of the row exposes them; for N = 2 a flipped phase
+    sign would not, since there lambda = conj(lambda)."""
+    def rotated(action, algebra, x):
+        comps = homogeneous_components(action, algebra, x)
+        return comps[-1:] + comps[:-1]
+
+    monkeypatch.setattr(verify, "homogeneous_components", rotated)
+    rows = {c.name: c.status for c in verify.actions(verify.Settings(seed=1, samples=20, degree=1, denominator=2))}
+    assert {f: rows[f"homogeneous-reconstruction[{f}]"] for f in families.CYCLIC_FAMILIES} == dict.fromkeys(
+        families.CYCLIC_FAMILIES, "fail")
 
 
 def test_homogeneous_components_need_the_group_order_in_the_field():

@@ -1,3 +1,5 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -79,6 +81,32 @@ def test_conjugation_is_field_automorphism():
         assert (a + b).conj() == a.conj() + b.conj()
 
 
+def _embed(x: Cyclotomic, k: int) -> complex:
+    """sigma_k(x) for sigma_k: zeta -> e^{2 pi i k / order}, read from num, den and order only."""
+    return sum(a * cmath.exp(2j * math.pi * k * j / x.order) for j, a in enumerate(x.num)) / x.den
+
+
+@pytest.mark.parametrize("order", [10, 24, 120, 168])
+def test_product_and_conjugation_against_the_complex_embeddings(order):
+    """Every embedding sigma_k, gcd(k, order) = 1, is a field homomorphism that
+    commutes with complex conjugation: an oracle that shares no reduction
+    table with the product under test."""
+    rng = random.Random(order)
+    deg = len(cyclotomic_polynomial(order)) - 1
+    units = [k for k in range(order) if math.gcd(k, order) == 1]
+
+    def dense():
+        return Cyclotomic(order, tuple(rng.randint(-9, 9) for _ in range(deg)), rng.randint(1, 12))
+
+    for _ in range(20):
+        x, y = dense(), dense()
+        xy, xc = x * y, x.conj()
+        for k in units:
+            sx = _embed(x, k)
+            assert abs(_embed(xy, k) - sx * _embed(y, k)) <= 1e-7 * max(1.0, abs(sx * _embed(y, k)))
+            assert abs(_embed(xc, k) - sx.conjugate()) <= 1e-7 * max(1.0, abs(sx))
+
+
 def _random_scalar(rng: random.Random, terms: int = 2) -> PhasedScalar:
     out = PhasedScalar.zero(ORDER)
     for _ in range(terms):
@@ -141,7 +169,7 @@ def test_root_products_property(j, k):
     zk = cyc_root(ORDER, k, order=ORDER)
     assert zj * zk == cyc_root(ORDER, j + k, order=ORDER)
     assert zj.conj() == cyc_root(ORDER, -j, order=ORDER)
-    assert zj.is_unit_modulus()
+    assert (zj * zj.conj()).is_one()
 
 
 def test_rational_value_and_unit_checks():
@@ -149,5 +177,5 @@ def test_rational_value_and_unit_checks():
     assert half.is_rational() and half.rational_value() == Fraction(1, 2)
     with pytest.raises(ValueError):
         (half + cyc_root(ORDER, 1, order=ORDER)).rational_value()
-    assert not half.is_unit_modulus()
+    assert not (half * half.conj()).is_one()
     assert cyc_root(ORDER, 5, order=ORDER).root_exponent() == 5

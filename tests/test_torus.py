@@ -108,15 +108,6 @@ def test_bicharacter_laws_on_random_vectors():
         assert (alg.cocycle(m, n) * alg.cocycle(n, m)).is_one()
 
 
-def test_theta_entry_phase_comparison_is_mod_two():
-    a = ThetaEntry.of(Fraction(1, 2), 0)
-    b = ThetaEntry.of(Fraction(5, 2), 0)
-    c = ThetaEntry.of(Fraction(3, 2), 0)
-    assert a.phase_equal(b)
-    assert not a.phase_equal(c)
-    assert ThetaEntry.of(0, 1).phase_equal(ThetaEntry.of(2, 1))
-
-
 def test_theta_matrix_antisymmetry():
     m = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0)})
     assert m.entry(1, 0) == -m.entry(0, 1)
