@@ -27,7 +27,7 @@ print("B2 on v w   :", apply_action(b2, alg, v * w) == v.star() * w.star())
 for family in ("B2", "B3", "B4", "B6", "N1", "N2"):
     action = deformed_action(family, alg)
     print(f"{family}: order exact: {check_order(action, alg)},",
-          f"compatible: {check_compatibility(action, alg, 3)}")
+          f"compatible: {check_compatibility(action, alg)}")
 
 # Spectral pieces of v under the order-2 action: v = even part + odd part.
 comps = homogeneous_components(b2, alg, v)

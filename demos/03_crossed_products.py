@@ -43,7 +43,7 @@ try:
     cp3.q_projector(y_tab)
 except NotRootOfUnityError as err:
     print("tabulated Y refused:", err.residual)
-table = k0_generator_table("B3", cp3)
+table = k0_generator_table(cp3)
 for note in table.anomalies:
     print("anomaly:", note.label, "-", note.message[:72], "...")
 

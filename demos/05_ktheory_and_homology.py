@@ -4,6 +4,7 @@ Assembles id - beta_hat_* from the transport formulas, solves the exact
 sequence through the Smith normal form, compares against the shipped display
 fixtures, and confirms K0 = Z + H1 of the corresponding flat space group.
 """
+from ncbieberbach.crossed import crossed_product
 from ncbieberbach.ktheory import (
     beta_star_matrix,
     bieberbach_h1,
@@ -31,7 +32,7 @@ for family in ("B2", "B3", "B4", "B6"):
 
 print()
 print("three-layer consistency for the order-2 family:")
-for check in verify_beta_star("B2", 1):  # the checks, then the anomaly notes
+for check in verify_beta_star(crossed_product("B2"), 1):  # the checks, then the anomaly notes
     if check.status != "anomaly":
         print(f"  {check.name.removesuffix('[B2,eps=+1]')}: {'pass' if check.ok else 'FAIL'}")
 

@@ -15,11 +15,15 @@ keeps that generic-product construction as its reference.  Compatibility with
 the twisting cocycle means the extension is an algebra map.
 
 The slot matrix ``C`` is an integer matrix read from the theta-free targets.
-The multiplicativity identity is bilinear in the pair of monomials, so the
-degree-bounded compatibility check reduces to the finitely many slot
-conditions ``s_jk integral (rational part) and zero (theta part)``; the check
-below verifies exactly that and the test suite compares it with the literal
-identity ``g.(x y) = (g.x)(g.y)`` evaluated with the generic product.
+The multiplicativity identity is bilinear in the pair of monomials, so it
+holds for every pair iff the finitely many slot conditions ``s_jk integral
+(rational part) and zero (theta part)`` hold; ``check_compatibility``
+verifies exactly that and the test suite compares it with the literal
+identity ``g.(x y) = (g.x)(g.y)`` evaluated with the generic product.  The
+generators of a product action that pass them are algebra automorphisms, so
+they commute everywhere iff they commute on the basis monomials
+``delta_{e_i}``; one basis check serves ``check_order`` and
+``check_compatibility``.
 
 The cocycle scan reads the slot conditions on the grid ``k/D`` as integer
 congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
@@ -215,9 +219,7 @@ def check_order(action, algebra: NcTorus) -> bool:
     """True iff applying each generator its full order fixes every generator
     and the generators of a product action commute on basis monomials."""
     gens = action.generators()
-    return all(g.runtime(algebra).check_order() for g in gens) and all(
-        _commute_on(g1, g2, algebra, _basis(algebra.d)) for g1, g2 in itertools.combinations(gens, 2)
-    )
+    return all(g.runtime(algebra).check_order() for g in gens) and _commute_on_basis(gens, algebra)
 
 
 def _slot_matrix(targets) -> list[list[int]]:
@@ -259,25 +261,17 @@ def compatibility_obstructions(action: FiniteAction, algebra: NcTorus):
     ]
 
 
-def check_compatibility(action, algebra: NcTorus, degree_bound: int = 2) -> bool:
-    """True iff g.(delta_m * delta_n) = (g.delta_m)*(g.delta_n) on the box.
+def check_compatibility(action, algebra: NcTorus) -> bool:
+    """True iff g.(delta_m * delta_n) = (g.delta_m)*(g.delta_n) for every
+    generator g and every pair of monomials, and the generators commute.
 
-    The identity is bilinear in (m, n), so its validity on the box with
-    ``degree_bound >= 1`` is equivalent to the slot conditions computed by
-    :func:`compatibility_obstructions`; for product actions the generators
-    must additionally commute on the box.
+    The identity is bilinear in (m, n), so it is equivalent to the slot
+    conditions computed by :func:`compatibility_obstructions`.  Generators
+    that pass them are algebra automorphisms, so for product actions they
+    commute everywhere iff they commute on the basis monomials.
     """
-    if degree_bound < 1:
-        raise ValueError("degree_bound must be at least 1")
     gens = action.generators()
-    for g in gens:
-        if compatibility_obstructions(g, algebra):
-            return False
-    if len(gens) > 1:
-        for g1, g2 in itertools.combinations(gens, 2):
-            if not _generators_commute(g1, g2, algebra, degree_bound):
-                return False
-    return True
+    return not any(compatibility_obstructions(g, algebra) for g in gens) and _commute_on_basis(gens, algebra)
 
 
 def _phase_poly(action: FiniteAction, algebra: NcTorus):
@@ -295,21 +289,17 @@ def _target_of(action: FiniteAction, m: Monomial) -> Monomial:
     return tuple(sum(mj * img.target[i] for mj, img in zip(m, action.images)) for i in range(len(m)))
 
 
-def _commute_on(g1: FiniteAction, g2: FiniteAction, algebra: NcTorus, monomials) -> bool:
-    """g1 (g2 . delta_m) == g2 (g1 . delta_m) for every m, as composed image triples."""
-    rt1, rt2 = g1.runtime(algebra), g2.runtime(algebra)
+def _commute_on_basis(gens, algebra: NcTorus) -> bool:
+    """g1 (g2 . delta_e) == g2 (g1 . delta_e) for every pair of generators and
+    basis monomial e, as composed image triples."""
 
     def composed(outer: ActionOnTorus, inner: ActionOnTorus, m: Monomial):
         t, r, key = inner._image(m)
         t, r2, key2 = outer._image(t)
         return t, (r + r2) % algebra.order, _key_add(key, key2)
 
-    return all(composed(rt1, rt2, m) == composed(rt2, rt1, m) for m in monomials)
-
-
-def _generators_commute(g1: FiniteAction, g2: FiniteAction, algebra: NcTorus, bound: int) -> bool:
-    """g1 g2 and g2 g1 agree on every delta_m of the box |m_i| <= bound."""
-    return _commute_on(g1, g2, algebra, itertools.product(range(-bound, bound + 1), repeat=algebra.d))
+    pairs = [(g1.runtime(algebra), g2.runtime(algebra)) for g1, g2 in itertools.combinations(gens, 2)]
+    return all(composed(rt1, rt2, e) == composed(rt2, rt1, e) for rt1, rt2 in pairs for e in _basis(algebra.d))
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +366,9 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     conditions are integer congruences first: with grid numerators n and
     theta coefficients b, every group generator's slot matrix C needs
     ``C n = 0 (mod denominator)`` and ``C b = 0``.  Only the candidates that
-    pass are built; each gets the full certificate, check_compatibility at
-    degree bound 2 (product families also need commuting generators), and
-    its check_order flag.  Without an ``order`` the scan works at
+    pass are built; each gets the full certificate, check_compatibility
+    (product families also need commuting generators), and its check_order
+    flag.  Without an ``order`` the scan works at
     lcm(session order, 2 * denominator), which holds every grid phase.
     """
     if denominator < 1 or denominator > 12:
@@ -408,7 +398,7 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
                 assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
             algebra = NcTorus(_candidate_matrix(assign), order=order)
             action = _build_action(spec, kind, algebra)
-            if check_compatibility(action, algebra, degree_bound=2):
+            if check_compatibility(action, algebra):
                 key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))
                 found[designated].add(key)
                 order_flags[(designated, key)] = check_order(action, algebra)

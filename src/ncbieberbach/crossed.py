@@ -29,20 +29,21 @@ On top of the arithmetic this module provides:
   invariant subalgebra;
 * canonical and twisted trace functionals, and seeded random elements for
   the samplers in ``verify``;
-* the K0 generator projections and their spectral arguments, built from the
-  one table ``families.K0_GENERATORS``, with exact anomaly detection for the
-  two tabulated coefficients that fail their order precondition (the cubic
-  V^2 p generator and the hexic V p^2 generator).
+* the K0 generator table of a plane crossed product: its stems (the
+  order-N elements of ``families.K0_GENERATORS``), their projectors and the
+  generator projections, built once per product and cached on it, with exact
+  anomaly detection for the two tabulated coefficients that fail their order
+  precondition (the cubic V^2 p generator and the hexic V p^2 generator).
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
-from .families import K0_GENERATORS, K0Spec
+from .families import K0_GENERATORS
 from .scalars import PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement, split_terms
 
@@ -87,6 +88,7 @@ class CrossedProduct:
         self.lam = cyc_root(self.n, 1, order=algebra.order)
         self._key = (algebra.key(), action.key())
         self._matrix_units: list[list["CrossedElement"]] | None = None
+        self._k0_table: "GeneratorTable | None" = None
         self._psi_unit_powers: list["CrossedElement"] | None = None
         self._psi_matrix_powers: list[list[list["Operand"]]] | None = None
 
@@ -502,20 +504,13 @@ class AnomalyNote:
 
 @dataclass
 class GeneratorTable:
-    family: str
+    stems: dict  # name -> the order-N element whose projectors give classes
+    projectors: dict  # name -> [Q_0, ..., Q_{N-1}] of that stem
     elements: dict  # label -> CrossedElement | None (None marks the exotic class)
-    anomalies: list = field(default_factory=list)
+    anomalies: list  # AnomalyNote per tabulated coefficient that fails x^N = 1
 
     def non_exotic(self):
         return [(lbl, el) for lbl, el in self.elements.items() if el is not None]
-
-
-def _k0_spec(family: str, cp: CrossedProduct) -> K0Spec:
-    if family not in K0_GENERATORS:
-        raise ValueError(f"K0 generators are tabulated for {tuple(K0_GENERATORS)}")
-    if cp.algebra.d != 2 or cp.family != family:
-        raise ContextError("expected the plane crossed product of the same family")
-    return K0_GENERATORS[family]
 
 
 def _stem_element(cp: CrossedProduct, word, k: int, phase) -> CrossedElement:
@@ -525,15 +520,9 @@ def _stem_element(cp: CrossedProduct, word, k: int, phase) -> CrossedElement:
     return v ** word[0] * w ** word[1] * cp.p(k) * cp.algebra.phase_of_entry(Fraction(a), Fraction(b))
 
 
-def spectral_arguments(family: str, cp: CrossedProduct) -> dict:
-    """The order-N elements whose projectors generate K0, by label stem."""
-    return {name: _stem_element(cp, word, k, phase)
-            for name, word, k, phase in _k0_spec(family, cp).stems}
-
-
-def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
-    """The K0 generator projections of ``families.K0_GENERATORS``, with exact
-    anomaly handling.
+def k0_generator_table(cp: CrossedProduct) -> GeneratorTable:
+    """The K0 generator projections of ``families.K0_GENERATORS`` for
+    ``cp.family``, with exact anomaly handling; built once per product.
 
     Two tabulated coefficients fail the order precondition of their spectral
     projector; for those the stem carries the minimal phase correction
@@ -541,16 +530,22 @@ def k0_generator_table(family: str, cp: CrossedProduct) -> GeneratorTable:
     being hidden.  One ``q_projector`` call per stem builds all N of its
     projectors and certifies its order; each class indexes that list.
     """
-    spec = _k0_spec(family, cp)
-    stems = spectral_arguments(family, cp)
-    words = {name: (word, k) for name, word, k, _ in spec.stems}
-    anomalies = []
-    for name, phase, message in spec.tabulated:
-        defect = _stem_element(cp, *words[name], phase) ** cp.n - cp.one()
-        if not defect.is_zero():
-            anomalies.append(AnomalyNote(f"[Q({name})]", message % (defect,)))
-    projectors = {stem: cp.q_projector(x) for stem, x in stems.items()}
-    elements = {lbl: cp.one() if stem is None else projectors[stem][n]
-                for lbl, stem, n in spec.classes}
-    elements[spec.exotic[0]] = None
-    return GeneratorTable(family, elements, anomalies)
+    if cp._k0_table is None:
+        spec = K0_GENERATORS.get(cp.family)
+        if spec is None:
+            raise ValueError(f"K0 generators are tabulated for {tuple(K0_GENERATORS)}")
+        if cp.algebra.d != 2:
+            raise ContextError("K0 generators live on the plane crossed product")
+        stems = {name: _stem_element(cp, word, k, phase) for name, word, k, phase in spec.stems}
+        words = {name: (word, k) for name, word, k, _ in spec.stems}
+        anomalies = []
+        for name, phase, message in spec.tabulated:
+            defect = _stem_element(cp, *words[name], phase) ** cp.n - cp.one()
+            if not defect.is_zero():
+                anomalies.append(AnomalyNote(f"[Q({name})]", message % (defect,)))
+        projectors = {stem: cp.q_projector(x) for stem, x in stems.items()}
+        elements = {lbl: cp.one() if stem is None else projectors[stem][n]
+                    for lbl, stem, n in spec.classes}
+        elements[spec.exotic[0]] = None
+        cp._k0_table = GeneratorTable(stems, projectors, elements, anomalies)
+    return cp._k0_table

@@ -316,7 +316,7 @@ def _derived_columns(family: str, spec: families.K0Spec) -> tuple:
     """beta_hat_* on the non-exotic classes of ``spec``, solved at formal theta
     in a field fixed here, so that the matrix does not follow the session order."""
     cp = crossed_product(family, dim=2, order=DEFAULT_CYCLOTOMIC_ORDER)
-    elements = [el for _, el in k0_generator_table(family, cp).non_exotic()]
+    elements = [el for _, el in k0_generator_table(cp).non_exotic()]
     columns = solve_in_span(elements, [cp.beta_hat(el) for el in elements])
     return tuple(map(tuple, columns))  # shared by every caller, so immutable
 

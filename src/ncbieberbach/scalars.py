@@ -67,11 +67,12 @@ def session_order() -> int:
     raw = os.environ.get(_ORDER_ENV)
     if raw is None:
         return DEFAULT_CYCLOTOMIC_ORDER
-    order = int(raw)
+    try:
+        order = int(raw)
+    except ValueError:
+        order = 0  # reported below, with the variable's name
     if order < 2 or order % 2:
-        raise OrderMismatchError(
-            f"cyclotomic order must be a positive even integer, got {order}"
-        )
+        raise OrderMismatchError(f"{_ORDER_ENV} must be a positive even integer, got {raw!r}")
     return order
 
 

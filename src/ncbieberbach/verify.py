@@ -6,8 +6,11 @@ its rows as a ``list[Check]`` under the names the reports print.  They cover
 each link the K-theory rests on: the ring laws, the Z_N actions and the cocycle
 scan, the crossed products and their projectors, the trace laws, the Morita
 witnesses, the exchange identity, beta_hat_*, the K-groups and K0 = Z + H1.
-``SUITES`` maps the suites of ``nbk verify`` to functions of one ``Settings``;
-each sampling suite draws from one ``random.Random(seed)`` in a fixed order.
+A check of a crossed product takes the ``CrossedProduct`` it checks and reads
+the family from it.  ``SUITES`` maps the suites of ``nbk verify`` to
+functions of one ``Settings``; a suite builds each of its crossed products
+once, and each sampling suite draws from one ``random.Random(seed)`` in a
+fixed order.
 """
 from __future__ import annotations
 
@@ -38,10 +41,9 @@ from .crossed import (
     psi_multiplicativity_mismatch,
     random_crossed_element,
     random_torus_element,
-    spectral_arguments,
     tau_parity_trace,
 )
-from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, pv_solve
+from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, mat_mul, pv_solve
 from .scalars import PhasedScalar, cyc_root, session_order
 from .torus import NcTorus, ThetaMatrix
 
@@ -139,16 +141,17 @@ def _projector_failure(cp: CrossedProduct, stem: str, projectors) -> str:
     return ""
 
 
-def verify_projections(family: str, cp: CrossedProduct) -> list[Check]:
+def verify_projections(cp: CrossedProduct) -> list[Check]:
     """Idempotency, self-adjointness, orthogonality and completeness of the
-    spectral projectors behind the K0 generators, the order-2 generator
-    projections, and the tabulated generator coefficients that fail their
-    order precondition (as anomalies)."""
+    spectral projectors behind the K0 generators of the plane crossed product
+    ``cp``, the order-2 generator projections, and the tabulated generator
+    coefficients that fail their order precondition (as anomalies)."""
+    family = cp.family
+    table = k0_generator_table(cp)
     checks = []
-    for stem, x in spectral_arguments(family, cp).items():
-        failure = _projector_failure(cp, stem, cp.q_projector(x))
+    for stem, projectors in table.projectors.items():
+        failure = _projector_failure(cp, stem, projectors)
         checks.append(Check.of(f"projector-laws[{stem}][{family}]", not failure, failure))
-    table = k0_generator_table(family, cp)
     if family == "B2":
         for lbl, el in table.non_exotic():
             if lbl == "[1]":
@@ -163,15 +166,15 @@ def verify_projections(family: str, cp: CrossedProduct) -> list[Check]:
 def hexic_reading_comparison(cp: CrossedProduct) -> list[Check]:
     """Compare the period-3 and period-6 exponent readings of the hexic projectors.
 
-    Both readings give idempotents; only the period-6 reading yields six
-    distinct projectors that sum to one.  The period-3 reading repeats with
-    period three and sums to 1 + x^3.
+    Both readings give idempotents; only the period-6 reading, the one of the
+    K0 generator table, yields six distinct projectors that sum to one.  The
+    period-3 reading repeats with period three and sums to 1 + x^3.
     """
     if cp.n != 6:
         raise ContextError("the reading comparison concerns the hexic crossed product")
     p = cp.p()
     third = cp.q_projector(p, period=3)
-    sixth = cp.q_projector(p)
+    sixth = k0_generator_table(cp).projectors["p"]
     total3 = sum(third, cp.zero())
     total6 = sum(sixth, cp.zero())
     distinct = len({repr(q) for q in sixth}) == 6
@@ -238,18 +241,17 @@ def verify_trace_laws(traces: list[TraceFunctional], cp: CrossedProduct, samples
             for label, fails in zip(labels, found) for law in laws]
 
 
-def verify_exchange_iso(family: str, degree: int = 3, theta_value=None,
-                        order: int | None = None) -> list[Check]:
+def verify_exchange_iso(cp: CrossedProduct, degree: int = 3) -> list[Check]:
     """Check that conjugation by u implements beta_hat on the plane subalgebra.
 
-    In the three-torus crossed product the relations p u = lambda u p and
-    u x u* = beta_hat(x) for x in the plane crossed subalgebra are exactly
+    In the three-torus crossed product ``cp`` the relations p u = lambda u p
+    and u x u* = beta_hat(x) for x in the plane crossed subalgebra are exactly
     the defining relations of the opposite iterated crossed product, so
     verifying them on bounded monomials verifies the exchange isomorphism.
     """
-    if family not in families.K_FAMILIES:
-        raise ContextError(f"the exchange identity is set up for {families.K_FAMILIES}")
-    cp = crossed_product(family, dim=3, theta_value=theta_value, order=order)
+    family = cp.family
+    if family not in families.K_FAMILIES or cp.algebra.d != 3:
+        raise ContextError(f"the exchange identity is set up on the three-torus for {families.K_FAMILIES}")
     u = cp.delta((1, 0, 0), 0)
     u_inv = cp.delta((-1, 0, 0), 0)
 
@@ -280,23 +282,9 @@ def _as_affine(value) -> tuple[Fraction, Fraction]:
     return c.rational_value(), Fraction(0)
 
 
-def _row_times_matrix(row, matrix):
-    n = len(matrix)
-    out = []
-    for j in range(n):
-        a = Fraction(0)
-        b = Fraction(0)
-        for i in range(n):
-            if matrix[i][j]:
-                a += row[i][0] * matrix[i][j]
-                b += row[i][1] * matrix[i][j]
-        out.append((a, b))
-    return out
-
-
-def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
-                     order: int | None = None) -> list[Check]:
-    """Three consistency layers for the induced-map data, then the fixture.
+def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
+    """Three consistency layers for the induced-map data of the plane crossed
+    product ``cp``, then the fixture.
 
     (i) the induced map has the right order and fixes the identity class;
     (ii) each non-exotic column is the exact element-level image under the
@@ -309,6 +297,7 @@ def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
     Rows carry the suffix ``[F]`` (``[B2,eps=+1]`` for the order-2 family);
     the anomalies found on the way follow the checks as ``note`` rows.
     """
+    family = cp.family
     suffix = f"[B2,eps={epsilon:+d}]" if family == "B2" else f"[{family}]"
     data = beta_star_matrix(family, epsilon)
     checks: list[Check] = []
@@ -320,8 +309,7 @@ def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
     except ValueError as exc:
         checks.append(Check.of(f"induced-map-order-and-unit{suffix}", False, str(exc)))
 
-    cp = crossed_product(family, dim=2, theta_value=theta_value, order=order)
-    table = k0_generator_table(family, cp)
+    table = k0_generator_table(cp)
     notes.extend(f"{a.label}: {a.message}" for a in table.anomalies)
     induced = data.induced_map()
     index = {lbl: i for i, lbl in enumerate(data.basis)}
@@ -357,9 +345,8 @@ def verify_beta_star(family: str, epsilon: int = 1, theta_value=None,
         ok = True
         detail = ""
         for name, row, sign in vectors:
-            lhs = _row_times_matrix(row, induced)
-            rhs = [(sign * a, sign * b) for a, b in row]
-            if lhs != rhs:
+            parts = list(zip(*row))  # the rational and the theta row
+            if mat_mul(parts, induced) != [[sign * x for x in part] for part in parts]:
                 ok, detail = False, f"{name} does not transform with sign {sign}"
                 break
         checks.append(Check.of(f"trace-row-constraints{suffix}", ok, detail))
@@ -509,7 +496,7 @@ def actions(settings: Settings) -> list[Check]:
 
         checks += [
             Check.of(f"order[{family}]", check_order(action, alg)),
-            Check.of(f"compatibility[{family}]", check_compatibility(action, alg, settings.degree)),
+            Check.of(f"compatibility[{family}]", check_compatibility(action, alg)),
             Check.of(f"freeness-witness[{family}]", freeness_witness(action, alg)),
             _sampled(f"homogeneous-reconstruction[{family}]", max(2, settings.samples // 10), reconstruction),
         ]
@@ -523,7 +510,8 @@ def actions(settings: Settings) -> list[Check]:
 def crossed(settings: Settings) -> list[Check]:
     rng = random.Random(settings.seed)
     checks: list[Check] = []
-    for family in families.K_FAMILIES:
+    hexic: list[Check] = []
+    for family in families.K_FAMILIES:  # one product alive at a time
         cp = crossed_product(family, dim=2, theta_value=settings.theta, order=settings.order)
 
         def arithmetic():
@@ -540,19 +528,20 @@ def crossed(settings: Settings) -> list[Check]:
 
         checks.append(Check.of(f"p-order[{family}]", cp.p() ** cp.n == cp.one()))
         checks.append(_sampled(f"arithmetic-and-beta-hat[{family}]", max(2, settings.samples // 10), arithmetic))
-        checks += verify_projections(family, cp)
-    checks += hexic_reading_comparison(
-        crossed_product("B6", dim=2, theta_value=settings.theta, order=settings.order))
-    return checks
+        checks += verify_projections(cp)
+        if family == "B6":
+            hexic = hexic_reading_comparison(cp)
+    return checks + hexic
 
 
 def traces(settings: Settings) -> list[Check]:
-    cp2 = crossed_product("B2", dim=2, theta_value=settings.theta, order=settings.order)
-    parity = [tau_parity_trace(cp2, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    checks = verify_trace_laws(parity, cp2, samples=settings.samples, seed=settings.seed,
-                               degree=settings.degree)
+    checks: list[Check] = []
     for family in families.K_FAMILIES:
         cp = crossed_product(family, dim=2, theta_value=settings.theta, order=settings.order)
+        if family == "B2":
+            parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
+            checks += verify_trace_laws(parity, cp, samples=settings.samples, seed=settings.seed,
+                                        degree=settings.degree)
         checks += verify_trace_laws([CanonicalTrace(cp)], cp, samples=max(5, settings.samples // 4),
                                     seed=settings.seed, degree=settings.degree, labels=[f"tau[{family}]"])
     return checks
@@ -587,18 +576,17 @@ def morita(settings: Settings) -> list[Check]:
             _sampled(f"psi-multiplicative[{family}]", max(3, settings.samples // 10), psi),
         ]
         checks.append(Check.of(f"psi-components-invariant[{family}]", invariant_ok))
-        checks += verify_exchange_iso(family, degree=settings.degree, theta_value=settings.theta,
-                                      order=settings.order)
+        checks += verify_exchange_iso(cp, degree=settings.degree)
     return checks
 
 
 def betastar(settings: Settings) -> list[Check]:
-    return [
-        check
-        for family in families.K_FAMILIES
-        for eps in ((1, -1) if family == "B2" else (1,))
-        for check in verify_beta_star(family, eps, theta_value=settings.theta, order=settings.order)
-    ]
+    checks: list[Check] = []
+    for family in families.K_FAMILIES:
+        cp = crossed_product(family, dim=2, theta_value=settings.theta, order=settings.order)
+        for eps in (1, -1) if family == "B2" else (1,):
+            checks += verify_beta_star(cp, eps)
+    return checks
 
 
 def homology(settings: Settings) -> list[Check]:

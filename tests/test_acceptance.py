@@ -108,7 +108,7 @@ def test_criterion_2_documented_defects_are_exactly_as_recorded():
 def test_criterion_3_projections(plane_products):
     anomalies = []
     for family, cp in plane_products.items():
-        checks = verify_projections(family, cp)
+        checks = verify_projections(cp)
         bad = [c for c in checks if not c.ok]
         assert not bad, (family, bad)
         anomalies.extend(c.name for c in checks if c.status == "anomaly")
@@ -182,11 +182,11 @@ def test_criterion_5_trace_laws(plane_products):
 # 6. induced-map consistency
 
 
-def test_criterion_6_beta_star_consistency():
+def test_criterion_6_beta_star_consistency(plane_products):
     for family in families.K_FAMILIES:
         eps_values = (1, -1) if family == "B2" else (1,)
         for eps in eps_values:
-            bad = [c for c in verify_beta_star(family, eps) if not c.ok]
+            bad = [c for c in verify_beta_star(plane_products[family], eps) if not c.ok]
             assert not bad, (family, eps, bad)
     _report(6, "(1 - M)^N = 1 with the unit class fixed; every non-exotic column"
                " equals the element-level image; order-2 trace rows transform with"
@@ -247,9 +247,9 @@ def test_criterion_9_folded_mode_reproduces_k_groups():
     symbolic = {family: pv_solve(beta_star_matrix(family, 1)) for family in families.K_FAMILIES}
     for family in families.K_FAMILIES:
         cp = crossed_product(family, dim=2, theta_value=theta, order=order)
-        bad = [c for c in verify_projections(family, cp) if not c.ok]
+        bad = [c for c in verify_projections(cp) if not c.ok]
         assert not bad, (family, bad)
-        assert all(c.ok for c in verify_beta_star(family, theta_value=theta, order=order)), family
+        assert all(c.ok for c in verify_beta_star(cp)), family
         assert pv_solve(beta_star_matrix(family, 1)) == symbolic[family]
     _report(9, "projection and K pipelines at theta = 1/5 (folded, order 120)"
                " reproduce the symbolic K-groups")

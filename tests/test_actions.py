@@ -12,7 +12,6 @@ from ncbieberbach.actions import (
     FiniteAction,
     GeneratorImage,
     ProductAction,
-    _generators_commute,
     apply_action,
     check_compatibility,
     check_order,
@@ -126,7 +125,7 @@ def test_closed_form_matches_the_generic_product_reference():
     sign error in its phase e^{i pi s_jk m_j m_k} cannot show there."""
     compatible = set()
     for action, algebra in _oracle_cases():
-        compatible.add(check_compatibility(action, algebra, 1))
+        compatible.add(check_compatibility(action, algebra))
         for g in action.generators():
             rt = g.runtime(algebra)
             ref = action_oracle.Reference(g, algebra)
@@ -142,7 +141,7 @@ def test_closed_form_matches_the_generic_product_reference():
 
 @pytest.mark.parametrize("family", families.CYCLIC_FAMILIES)
 def test_deformed_families_compatible_at_bound_three(preset, family):
-    assert check_compatibility(deformed_action(family, preset), preset, degree_bound=3)
+    assert check_compatibility(deformed_action(family, preset), preset)
 
 
 def test_b3_rejects_a_half_twist_slot():
@@ -151,13 +150,13 @@ def test_b3_rejects_a_half_twist_slot():
         (1, 2): ThetaEntry.of(0, 1),
     })
     algebra = NcTorus(matrix)
-    assert not check_compatibility(classical_action("B3", algebra), algebra, 2)
+    assert not check_compatibility(classical_action("B3", algebra), algebra)
 
 
 def test_untwisted_classical_actions_compatible():
     algebra = NcTorus(ThetaMatrix(3, {}))
     for family in families.FAMILIES:
-        assert check_compatibility(classical_action(family, algebra), algebra, 2), family
+        assert check_compatibility(classical_action(family, algebra), algebra), family
 
 
 def _literal_box_identity(action, algebra, bound):
@@ -191,7 +190,7 @@ def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
     algebra = NcTorus(ThetaMatrix(3, upper))
     action = classical_action(family, algebra)
     gens = action.generators()
-    fast = check_compatibility(action, algebra, 1)
+    fast = check_compatibility(action, algebra)
     literal = all(_literal_box_identity(g, algebra, 1) for g in gens)
     assert fast == literal == expected
 
@@ -264,12 +263,14 @@ def _times_phase(g, i, phase):
 
 @pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
 def test_integer_commutation_check_matches_fraction_reference(theta_value, order):
-    """The integer-exponent commutation check against ``Fraction`` exponents.
+    """``check_compatibility`` of a product action, whose generators are
+    compared on the basis monomials only, against the slot conditions and the
+    ``Fraction`` commutation check on the whole box |m_i| <= bound.
 
     The grid candidates of the product families all commute, so one image
     coefficient also gets a quarter turn or a theta phase, which breaks the
-    commutation for some pairs.  Every third candidate of the grid 1/2 keeps
-    the test short."""
+    commutation for some compatible pairs.  Every third candidate of the grid
+    1/2 keeps the test short."""
     outcomes = set()
     for family in families.PRODUCT_FAMILIES:
         for _, _, upper in itertools.islice(scan_oracle.candidates(2), 0, None, 3):
@@ -278,10 +279,13 @@ def test_integer_commutation_check_matches_fraction_reference(theta_value, order
             quarter = algebra.scalar(cyc_root(4, 1, order=order))
             for a, b in ((g1, g2), (_times_phase(g1, 0, quarter), g2),
                          (g1, _times_phase(g2, 2, algebra.theta_phase(1)))):
+                slots = scan_oracle.slots_hold(a, algebra) and scan_oracle.slots_hold(b, algebra)
+                compatible = check_compatibility(ProductAction((a, b)), algebra)
                 for bound in (1, 2):
-                    expected = scan_oracle.generators_commute(a, b, algebra, bound)
-                    assert _generators_commute(a, b, algebra, bound) == expected, (family, upper, bound)
-                    outcomes.add(expected)
+                    commute = scan_oracle.generators_commute(a, b, algebra, bound)
+                    assert compatible == (slots and commute), (family, upper, bound)
+                    if slots:
+                        outcomes.add(commute)
     assert outcomes == {True, False}
 
 
@@ -310,7 +314,7 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
                 upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[name]] = ThetaEntry.of(value, 0)
             algebra = NcTorus(ThetaMatrix(3, upper))
             action = classical_action(family, algebra)
-            assert check_compatibility(action, algebra, 3), (family, assignment)
+            assert check_compatibility(action, algebra), (family, assignment)
             order_ok = check_order(action, algebra)
             if family == "N2" and ("23", Fraction(1, 2)) in assignment:
                 # the tabulated coefficients break the order here; a quarter
@@ -325,14 +329,14 @@ def test_n2_half_slot_order_restored_by_quarter_turn_coefficient():
                                         (1, 2): ThetaEntry.of(Fraction(1, 2), 0)})
     algebra = NcTorus(matrix)
     plain = classical_action("N2", algebra)
-    assert check_compatibility(plain, algebra, 2)
+    assert check_compatibility(plain, algebra)
     assert not check_order(plain, algebra)
     fixed = FiniteAction(2, (
         plain.images[0],
         GeneratorImage(algebra.scalar(cyc_root(4, 1, order=algebra.order)), (0, 1, 1)),
         plain.images[2],
     ), name="N2-adjusted")
-    assert check_compatibility(fixed, algebra, 2)
+    assert check_compatibility(fixed, algebra)
     assert check_order(fixed, algebra)
 
 

@@ -225,6 +225,14 @@ def test_cyclotomic_order_env_override(capsys, monkeypatch):
     assert report["config"]["cyclotomic_order"] == 48
 
 
+@pytest.mark.parametrize("value", ["abc", "7"])
+def test_bad_cyclotomic_order_env_exits_two_and_names_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("NBK_CYCLOTOMIC_ORDER", value)
+    assert main(["verify", "--suite", "homology"]) == 2
+    err = capsys.readouterr().err
+    assert f"NBK_CYCLOTOMIC_ORDER must be a positive even integer, got {value!r}" in err
+
+
 def test_folded_theta_verify(capsys):
     code, report = run_json(capsys, "verify", "--suite", "crossed", "--theta", "1/5")
     assert code == 0

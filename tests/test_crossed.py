@@ -1,9 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ncbieberbach import ktheory, verify
 from ncbieberbach.actions import FiniteAction, GeneratorImage
 from ncbieberbach.crossed import (
     CanonicalTrace,
@@ -15,7 +17,6 @@ from ncbieberbach.crossed import (
     random_torus_element,
     crossed_product,
     k0_generator_table,
-    spectral_arguments,
     tau_parity_trace,
 )
 from ncbieberbach.families import K_FAMILIES
@@ -151,17 +152,29 @@ def test_projector_precondition_reports_residual(plane_products):
 
 def test_projection_suite(plane_products):
     for family, cp in plane_products.items():
-        checks = verify_projections(family, cp)
+        checks = verify_projections(cp)
         bad = [c for c in checks if not c.ok]
         assert not bad, (family, bad)
 
 
+@pytest.mark.parametrize("family", K_FAMILIES)
+def test_projector_laws_row_reads_the_cached_table(family):
+    # a fresh product: the doubled projector stays in its cached table
+    cp = crossed_product(family)
+    table = k0_generator_table(cp)
+    stem, *others = table.projectors
+    table.projectors[stem][0] = table.projectors[stem][0] * 2
+    rows = {c.name: c.status for c in verify_projections(cp)}
+    assert rows[f"projector-laws[{stem}][{family}]"] == "fail"
+    assert all(rows[f"projector-laws[{other}][{family}]"] == "pass" for other in others)
+
+
 def test_generator_table_anomalies(plane_products):
-    assert not k0_generator_table("B2", plane_products["B2"]).anomalies
-    assert not k0_generator_table("B4", plane_products["B4"]).anomalies
-    b3 = k0_generator_table("B3", plane_products["B3"])
+    assert not k0_generator_table(plane_products["B2"]).anomalies
+    assert not k0_generator_table(plane_products["B4"]).anomalies
+    b3 = k0_generator_table(plane_products["B3"])
     assert [a.label for a in b3.anomalies] == ["[Q(Y)]"]
-    b6 = k0_generator_table("B6", plane_products["B6"])
+    b6 = k0_generator_table(plane_products["B6"])
     assert [a.label for a in b6.anomalies] == ["[Q(y)]"]
 
 
@@ -188,14 +201,14 @@ def test_hexic_reading_comparison(plane_products):
 def test_beta_hat_transport_on_projections(plane_products):
     # beta_hat(e) = 1 - e for the four order-2 projections
     cp = plane_products["B2"]
-    table = k0_generator_table("B2", cp)
+    table = k0_generator_table(cp)
     for label in ("[e00]", "[e01]", "[e10]", "[e11]"):
         e = table.elements[label]
         assert cp.beta_hat(e) == cp.one() - e
     # index shift for the spectral projectors, degree read off the p-power
     for family in ("B3", "B4", "B6"):
         cpf = plane_products[family]
-        for stem, x in spectral_arguments(family, cpf).items():
+        for stem, x in k0_generator_table(cpf).stems.items():
             (k,) = x._comps  # each argument is a single a p^k
             projectors = cpf.q_projector(x)
             for n in range(cpf.n):
@@ -287,7 +300,7 @@ def test_psi_matrix_multiplicative(torus_products):
 
 def test_trace_values(plane_products):
     cp = plane_products["B2"]
-    table = k0_generator_table("B2", cp)
+    table = k0_generator_table(cp)
     tau = CanonicalTrace(cp)
     assert tau.eval(cp.one()) == 1
     for label in ("[e00]", "[e01]", "[e10]", "[e11]"):
@@ -387,8 +400,17 @@ def test_beta_hat_scaling_reduces_to_invariance_at_full_twist(plane_products):
 
 def test_exchange_iso(torus_products):
     for family in K_FAMILIES:
-        checks = verify_exchange_iso(family)
+        checks = verify_exchange_iso(torus_products[family])
         assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
+
+
+@pytest.mark.parametrize("family", K_FAMILIES)
+def test_exchange_row_reads_the_passed_product(monkeypatch, family):
+    cp = crossed_product(family, dim=3)
+    monkeypatch.setattr(cp, "beta_hat", lambda x: x)
+    rows = {c.name: c.status for c in verify_exchange_iso(cp, degree=1)}
+    assert rows == {f"exchange-p-u-commutation[{family}]": "pass",
+                    f"exchange-conjugation-implements-beta-hat[{family}]": "fail"}
 
 
 def test_exchange_relation_b2():
@@ -408,3 +430,35 @@ def test_exchange_trivial_root():
     u = cp.delta((1, 0, 0), 0)
     x = cp.delta((0, 1, -1), 0)
     assert u * x * u.star() == cp.beta_hat(x) == x
+
+
+# ---------------------------------------------------------------------------
+# work per suite
+
+
+def test_each_suite_builds_each_product_and_each_chain_once(monkeypatch):
+    """Within one suite every (family, dim) product is built once, and every
+    chain of powers (element and period) once per product."""
+    for family in K_FAMILIES:  # the beta_hat_* columns are solved once per process
+        ktheory.beta_star_matrix(family)
+    init, q_projector = CrossedProduct.__init__, CrossedProduct.q_projector
+    products, builds, chains = [], Counter(), Counter()
+
+    def counting_init(self, algebra, action, family=""):
+        products.append(self)  # alive until the end, so ids are not reused
+        builds[family, algebra.d] += 1
+        init(self, algebra, action, family)
+
+    def counting_q_projector(self, x, *, period=None):
+        chains[id(self), repr(x), period] += 1
+        return q_projector(self, x, period=period)
+
+    monkeypatch.setattr(CrossedProduct, "__init__", counting_init)
+    monkeypatch.setattr(CrossedProduct, "q_projector", counting_q_projector)
+    settings = Settings(seed=1, samples=2, degree=1, denominator=2)
+    for suite in ("crossed", "traces", "morita", "betastar"):
+        builds.clear()
+        chains.clear()
+        verify.SUITES[suite](settings)
+        assert set(builds.values()) == {1}, (suite, builds)
+        assert set(chains.values()) <= {1}, (suite, chains)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ncbieberbach
-from ncbieberbach import families, ktheory
+from ncbieberbach import families, ktheory, verify
 from ncbieberbach.crossed import crossed_product, k0_generator_table
 from ncbieberbach.ktheory import (
     AbelianGroup,
@@ -80,7 +80,7 @@ def test_snf_certificate_survives_optimize_flag():
         "import sys\n"
         "import ncbieberbach.ktheory as kt\n"
         "cp = kt.crossed_product('B3')\n"
-        "elements = [el for _, el in kt.k0_generator_table('B3', cp).non_exotic()]\n"
+        "elements = [el for _, el in kt.k0_generator_table(cp).non_exotic()]\n"
         "try:\n"
         "    kt.solve_in_span(elements[1:], [cp.one()])\n"
         "except AssertionError as exc:\n"
@@ -160,7 +160,7 @@ def test_transport_columns_match_stated_formulas():
 
 def _b3_elements():
     cp = crossed_product("B3")
-    table = k0_generator_table("B3", cp)
+    table = k0_generator_table(cp)
     return cp, [el for _, el in table.non_exotic()]
 
 
@@ -250,7 +250,7 @@ def test_only_the_pinned_fixture_transposition_is_accepted(monkeypatch, family, 
     monkeypatch.setattr(ktheory, "load_fixture_matrix", lambda fam, eps=1: swapped)
     assert fixture_comparison(family, 1) == {"status": "mismatch"}
     suffix = "[B2,eps=+1]" if family == "B2" else f"[{family}]"
-    row = next(c for c in verify_beta_star(family, 1) if c.name == f"fixture-comparison{suffix}")
+    row = next(c for c in verify_beta_star(crossed_product(family), 1) if c.name == f"fixture-comparison{suffix}")
     assert row.status == "fail"
 
 
@@ -266,10 +266,10 @@ def test_fixture_epsilon_substitution():
 
 
 @pytest.mark.parametrize("family", families.K_FAMILIES)
-def test_verify_beta_star_layers(family):
+def test_verify_beta_star_layers(plane_products, family):
     eps_values = (1, -1) if family == "B2" else (1,)
     for eps in eps_values:
-        bad = [c for c in verify_beta_star(family, eps) if not c.ok]
+        bad = [c for c in verify_beta_star(plane_products[family], eps) if not c.ok]
         assert not bad, (family, eps, bad)
 
 
@@ -279,14 +279,25 @@ def test_verify_beta_star_folded_mode():
     for theta in (Fraction(1, 5), Fraction(2, 7)):
         order = math.lcm(24, 12 * theta.denominator)
         for family in families.K_FAMILIES:
+            cp = crossed_product(family, theta_value=theta, order=order)
             for eps in (1, -1) if family == "B2" else (1,):
-                checks = verify_beta_star(family, eps, theta_value=theta, order=order)
+                checks = verify_beta_star(cp, eps)
                 assert any(c.name.startswith("element-level-transport") for c in checks)
                 assert all(c.ok for c in checks), (family, eps, theta, checks)
 
 
+def test_trace_rows_catch_the_induced_map_of_the_other_sign(monkeypatch, plane_products):
+    # the eps = -1 map differs from the eps = +1 one only in the [M2] column,
+    # which only the parity-trace rows see
+    monkeypatch.setattr(verify, "beta_star_matrix", lambda family, eps=1: beta_star_matrix(family, -eps))
+    checks = verify_beta_star(plane_products["B2"], 1)
+    failed = [(c.name, c.detail) for c in checks if not c.ok]
+    assert failed == [("trace-row-constraints[B2,eps=+1]", "tau_10 does not transform with sign -1")]
+
+
 def _rows(family):
-    return {c.name: c.status for c in verify_beta_star(family)}
+    # a fresh product: the table is cached on it, and the callers patch K0_GENERATORS
+    return {c.name: c.status for c in verify_beta_star(crossed_product(family))}
 
 
 def test_checks_catch_a_corrupted_generator_table(monkeypatch):
