@@ -6,7 +6,6 @@ rational twists each undeformed action tolerates.  The scan also surfaces the
 two tabulated rows (B6, N2) that the exact check refutes.
 """
 from ncbieberbach.actions import (
-    apply_action,
     check_compatibility,
     check_order,
     deformed_action,
@@ -21,16 +20,16 @@ alg = NcTorus(ThetaMatrix.standard_3d())
 u, v, w = alg.basis_generators()
 
 b2 = deformed_action("B2", alg)
-print("B2 sends u to", apply_action(b2, alg, u))
-print("B2 on v w   :", apply_action(b2, alg, v * w) == v.star() * w.star())
+print("B2 sends u to", b2.apply(u))
+print("B2 on v w   :", b2.apply(v * w) == v.star() * w.star())
 
 for family in ("B2", "B3", "B4", "B6", "N1", "N2"):
     action = deformed_action(family, alg)
-    print(f"{family}: order exact: {check_order(action, alg)},",
-          f"compatible: {check_compatibility(action, alg)}")
+    print(f"{family}: order exact: {check_order(action)},",
+          f"compatible: {check_compatibility(action)}")
 
 # Spectral pieces of v under the order-2 action: v = even part + odd part.
-comps = homogeneous_components(b2, alg, v)
+comps = homogeneous_components(b2, v)
 print("v even part:", comps[0])
 print("v odd  part:", comps[1])
 

@@ -8,8 +8,8 @@ precondition by the recorded residual e^{-2 i pi theta}.
 from fractions import Fraction
 
 from ncbieberbach.crossed import (
-    CanonicalTrace,
     NotRootOfUnityError,
+    canonical_trace,
     crossed_product,
     k0_generator_table,
     tau_parity_trace,
@@ -26,7 +26,7 @@ print("beta_hat(p)     =", cp.beta_hat(p))
 
 e00 = (cp.one() + p) * Fraction(1, 2)
 print("e00 idempotent  :", e00 * e00 == e00)
-print("tau(e00)        =", CanonicalTrace(cp).eval(e00))
+print("tau(e00)        =", canonical_trace(cp).eval(e00))
 print("tau_00(p)       =", tau_parity_trace(cp, 0, 0).eval(p))
 
 # The cubic family: X = e^{i pi theta/3} V p has exact order three...

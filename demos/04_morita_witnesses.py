@@ -30,7 +30,7 @@ print()
 print("x reconstructs through the inversion identity:",
       cp.psi_element(comps) == cp.embed(x))
 for k, comp in enumerate(comps):
-    print(f"  component {k} invariant:", cp.rt.apply(comp) == comp)
+    print(f"  component {k} invariant:", cp.action.apply(comp) == comp)
 
 y = random_torus_element(rng, cp.algebra, 2)
 mx, my, mxy = (cp.psi_matrix(cp.psi_components(z)) for z in (x, y, x * y))

@@ -22,9 +22,8 @@ from .scalars import (  # noqa: F401
 )
 from .torus import NcTorus, ThetaEntry, ThetaMatrix, TorusElement, generators  # noqa: F401
 from .actions import (  # noqa: F401
-    FiniteAction,
+    ActionOnTorus,
     ProductAction,
-    apply_action,
     check_compatibility,
     check_order,
     classical_action,
@@ -35,11 +34,11 @@ from .actions import (  # noqa: F401
     scan_cocycles,
 )
 from .crossed import (  # noqa: F401
-    CanonicalTrace,
     CrossedElement,
     CrossedProduct,
     NotRootOfUnityError,
     TwistedTrace,
+    canonical_trace,
     crossed_product,
     k0_generator_table,
     tau_parity_trace,

@@ -1,9 +1,12 @@
 """Finite cyclic group actions on twisted tori.
 
-An action is given by one phased-monomial image per torus generator,
-``g . delta_{e_i} = mu_i delta_{t_i}``, and acts on every monomial by the
-closed form ``g . delta_m = phi(m) delta_{A m}`` with ``A`` the integer matrix
-of target exponents and
+An action belongs to one algebra: ``ActionOnTorus(order, images, algebra)``
+holds one phased-monomial image per torus generator,
+``g . delta_{e_i} = mu_i delta_{t_i}``, whose coefficients live in that
+algebra (a coefficient of another cyclotomic order raises
+``OrderMismatchError``), and every check takes the action alone.  It acts
+on every monomial by the closed form ``g . delta_m = phi(m) delta_{A m}``
+with ``A`` the integer matrix of target exponents and
 
     phi(m) = prod_i mu_i^{m_i} * e^{i pi sum_{j<k} s_jk m_j m_k},
     s_jk   = t_j^T Theta t_k - Theta_jk = sum_{p<q} C[jk][pq] Theta_pq,
@@ -44,10 +47,8 @@ from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaM
 
 __all__ = [
     "GeneratorImage",
-    "FiniteAction",
-    "ProductAction",
     "ActionOnTorus",
-    "apply_action",
+    "ProductAction",
     "check_order",
     "check_compatibility",
     "compatibility_obstructions",
@@ -77,91 +78,62 @@ class GeneratorImage:
             ) from None
 
 
-class FiniteAction:
-    """Order-N action given by one GeneratorImage per torus generator."""
+class ActionOnTorus:
+    """An order-N action on one torus algebra, given by one GeneratorImage per
+    torus generator whose coefficients live in that algebra.
 
-    def __init__(self, order: int, images: tuple[GeneratorImage, ...], name: str = ""):
+    g . delta_m = phi(m) delta_{A m} (see the module docstring), with phi(m)
+    the unit phase zeta^r e^{i pi b theta} summed from the integer phase
+    polynomial, built on the first image.  Images are cached as (target, r,
+    theta key), so powers compose by adding exponents and the crossed-product
+    kernel reads the phase without building a scalar.
+    """
+
+    def __init__(self, order: int, images: tuple[GeneratorImage, ...], algebra: NcTorus, name: str = ""):
         self.order = int(order)
         self.images = tuple(images)
+        self.algebra = algebra
         self.name = name
-        self._runtime: dict = {}
-
-    @property
-    def dimension(self) -> int:
-        return len(self.images[0].target)
+        if len(self.images[0].target) != algebra.d:
+            raise ValueError("dimension mismatch between action and algebra")
+        for img in self.images:
+            if img.coeff.order != algebra.order:
+                raise OrderMismatchError(
+                    f"image coefficient of order {img.coeff.order} on an algebra of order {algebra.order}"
+                )
+        self._images: dict[Monomial, tuple[Monomial, int, tuple[int, int]]] = {}
+        self._powers: dict[tuple[int, Monomial], tuple[Monomial, int, tuple[int, int]]] = {}
+        self._poly: tuple[list, int] | None = None
 
     def generators(self):
         return [self]
 
-    def runtime(self, algebra: NcTorus) -> "ActionOnTorus":
-        key = algebra.key()
-        rt = self._runtime.get(key)
-        if rt is None:
-            rt = ActionOnTorus(self, algebra)
-            self._runtime[key] = rt
-        return rt
-
     def key(self):
-        return (self.order, tuple((img.target, img.coeff.terms()) for img in self.images))
+        return (self.algebra.key(), self.order, tuple((img.target, img.coeff.terms()) for img in self.images))
 
     def __eq__(self, other):
-        if not isinstance(other, FiniteAction):
+        if not isinstance(other, ActionOnTorus):
             return NotImplemented
         return self.key() == other.key()
 
     def __repr__(self):
-        return f"FiniteAction({self.name or 'anonymous'}, order={self.order})"
-
-
-class ProductAction:
-    """Two (or more) commuting order-2 actions, for the Z2 x Z2 families."""
-
-    def __init__(self, factors: tuple[FiniteAction, ...], name: str = ""):
-        self.factors = tuple(factors)
-        self.name = name
-
-    @property
-    def dimension(self) -> int:
-        return self.factors[0].dimension
-
-    def generators(self):
-        return list(self.factors)
-
-    def __repr__(self):
-        return f"ProductAction({self.name or 'anonymous'}, factors={len(self.factors)})"
-
-
-class ActionOnTorus:
-    """Cached evaluation of one cyclic action on one torus algebra.
-
-    g . delta_m = phi(m) delta_{A m} (see the module docstring), with phi(m)
-    the unit phase zeta^r e^{i pi b theta} summed from the integer phase
-    polynomial.  Images are cached as (target, r, theta key), so powers
-    compose by adding exponents and the crossed-product kernel reads the
-    phase without building a scalar.
-    """
-
-    def __init__(self, action: FiniteAction, algebra: NcTorus):
-        if action.dimension != algebra.d:
-            raise ValueError("dimension mismatch between action and algebra")
-        self.action = action
-        self.algebra = algebra
-        self._images: dict[Monomial, tuple[Monomial, int, tuple[int, int]]] = {}
-        self._powers: dict[tuple[int, Monomial], tuple[Monomial, int, tuple[int, int]]] = {}
-        self._poly, self._den = _phase_poly(action, algebra)
+        return f"ActionOnTorus({self.name or 'anonymous'}, order={self.order})"
 
     def _image(self, m: Monomial) -> tuple[Monomial, int, tuple[int, int]]:
         """g . delta_m as (target, r, theta key)."""
         cached = self._images.get(m)
         if cached is not None:
             return cached
+        if self._poly is None:
+            self._poly = _phase_poly(self)
+        poly, den = self._poly
         r = n = 0
-        for coords, r_c, n_c in self._poly:
+        for coords, r_c, n_c in poly:
             w = math.prod(m[i] for i in coords)
             r += r_c * w
             n += n_c * w
-        g = math.gcd(n, self._den)
-        result = (_target_of(self.action, m), r % self.algebra.order, (n // g, self._den // g))
+        g = math.gcd(n, den)
+        result = (_target_of(self, m), r % self.algebra.order, (n // g, den // g))
         self._images[m] = result
         return result
 
@@ -196,30 +168,38 @@ class ActionOnTorus:
             out[target] = contrib if cur is None else cur + contrib
         return TorusElement(self.algebra, out)
 
-    def check_order(self) -> bool:
-        return all(self.power_pair(self.action.order, e) == (e, *_ONE_PAIR) for e in _basis(self.algebra.d))
+
+class ProductAction:
+    """Two (or more) commuting order-2 actions on one algebra, for the Z2 x Z2 families."""
+
+    def __init__(self, factors: tuple[ActionOnTorus, ...], name: str = ""):
+        self.factors = tuple(factors)
+        self.algebra = self.factors[0].algebra
+        if not all(f.algebra.same_algebra(self.algebra) for f in self.factors):
+            raise ValueError("the factors act on different algebras")
+        self.name = name
+
+    def generators(self):
+        return list(self.factors)
+
+    def __repr__(self):
+        return f"ProductAction({self.name or 'anonymous'}, factors={len(self.factors)})"
 
 
 # ---------------------------------------------------------------------------
 # spec-level operations
 
 
-def apply_action(action, algebra: NcTorus, x: TorusElement, power: int = 1) -> TorusElement:
-    """Apply the action generator (cyclic actions only)."""
-    if isinstance(action, ProductAction):
-        raise ValueError("product actions have several generators; apply them separately")
-    return action.runtime(algebra).apply(x, power)
-
-
 def _basis(d: int) -> list[Monomial]:
     return [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
 
-def check_order(action, algebra: NcTorus) -> bool:
+def check_order(action) -> bool:
     """True iff applying each generator its full order fixes every generator
     and the generators of a product action commute on basis monomials."""
     gens = action.generators()
-    return all(g.runtime(algebra).check_order() for g in gens) and _commute_on_basis(gens, algebra)
+    basis = _basis(action.algebra.d)
+    return all(g.power_pair(g.order, e) == (e, *_ONE_PAIR) for g in gens for e in basis) and _commute_on_basis(gens)
 
 
 def _slot_matrix(targets) -> list[list[int]]:
@@ -235,8 +215,9 @@ def _slot_matrix(targets) -> list[list[int]]:
     ]
 
 
-def _slot_obstructions(action: FiniteAction, algebra: NcTorus) -> dict:
+def _slot_obstructions(action: ActionOnTorus) -> dict:
     """{(j, k): (a, b)} with s_jk = a + b theta, for every upper slot."""
+    algebra = action.algebra
     slots = list(itertools.combinations(range(algebra.d), 2))
     entries = [algebra.theta.entry(p, q) for p, q in slots]
     if algebra.theta_value is not None:
@@ -249,19 +230,19 @@ def _slot_obstructions(action: FiniteAction, algebra: NcTorus) -> dict:
     }
 
 
-def compatibility_obstructions(action: FiniteAction, algebra: NcTorus):
+def compatibility_obstructions(action: ActionOnTorus):
     """Nonvanishing slot obstructions s_jk = t_j^T Theta t_k - Theta_jk.
 
     The multiplicative-extension identity holds for every pair of monomials
     iff each s_jk has integral rational part and vanishing theta part.
     """
     return [
-        (slot, a, b) for slot, (a, b) in _slot_obstructions(action, algebra).items()
+        (slot, a, b) for slot, (a, b) in _slot_obstructions(action).items()
         if a.denominator != 1 or b != 0
     ]
 
 
-def check_compatibility(action, algebra: NcTorus) -> bool:
+def check_compatibility(action) -> bool:
     """True iff g.(delta_m * delta_n) = (g.delta_m)*(g.delta_n) for every
     generator g and every pair of monomials, and the generators commute.
 
@@ -271,35 +252,35 @@ def check_compatibility(action, algebra: NcTorus) -> bool:
     commute everywhere iff they commute on the basis monomials.
     """
     gens = action.generators()
-    return not any(compatibility_obstructions(g, algebra) for g in gens) and _commute_on_basis(gens, algebra)
+    return not any(compatibility_obstructions(g) for g in gens) and _commute_on_basis(gens)
 
 
-def _phase_poly(action: FiniteAction, algebra: NcTorus):
+def _phase_poly(action: ActionOnTorus):
     """phi(m) = zeta^{sum r_c w_c} e^{i pi theta sum n_c w_c / L}, w_c = prod_{i in c} m_i,
     as ([(c, r_c, n_c)], L): one term per image coefficient and one per slot
     obstruction s_jk, the theta numerators over one common denominator L."""
     terms = [((i,), *img.coeff.unit_exponents()) for i, img in enumerate(action.images)]
-    terms += [(slot, *algebra.unit_pair(a, b)) for slot, (a, b) in _slot_obstructions(action, algebra).items()]
+    terms += [(slot, *action.algebra.unit_pair(a, b)) for slot, (a, b) in _slot_obstructions(action).items()]
     den = math.lcm(*(d for _, _, (_, d) in terms))
     return [(coords, r, n * (den // d)) for coords, r, (n, d) in terms], den
 
 
-def _target_of(action: FiniteAction, m: Monomial) -> Monomial:
+def _target_of(action: ActionOnTorus, m: Monomial) -> Monomial:
     """A m, the exponent vector of g . delta_m."""
     return tuple(sum(mj * img.target[i] for mj, img in zip(m, action.images)) for i in range(len(m)))
 
 
-def _commute_on_basis(gens, algebra: NcTorus) -> bool:
+def _commute_on_basis(gens) -> bool:
     """g1 (g2 . delta_e) == g2 (g1 . delta_e) for every pair of generators and
     basis monomial e, as composed image triples."""
 
     def composed(outer: ActionOnTorus, inner: ActionOnTorus, m: Monomial):
         t, r, key = inner._image(m)
         t, r2, key2 = outer._image(t)
-        return t, (r + r2) % algebra.order, _key_add(key, key2)
+        return t, (r + r2) % outer.algebra.order, _key_add(key, key2)
 
-    pairs = [(g1.runtime(algebra), g2.runtime(algebra)) for g1, g2 in itertools.combinations(gens, 2)]
-    return all(composed(rt1, rt2, e) == composed(rt2, rt1, e) for rt1, rt2 in pairs for e in _basis(algebra.d))
+    basis = _basis(gens[0].algebra.d)
+    return all(composed(g1, g2, e) == composed(g2, g1, e) for g1, g2 in itertools.combinations(gens, 2) for e in basis)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +379,10 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
                 assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
             algebra = NcTorus(_candidate_matrix(assign), order=order)
             action = _build_action(spec, kind, algebra)
-            if check_compatibility(action, algebra):
+            if check_compatibility(action):
                 key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))
                 found[designated].add(key)
-                order_flags[(designated, key)] = check_order(action, algebra)
+                order_flags[(designated, key)] = check_order(action)
 
     all_rational = found.pop(None)
     return ScanResult(
@@ -418,18 +399,18 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
 # decomposition and freeness
 
 
-def homogeneous_components(action: FiniteAction, algebra: NcTorus, x: TorusElement):
+def homogeneous_components(action: ActionOnTorus, x: TorusElement):
     """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x); sum_k x_k = x.
 
     One kernel pass: (1/N) delta_0 times the orbit terms g^j . x shifted by
     conj(lambda)^{kj} = zeta^{-kj order/N}, summed into component k."""
+    algebra = action.algebra
     if not algebra.same_algebra(x.algebra):
         raise ValueError("element lives in a different algebra")
     n, order = action.order, algebra.order
     if order % n:
         raise OrderMismatchError(f"order {n} does not divide the session order {order}")
-    rt = action.runtime(algebra)
-    orbit = [(j, *rt.power_pair(j, m), c) for j in range(n) for m, c in split_terms(x)]
+    orbit = [(j, *action.power_pair(j, m), c) for j in range(n) for m, c in split_terms(x)]
     average = split_terms(algebra.delta((0,) * algebra.d, Fraction(1, n)))
     acc = Accumulator(algebra)
     for k in range(n):
@@ -438,7 +419,7 @@ def homogeneous_components(action: FiniteAction, algebra: NcTorus, x: TorusEleme
     return [comps.get(k) or algebra.zero() for k in range(n)]
 
 
-def freeness_witness(action, algebra: NcTorus) -> bool:
+def freeness_witness(action) -> bool:
     """Look for a unitary generator monomial that is homogeneous of full order.
 
     For a cyclic action this is a generator with g.u = lambda u and lambda a
@@ -449,12 +430,12 @@ def freeness_witness(action, algebra: NcTorus) -> bool:
     gens = action.generators()
     if len(gens) == 1 and gens[0].order == 1:
         return True
-    order = algebra.order
+    order = action.algebra.order
     # per basis monomial: the exponent r of its eigenvalue zeta^r under each
     # group generator, or None unless it is homogeneous with no theta phase
     eigen = [
-        [r if t == e and key == _ZERO_KEY else None for t, r, key in (g.runtime(algebra)._image(e) for g in gens)]
-        for e in _basis(algebra.d)
+        [r if t == e and key == _ZERO_KEY else None for t, r, key in (g._image(e) for g in gens)]
+        for e in _basis(action.algebra.d)
     ]
     if len(gens) == 1:
         n = gens[0].order
@@ -498,9 +479,9 @@ def _realize_images(image_specs, algebra: NcTorus) -> tuple[GeneratorImage, ...]
 def _build_action(spec, kind: str, algebra: NcTorus, name: str = ""):
     if kind == "cyclic":
         n, image_specs = spec
-        return FiniteAction(n, _realize_images(image_specs, algebra), name=name)
+        return ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=name)
     factors = tuple(
-        FiniteAction(n, _realize_images(image_specs, algebra), name=f"{name}[{i}]")
+        ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=f"{name}[{i}]")
         for i, (n, image_specs) in enumerate(spec)
     )
     return ProductAction(factors, name=name)
@@ -512,7 +493,7 @@ def classical_action(family: str, algebra: NcTorus):
     return _build_action(spec, kind, algebra, name=f"{family}-classical")
 
 
-def deformed_action(family: str, algebra: NcTorus) -> FiniteAction:
+def deformed_action(family: str, algebra: NcTorus) -> ActionOnTorus:
     """The order-N action on the twisted torus (standard preset)."""
     spec = families.deformed_spec(family)
     return _build_action(spec, "cyclic", algebra, name=family)
@@ -617,10 +598,10 @@ def parse_action_text(text: str, algebra: NcTorus):
         labels = sorted(lines)
         if len(labels) != len(ns):
             raise ValueError(f"expected {len(ns)} generators, found {labels}")
-        factors = tuple(FiniteAction(n, images_for(lbl), name=lbl) for n, lbl in zip(ns, labels))
+        factors = tuple(ActionOnTorus(n, images_for(lbl), algebra, name=lbl) for n, lbl in zip(ns, labels))
         return ProductAction(factors, name="parsed")
     n = int(order_spec)
     labels = sorted(lines)
     if len(labels) != 1:
         raise ValueError(f"cyclic action must use a single generator label, found {labels}")
-    return FiniteAction(n, images_for(labels[0]), name="parsed")
+    return ActionOnTorus(n, images_for(labels[0]), algebra, name="parsed")

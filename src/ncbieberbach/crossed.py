@@ -27,8 +27,11 @@ On top of the arithmetic this module provides:
 * the stable-isomorphism witness pair (p, p_hat) with its matrix units, the
   inversion identity, and the matrix decomposition of torus elements over the
   invariant subalgebra;
-* canonical and twisted trace functionals, and seeded random elements for
-  the samplers in ``verify``;
+* one trace type, ``TwistedTrace``: a base functional on the torus, given
+  by a rule on monomials, read on the p^{N-s} component.  The canonical
+  trace (``canonical_trace``: s = N, the identity coefficient of a_0) and the
+  parity traces (``tau_parity_trace``) are instances;
+* seeded random elements for the samplers in ``verify``;
 * the K0 generator table of a plane crossed product: its stems (the
   order-N elements of ``families.K0_GENERATORS``), their projectors and the
   generator projections, built once per product and cached on it, with exact
@@ -42,7 +45,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import ActionOnTorus, FiniteAction, deformed_action, homogeneous_components
+from .actions import ActionOnTorus, deformed_action, homogeneous_components
 from .families import K0_GENERATORS
 from .scalars import PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement, split_terms
@@ -53,9 +56,8 @@ __all__ = [
     "CrossedProduct",
     "CrossedElement",
     "crossed_product",
-    "TraceFunctional",
-    "CanonicalTrace",
     "TwistedTrace",
+    "canonical_trace",
     "tau_parity_trace",
     "AnomalyNote",
     "GeneratorTable",
@@ -77,16 +79,15 @@ class NotRootOfUnityError(ValueError):
 
 
 class CrossedProduct:
-    """A ⋊ Z_N for A a twisted torus and a fixed order-N action."""
+    """A ⋊ Z_N for a fixed order-N action on a twisted torus A (``action.algebra``)."""
 
-    def __init__(self, algebra: NcTorus, action: FiniteAction, family: str = ""):
-        self.algebra = algebra
+    def __init__(self, action: ActionOnTorus, family: str = ""):
         self.action = action
+        self.algebra = action.algebra
         self.family = family
         self.n = action.order
-        self.rt: ActionOnTorus = action.runtime(algebra)
-        self.lam = cyc_root(self.n, 1, order=algebra.order)
-        self._key = (algebra.key(), action.key())
+        self.lam = cyc_root(self.n, 1, order=self.algebra.order)
+        self._key = action.key()
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._k0_table: "GeneratorTable | None" = None
         self._psi_unit_powers: list["CrossedElement"] | None = None
@@ -227,7 +228,7 @@ class CrossedProduct:
     def psi_components(self, x: TorusElement) -> list[TorusElement]:
         """The invariant coefficients x_k u^{-k} of the decomposition of x;
         ``psi_element`` and ``psi_matrix`` take this list."""
-        comps = homogeneous_components(self.action, self.algebra, x)
+        comps = homogeneous_components(self.action, x)
         return [comp * self.algebra.delta((-k, 0, 0)) for k, comp in enumerate(comps)]
 
     def psi_element(self, comps: list[TorusElement]) -> "CrossedElement":
@@ -317,7 +318,7 @@ class Operand:
     def right(self, k: int) -> list:
         terms = self._images.get(k)
         if terms is None:
-            pair = self.parent.rt.power_pair
+            pair = self.parent.action.power_pair
             terms = self._images[k] = [(j, [(*pair(k, m), c) for m, c in split]) for j, split in self.left]
         return terms
 
@@ -332,9 +333,6 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
     def terms(self):
         """The flattened ((monomial, k), coefficient) pairs, sorted."""
         return tuple(sorted(((m, k), c) for k, a in self._comps.items() for m, c in a._terms.items()))
-
-    def coefficient(self, m, k: int) -> PhasedScalar:
-        return self.component(k).coefficient(m)
 
     def component(self, k: int) -> TorusElement:
         """The torus coefficient a_k of p^k."""
@@ -359,7 +357,7 @@ class CrossedElement(SparseElement, ctx="parent", data="_comps"):
         """(a p^k)* = alpha^{-k}(a*) p^{-k}."""
         cp = self.parent
         return CrossedElement(
-            cp, {(-k) % cp.n: cp.rt.apply(a.star(), power=(-k) % cp.n) for k, a in self._comps.items()}
+            cp, {(-k) % cp.n: cp.action.apply(a.star(), power=(-k) % cp.n) for k, a in self._comps.items()}
         )
 
     # -- display ---------------------------------------------------------------
@@ -397,44 +395,16 @@ def crossed_product(family: str, dim: int = 2, theta_value=None, order: int | No
         algebra = NcTorus(ThetaMatrix.standard_3d(), theta_value=theta_value, order=order)
     else:
         raise ValueError("dim must be 2 or 3")
-    action = deformed_action(family, algebra)
-    return CrossedProduct(algebra, action, family=family)
+    return CrossedProduct(deformed_action(family, algebra), family=family)
 
 
 # ---------------------------------------------------------------------------
 # traces
 
 
-class TraceFunctional:
-    """Base class: a linear functional on one crossed product."""
-
-    name = "trace"
-    s: int
-
-    def base_eval(self, x: TorusElement) -> PhasedScalar:
-        raise NotImplementedError
-
-    def eval(self, x: CrossedElement) -> PhasedScalar:
-        """Reads the p^{N-s} component through the base functional."""
-        cp = x.parent
-        return self.base_eval(x.component((cp.n - self.s) % cp.n))
-
-
-class CanonicalTrace(TraceFunctional):
-    """tau(sum a_k p^k) = coefficient of the identity monomial in a_0."""
-
-    name = "tau"
-
-    def __init__(self, cp: CrossedProduct):
-        self.cp = cp
-        self.s = cp.n
-
-    def base_eval(self, x: TorusElement) -> PhasedScalar:
-        return x.coefficient((0,) * self.cp.algebra.d)
-
-
-class TwistedTrace(TraceFunctional):
-    """Extension of a twisted base functional given by a rule on monomials."""
+class TwistedTrace:
+    """A functional on one crossed product: a twisted base functional on the
+    torus, given by a rule on monomials, read on the p^{N-s} component."""
 
     def __init__(self, cp: CrossedProduct, rule, s: int, name: str = "phi"):
         if not 0 < s <= cp.n:
@@ -451,6 +421,15 @@ class TwistedTrace(TraceFunctional):
             if weight is not None:
                 acc = acc + c * weight
         return acc
+
+    def eval(self, x: CrossedElement) -> PhasedScalar:
+        cp = x.parent
+        return self.base_eval(x.component((cp.n - self.s) % cp.n))
+
+
+def canonical_trace(cp: CrossedProduct) -> TwistedTrace:
+    """tau(sum a_k p^k) = coefficient of the identity monomial in a_0."""
+    return TwistedTrace(cp, lambda m: None if any(m) else 1, s=cp.n, name="tau")
 
 
 def tau_parity_trace(cp: CrossedProduct, j: int, k: int) -> TwistedTrace:

@@ -527,9 +527,6 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
         items.sort(key=lambda kv: kv[0])
         return tuple(items)
 
-    def coefficient(self, b) -> Cyclotomic:
-        return self._terms.get(_bkey(b), Cyclotomic.zero(self.order))
-
     def is_one(self) -> bool:
         if len(self._terms) != 1:
             return False

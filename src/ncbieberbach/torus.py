@@ -277,16 +277,10 @@ class TorusElement(SparseElement, ctx="algebra", data="_terms"):
     def terms(self) -> tuple[tuple[Monomial, PhasedScalar], ...]:
         return tuple(sorted(self._terms.items()))
 
-    def coefficient(self, m: Iterable[int]) -> PhasedScalar:
-        return self._terms.get(tuple(m), self.algebra.scalar_zero())
-
     def single_term(self) -> tuple[Monomial, PhasedScalar]:
         if len(self._terms) != 1:
             raise ValueError("element is not a single monomial term")
         return next(iter(self._terms.items()))
-
-    def degree(self) -> int:
-        return max((max(abs(x) for x in m) for m in self._terms), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 

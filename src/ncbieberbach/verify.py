@@ -32,10 +32,10 @@ from .actions import (
     scan_cocycles,
 )
 from .crossed import (
-    CanonicalTrace,
     ContextError,
     CrossedProduct,
-    TraceFunctional,
+    TwistedTrace,
+    canonical_trace,
     crossed_product,
     k0_generator_table,
     psi_multiplicativity_mismatch,
@@ -203,7 +203,7 @@ def check_matrix_units(cp: CrossedProduct) -> Check:
     return Check.of(f"matrix-units[{cp.family}]", ok)
 
 
-def verify_trace_laws(traces: list[TraceFunctional], cp: CrossedProduct, samples: int = 200,
+def verify_trace_laws(traces: list[TwistedTrace], cp: CrossedProduct, samples: int = 200,
                       seed: int = 7, degree: int = 2, labels: list[str] | None = None) -> list[Check]:
     """Sample the twist laws of the base functionals and the trace laws upstairs.
 
@@ -222,9 +222,9 @@ def verify_trace_laws(traces: list[TraceFunctional], cp: CrossedProduct, samples
         b = random_torus_element(rng, cp.algebra, degree)
         x = random_crossed_element(rng, cp, degree)
         y = random_crossed_element(rng, cp, degree)
-        alpha_a = functools.cache(lambda: cp.rt.apply(a))
+        alpha_a = functools.cache(lambda: cp.action.apply(a))
         ab = functools.cache(lambda: a * b)
-        twisted = functools.cache(lambda s: cp.rt.apply(b, power=s % cp.n) * a)
+        twisted = functools.cache(lambda s: cp.action.apply(b, power=s % cp.n) * a)
         xy = functools.cache(lambda: x * y)
         yx = functools.cache(lambda: y * x)
         beta_x = functools.cache(lambda: cp.beta_hat(x))
@@ -330,7 +330,7 @@ def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
 
     if family == "B2":
         eps = Fraction(epsilon)
-        tau = CanonicalTrace(cp)
+        tau = canonical_trace(cp)
         tau_row = [_as_affine(tau.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
         vectors = [("tau", tau_row + [(Fraction(0), Fraction(1, 2))], 1)]
         # tau_jk on [M2], keyed by the generator it pairs with: [e00], [e01], [e10], [e11]
@@ -484,20 +484,19 @@ def actions(settings: Settings) -> list[Check]:
     checks: list[Check] = []
     for family in families.CYCLIC_FAMILIES:
         action = deformed_action(family, alg)
-        rt = action.runtime(alg)
 
         def reconstruction():
             """x_0 + ... + x_{N-1} = x, and g . x_k = lambda^k x_k."""
             x = random_torus_element(rng, alg, 2)
-            comps = homogeneous_components(action, alg, x)
+            comps = homogeneous_components(action, x)
             ok = sum(comps, alg.zero()) == x and all(
-                rt.apply(comp) == comp * cyc_root(action.order, k, order=alg.order) for k, comp in enumerate(comps))
+                action.apply(comp) == comp * cyc_root(action.order, k, order=alg.order) for k, comp in enumerate(comps))
             return None if ok else {"x": repr(x), "components": [repr(comp) for comp in comps]}
 
         checks += [
-            Check.of(f"order[{family}]", check_order(action, alg)),
-            Check.of(f"compatibility[{family}]", check_compatibility(action, alg)),
-            Check.of(f"freeness-witness[{family}]", freeness_witness(action, alg)),
+            Check.of(f"order[{family}]", check_order(action)),
+            Check.of(f"compatibility[{family}]", check_compatibility(action)),
+            Check.of(f"freeness-witness[{family}]", freeness_witness(action)),
             _sampled(f"homogeneous-reconstruction[{family}]", max(2, settings.samples // 10), reconstruction),
         ]
     checks += [
@@ -542,7 +541,7 @@ def traces(settings: Settings) -> list[Check]:
             parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
             checks += verify_trace_laws(parity, cp, samples=settings.samples, seed=settings.seed,
                                         degree=settings.degree)
-        checks += verify_trace_laws([CanonicalTrace(cp)], cp, samples=max(5, settings.samples // 4),
+        checks += verify_trace_laws([canonical_trace(cp)], cp, samples=max(5, settings.samples // 4),
                                     seed=settings.seed, degree=settings.degree, labels=[f"tau[{family}]"])
     return checks
 
@@ -562,7 +561,7 @@ def morita(settings: Settings) -> list[Check]:
             comps = cp.psi_components(x)
             if cp.psi_element(comps) != cp.embed(x):
                 return {"x": repr(x)}
-            invariant_ok &= all(cp.rt.apply(comp) == comp for comp in comps)
+            invariant_ok &= all(cp.action.apply(comp) == comp for comp in comps)
             mismatch = psi_multiplicativity_mismatch(cp, comps, y, x * y)
             if mismatch is None:
                 return None

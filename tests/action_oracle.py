@@ -79,9 +79,8 @@ def homogeneous_components(action, algebra, x):
     """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x) as N^2 scale-and-add
     steps on whole ``TorusElement`` values; the package sums them in one
     kernel pass."""
-    rt = action.runtime(algebra)
     n = action.order
-    images = [rt.apply(x, power=j) for j in range(n)]
+    images = [action.apply(x, power=j) for j in range(n)]
     comps = []
     for k in range(n):
         acc = algebra.zero()

@@ -82,7 +82,7 @@ def phase_at(lin, quad, m):
 
 
 def exponent_matrix(action):
-    d = action.dimension
+    d = len(action.images)
     return [[action.images[j].target[i] for j in range(d)] for i in range(d)]
 
 

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from ncbieberbach import ktheory, verify
-from ncbieberbach.actions import FiniteAction, GeneratorImage
+from ncbieberbach.actions import ActionOnTorus, GeneratorImage
 from ncbieberbach.crossed import (
-    CanonicalTrace,
     ContextError,
     CrossedProduct,
     NotRootOfUnityError,
     TwistedTrace,
+    canonical_trace,
     random_crossed_element,
     random_torus_element,
     crossed_product,
@@ -42,8 +42,8 @@ def test_defining_relations(plane_products):
         v, w = cp.torus_generators()
         p = cp.p()
         assert p ** cp.n == cp.one()
-        alpha_v = cp.embed(cp.rt.apply(cp.algebra.basis_generators()[0]))
-        alpha_w = cp.embed(cp.rt.apply(cp.algebra.basis_generators()[1]))
+        alpha_v = cp.embed(cp.action.apply(cp.algebra.basis_generators()[0]))
+        alpha_w = cp.embed(cp.action.apply(cp.algebra.basis_generators()[1]))
         assert p * v == alpha_v * p
         assert p * w == alpha_w * p
 
@@ -272,7 +272,7 @@ def test_psi_decomposition(torus_products):
             x = random_torus_element(rng, cp.algebra, 2)
             assert cp.psi_element(cp.psi_components(x)) == cp.embed(x)
             for comp in cp.psi_components(x):
-                assert cp.rt.apply(comp) == comp
+                assert cp.action.apply(comp) == comp
 
 
 def test_psi_matrix_multiplicative(torus_products):
@@ -291,7 +291,7 @@ def test_psi_matrix_multiplicative(torus_products):
             for row in mx:
                 for entry in row:
                     assert entry._comps.keys() <= {0}
-                    assert cp.rt.apply(entry.component(0)) == entry.component(0)
+                    assert cp.action.apply(entry.component(0)) == entry.component(0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def test_psi_matrix_multiplicative(torus_products):
 def test_trace_values(plane_products):
     cp = plane_products["B2"]
     table = k0_generator_table(cp)
-    tau = CanonicalTrace(cp)
+    tau = canonical_trace(cp)
     assert tau.eval(cp.one()) == 1
     for label in ("[e00]", "[e01]", "[e10]", "[e11]"):
         assert tau.eval(table.elements[label]) == Fraction(1, 2)
@@ -372,7 +372,7 @@ def test_a_sabotaged_trace_fails_alone(plane_products):
 
 def test_canonical_trace_laws_all_families(plane_products):
     for family, cp in plane_products.items():
-        checks = verify_trace_laws([CanonicalTrace(cp)], cp, samples=30, seed=11)
+        checks = verify_trace_laws([canonical_trace(cp)], cp, samples=30, seed=11)
         assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
 
 
@@ -387,7 +387,7 @@ def test_twisted_trace_requires_valid_twist(plane_products):
 def test_beta_hat_scaling_reduces_to_invariance_at_full_twist(plane_products):
     # s = N: the scaling factor is 1 and the canonical trace is invariant
     cp = plane_products["B2"]
-    tau = CanonicalTrace(cp)
+    tau = canonical_trace(cp)
     rng = random.Random(15)
     for _ in range(50):
         x = random_crossed_element(rng, cp, 2)
@@ -422,10 +422,10 @@ def test_exchange_relation_b2():
 def test_exchange_trivial_root():
     # order 1: the double crossed product is plain, conjugation by u is trivial
     algebra = NcTorus(ThetaMatrix.standard_3d())
-    identity = FiniteAction(1, tuple(
+    identity = ActionOnTorus(1, tuple(
         GeneratorImage(algebra.scalar(1), t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ), name="id")
-    cp = CrossedProduct(algebra, identity)
+    ), algebra, name="id")
+    cp = CrossedProduct(identity)
     assert cp.p() == cp.one()
     u = cp.delta((1, 0, 0), 0)
     x = cp.delta((0, 1, -1), 0)
@@ -444,10 +444,10 @@ def test_each_suite_builds_each_product_and_each_chain_once(monkeypatch):
     init, q_projector = CrossedProduct.__init__, CrossedProduct.q_projector
     products, builds, chains = [], Counter(), Counter()
 
-    def counting_init(self, algebra, action, family=""):
+    def counting_init(self, action, family=""):
         products.append(self)  # alive until the end, so ids are not reused
-        builds[family, algebra.d] += 1
-        init(self, algebra, action, family)
+        builds[family, action.algebra.d] += 1
+        init(self, action, family)
 
     def counting_q_projector(self, x, *, period=None):
         chains[id(self), repr(x), period] += 1

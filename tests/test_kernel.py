@@ -62,7 +62,7 @@ def ref_crossed_terms(x, y, out):
     cp = x.parent
     for (m, k), cm in x.terms():
         for (n, j), cn in y.terms():
-            phi, image = cp.rt.power_image(k, n)
+            phi, image = cp.action.power_image(k, n)
             target = tuple(a + b for a, b in zip(m, image))
             add_into(out, (target, (k + j) % cp.n), cm * cn * phi * cp.algebra.cocycle(m, image))
     return out
