@@ -1,5 +1,5 @@
 """Command-line surface: parses arguments, runs the engine and the checks of
-``verify``, and renders the report.
+``verify`` (``verify.run_suites`` forks a worker per suite), renders the report.
 
 Reports are deterministic for a fixed (version, command, seed): JSON output
 is sorted and carries no timestamps, so repeated runs are byte-identical.
@@ -173,8 +173,8 @@ def cmd_verify(args) -> int:
         theta_mode="symbolic" if args.theta is None else str(args.theta),
     ))
     suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
-    for suite in suites:
-        report.results += _SUITE_RUNNERS[suite](settings)
+    for suite, rows in zip(suites, verify.run_suites(suites, settings)):
+        report.results += rows
         report.notes += verify.SUITE_NOTES.get(suite, ())
     if "homology" in suites:
         report.payload["h1"] = {f: _group_dict(bieberbach_h1(f)) for f in families.K_FAMILIES}

@@ -423,8 +423,9 @@ class TwistedTrace:
         return acc
 
     def eval(self, x: CrossedElement) -> PhasedScalar:
-        cp = x.parent
-        return self.base_eval(x.component((cp.n - self.s) % cp.n))
+        if not self.cp.same_context(x.parent):
+            raise ContextError("the element lives in another crossed product")
+        return self.base_eval(x.component((self.cp.n - self.s) % self.cp.n))
 
 
 def canonical_trace(cp: CrossedProduct) -> TwistedTrace:

@@ -10,13 +10,14 @@ A check of a crossed product takes the ``CrossedProduct`` it checks and reads
 the family from it.  ``SUITES`` maps the suites of ``nbk verify`` to
 functions of one ``Settings``; a suite builds each of its crossed products
 once, and each sampling suite draws from one ``random.Random(seed)`` in a
-fixed order.
+fixed order; sharing no state, they run side by side under ``run_suites``.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +53,7 @@ __all__ = [
     "Settings",
     "SUITES",
     "SUITE_NOTES",
+    "run_suites",
     "verify_trace_laws",
     "verify_exchange_iso",
     "verify_projections",
@@ -203,15 +205,19 @@ def check_matrix_units(cp: CrossedProduct) -> Check:
     return Check.of(f"matrix-units[{cp.family}]", ok)
 
 
-def verify_trace_laws(traces: list[TwistedTrace], cp: CrossedProduct, samples: int = 200,
-                      seed: int = 7, degree: int = 2, labels: list[str] | None = None) -> list[Check]:
+def verify_trace_laws(traces: list[TwistedTrace], samples: int = 200, seed: int = 7, degree: int = 2,
+                      labels: list[str] | None = None) -> list[Check]:
     """Sample the twist laws of the base functionals and the trace laws upstairs.
 
-    The traces share one sample stream, whose products (alpha(a), a b,
-    alpha^s(b) a, x y, y x, beta_hat(x)) are computed once, when a trace
-    still tests the law; each trace tests each law on every sample until it
-    fails.  Rows ``{label}-{law}`` (label: the trace's name) go trace by trace.
+    The traces, all of one crossed product, share one sample stream, whose
+    products (alpha(a), a b, alpha^s(b) a, x y, y x, beta_hat(x)) are computed
+    once, when a trace still tests the law; each trace tests each law on every
+    sample until it fails.  Rows ``{label}-{law}`` (label: the trace's name)
+    go trace by trace.
     """
+    cp = traces[0].cp
+    if not all(cp.same_context(t.cp) for t in traces):
+        raise ContextError("the traces live in different crossed products")
     labels = [t.name for t in traces] if labels is None else labels
     laws = ("base-invariance", "base-twist-law", "tracial-on-crossed-product", "beta-hat-scaling")
     rng = random.Random(seed)
@@ -539,9 +545,9 @@ def traces(settings: Settings) -> list[Check]:
         cp = crossed_product(family, dim=2, theta_value=settings.theta, order=settings.order)
         if family == "B2":
             parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
-            checks += verify_trace_laws(parity, cp, samples=settings.samples, seed=settings.seed,
+            checks += verify_trace_laws(parity, samples=settings.samples, seed=settings.seed,
                                         degree=settings.degree)
-        checks += verify_trace_laws([canonical_trace(cp)], cp, samples=max(5, settings.samples // 4),
+        checks += verify_trace_laws([canonical_trace(cp)], samples=max(5, settings.samples // 4),
                                     seed=settings.seed, degree=settings.degree, labels=[f"tau[{family}]"])
     return checks
 
@@ -592,18 +598,55 @@ def homology(settings: Settings) -> list[Check]:
     return [homology_check(family) for family in families.K_FAMILIES]
 
 
-SUITES = {
-    "algebra": algebra,
-    "actions": actions,
-    "crossed": crossed,
-    "traces": traces,
-    "morita": morita,
-    "betastar": betastar,
-    "homology": homology,
-}
+SUITES = {suite.__name__: suite for suite in (algebra, actions, crossed, traces, morita, betastar, homology)}
 
 # report notes that go with a suite's rows
 SUITE_NOTES = {"crossed": (
     "the hexic projector exponents admit a period-3 misreading; only the"
     " period-6 reading yields six distinct projectors summing to one",
 )}
+
+
+def _suite_rows(name: str, settings: Settings) -> bytes:
+    """The pickled rows of suite ``name``: the work of one forked worker."""
+    import pickle
+    return pickle.dumps(SUITES[name](settings))
+
+
+def run_suites(names: list[str], settings: Settings) -> list[list[Check]]:
+    """The rows of each suite in ``names``, in order, exactly as run one by one.
+    With 2 or more suites and CPUs (``os.sched_getaffinity``: a POSIX host, so
+    ``os.fork`` exists), each suite runs in a forked worker that pipes back its
+    pickled rows, or nothing if it raises.  Once all are reaped, a suite whose
+    worker sent nothing runs again here, in order, and raises as it would."""
+    if len(names) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return [SUITES[name](settings) for name in names]
+    import pickle
+    import signal
+    workers, found = [], []  # (pid, read end of its pipe) per worker; rows (or None) per reaped one
+    try:
+        for name in names:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: it never returns into the caller's stack
+                try:
+                    with open(write, "wb") as pipe:
+                        pipe.write(_suite_rows(name, settings))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            workers.append((pid, open(read, "rb")))
+        for pid, pipe in workers:
+            with pipe:
+                rows = pipe.read()
+            found.append(pickle.loads(rows) if os.waitpid(pid, 0)[1] == 0 else None)
+    finally:
+        for pid, pipe in workers[len(found):]:  # the parent raised: stop the rest
+            pipe.close()
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except OSError:  # reaped already
+                pass
+    return [SUITES[name](settings) if rows is None else rows for name, rows in zip(names, found)]

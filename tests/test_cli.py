@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,3 +240,115 @@ def test_folded_theta_verify(capsys):
     assert code == 0
     assert report["config"]["theta_mode"] == "1/5"
     assert report["config"]["cyclotomic_order"] == 120
+
+
+# ---------------------------------------------------------------------------
+# the suites side by side
+
+GOLDEN_SETTINGS = dict(seed=11, samples=3, degree=1, denominator=6)
+
+
+def _no_fork():
+    raise AssertionError("a single suite or a single CPU must not fork")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The forked path, whatever this host's CPU count."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_run_suites_gives_the_rows_of_a_sequential_run(monkeypatch):
+    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
+    settings = verify.Settings(**GOLDEN_SETTINGS)
+    sequential = [verify.SUITES[name](settings) for name in verify.SUITES]
+    assert verify.run_suites(list(verify.SUITES), settings) == sequential
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert verify.run_suites(list(verify.SUITES), settings) == sequential
+
+
+def test_run_suites_runs_each_suite_in_a_worker_and_reads_them_at_call_time(monkeypatch, two_cpus):
+    calls = []
+
+    def recording(settings):
+        calls.append(os.getpid())
+        return [verify.Check(f"ran-in[{os.getpid()}]", "pass")]
+
+    monkeypatch.setitem(verify.SUITES, "homology", recording)
+    settings = verify.Settings(**GOLDEN_SETTINGS)
+    rows = verify.run_suites(["homology", "betastar"], settings)
+    assert calls == [] and len(rows[0]) == 1  # the patched runner ran, in a worker
+    assert rows[0][0].name.startswith("ran-in[") and rows[0][0].name != f"ran-in[{os.getpid()}]"
+    assert rows[1] == verify.SUITES["betastar"](settings)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_suite_whose_worker_dies_runs_again_in_the_parent(monkeypatch, two_cpus):
+    parent = os.getpid()
+    homology = verify.SUITES["homology"]
+
+    def dying(settings):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return homology(settings)
+
+    monkeypatch.setitem(verify.SUITES, "homology", dying)
+    settings = verify.Settings(**GOLDEN_SETTINGS)
+    assert verify.run_suites(["betastar", "homology"], settings)[1] == homology(settings)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "in-process"])
+def test_a_suite_error_exits_two_as_in_process_and_leaves_no_child(capsys, monkeypatch, cpus):
+    calls = []
+
+    def boom(settings):
+        calls.append(os.getpid())
+        raise ValueError("boom")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setitem(verify.SUITES, "traces", boom)
+    code = main(["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "nbk: error: boom\n"
+    assert calls == [os.getpid()]  # the worker's call stays in the worker
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_stopped_when_the_parent_raises(monkeypatch, two_cpus):
+    import pickle
+
+    def slow(settings):
+        time.sleep(60)
+
+    def broken(data):
+        raise RuntimeError("unreadable rows")
+
+    monkeypatch.setitem(verify.SUITES, "morita", slow)
+    monkeypatch.setattr(pickle, "loads", broken)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="unreadable rows"):
+        verify.run_suites(["homology", "morita", "morita"], verify.Settings(**GOLDEN_SETTINGS))
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_single_suite_runs_in_the_parent(capsys, monkeypatch):
+    calls = []
+    homology = verify.SUITES["homology"]
+
+    def recording(settings):
+        calls.append(os.getpid())
+        return homology(settings)
+
+    monkeypatch.setitem(verify.SUITES, "homology", recording)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    code, report = run_json(capsys, "verify", "--suite", "homology")
+    assert code == 0 and calls == [os.getpid()]
+    assert {r["name"] for r in report["results"]} == {f"k0-equals-z-plus-h1[{f}]" for f in families.K_FAMILIES}

@@ -317,7 +317,7 @@ def test_trace_values(plane_products):
 def test_parity_trace_laws(plane_products):
     cp = plane_products["B2"]
     parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    checks = verify_trace_laws(parity, cp, samples=60, seed=11)
+    checks = verify_trace_laws(parity, samples=60, seed=11)
     assert len(checks) == 16 and all(c.ok for c in checks), [c for c in checks if not c.ok]
 
 
@@ -351,8 +351,8 @@ def test_random_samples_match_the_scalar_product_construction(theta_value, order
 def test_shared_trace_stream_equals_separate_runs(plane_products):
     cp = plane_products["B2"]
     parity = [tau_parity_trace(cp, j, k) for j, k in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    separate = [c for t in parity for c in verify_trace_laws([t], cp, samples=25, seed=3)]
-    assert verify_trace_laws(parity, cp, samples=25, seed=3) == separate
+    separate = [c for t in parity for c in verify_trace_laws([t], samples=25, seed=3)]
+    assert verify_trace_laws(parity, samples=25, seed=3) == separate
 
 
 def test_a_sabotaged_trace_fails_alone(plane_products):
@@ -362,8 +362,8 @@ def test_a_sabotaged_trace_fails_alone(plane_products):
     four = cp.algebra.scalar(4)
     bad = TwistedTrace(cp, lambda m: four if m == (1, 0) else None, s=1, name="bad")
     good = [tau_parity_trace(cp, 0, 0), tau_parity_trace(cp, 1, 1)]
-    shared = verify_trace_laws([good[0], bad, good[1]], cp, samples=25, seed=3)
-    alone = [verify_trace_laws([t], cp, samples=25, seed=3) for t in (good[0], bad, good[1])]
+    shared = verify_trace_laws([good[0], bad, good[1]], samples=25, seed=3)
+    alone = [verify_trace_laws([t], samples=25, seed=3) for t in (good[0], bad, good[1])]
     assert shared == [c for rows in alone for c in rows]
     assert all(c.ok for c in shared[:4] + shared[8:])
     failed = [c for c in shared[4:8] if not c.ok]
@@ -372,7 +372,7 @@ def test_a_sabotaged_trace_fails_alone(plane_products):
 
 def test_canonical_trace_laws_all_families(plane_products):
     for family, cp in plane_products.items():
-        checks = verify_trace_laws([canonical_trace(cp)], cp, samples=30, seed=11)
+        checks = verify_trace_laws([canonical_trace(cp)], samples=30, seed=11)
         assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
 
 
@@ -382,6 +382,22 @@ def test_twisted_trace_requires_valid_twist(plane_products):
         TwistedTrace(cp, lambda m: None, s=0)
     with pytest.raises(ContextError):
         tau_parity_trace(plane_products["B3"], 0, 0)
+
+
+def test_a_trace_refuses_an_element_of_another_product(plane_products):
+    b2, b3 = plane_products["B2"], plane_products["B3"]
+    with pytest.raises(ContextError):
+        canonical_trace(b3).eval(b2.p() + b2.one())
+    assert canonical_trace(crossed_product("B2", dim=2)).eval(b2.p() + b2.one()) == 1
+
+
+def test_trace_laws_refuse_traces_of_different_products(plane_products):
+    b2, b3 = plane_products["B2"], plane_products["B3"]
+    with pytest.raises(ContextError):
+        verify_trace_laws([tau_parity_trace(b2, 0, 0), canonical_trace(b3)], samples=3, seed=1)
+    checks = verify_trace_laws([tau_parity_trace(b2, 0, 0), canonical_trace(crossed_product("B2", dim=2))],
+                               samples=3, seed=1)
+    assert len(checks) == 8 and all(c.ok for c in checks)
 
 
 def test_beta_hat_scaling_reduces_to_invariance_at_full_twist(plane_products):
