@@ -7,7 +7,7 @@ and the involution.  Everything printed is an exact symbolic value.
 from fractions import Fraction
 
 from ncbieberbach import generators
-from ncbieberbach.scalars import cyc_root, phased
+from ncbieberbach.scalars import PhasedScalar, cyc_root
 
 # Scalars: roots of unity live in the cyclotomic field of order 24 by default.
 i = cyc_root(4, 1)
@@ -15,12 +15,12 @@ print("i^2                        =", i * i)
 print("1 + z3 + z3^2              =", cyc_root(3, 0) + cyc_root(3, 1) + cyc_root(3, 2))
 
 # Formal theta-phases multiply by adding exponents; conjugation flips them.
-x = phased(Fraction(1, 3), 1)
+x = PhasedScalar.phase(Fraction(1, 3), 1)
 print("e^{i pi theta/3} cubed     =", x ** 3)
-print("conjugate of e^{i pi th} i =", phased(1, i).conj())
+print("conjugate of e^{i pi th} i =", PhasedScalar.phase(1, i).conj())
 
 # Substituting a rational value for theta folds phases into the field.
-print("e^{i pi theta} at th=1/2   =", phased(1, 1).fold(Fraction(1, 2)))
+print("e^{i pi theta} at th=1/2   =", PhasedScalar.phase(1, 1).fold(Fraction(1, 2)))
 
 # The twisted torus: u is central, w and v commute up to e^{2 pi i theta}.
 alg, u, v, w = generators("3d")

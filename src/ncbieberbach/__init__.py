@@ -16,9 +16,6 @@ from .scalars import (  # noqa: F401
     OrderMismatchError,
     PhasedScalar,
     cyc_root,
-    phased,
-    rational_theta_fold,
-    session_order,
 )
 from .torus import NcTorus, ThetaEntry, ThetaMatrix, TorusElement, generators  # noqa: F401
 from .actions import (  # noqa: F401

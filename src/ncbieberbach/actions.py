@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, cyc_root, session_order
+from .scalars import DEFAULT_CYCLOTOMIC_ORDER, _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, cyc_root
 from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement, split_terms
 
 __all__ = [
@@ -94,7 +94,7 @@ class ActionOnTorus:
         self.images = tuple(images)
         self.algebra = algebra
         self.name = name
-        if len(self.images[0].target) != algebra.d:
+        if len(self.images) != algebra.d or any(len(img.target) != algebra.d for img in self.images):
             raise ValueError("dimension mismatch between action and algebra")
         for img in self.images:
             if img.coeff.order != algebra.order:
@@ -350,13 +350,13 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     pass are built; each gets the full certificate, check_compatibility
     (product families also need commuting generators), and its check_order
     flag.  Without an ``order`` the scan works at
-    lcm(session order, 2 * denominator), which holds every grid phase.
+    lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator), which holds every grid phase.
     """
     if denominator < 1 or denominator > 12:
         raise ValueError("grid denominator must be between 1 and 12")
     kind, spec = families.classical_spec(family)
     if order is None:
-        order = math.lcm(session_order(), 2 * denominator)
+        order = math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator)
     rows = [
         row
         for _, images in ([spec] if kind == "cyclic" else spec)
@@ -409,7 +409,7 @@ def homogeneous_components(action: ActionOnTorus, x: TorusElement):
         raise ValueError("element lives in a different algebra")
     n, order = action.order, algebra.order
     if order % n:
-        raise OrderMismatchError(f"order {n} does not divide the session order {order}")
+        raise OrderMismatchError(f"order {n} does not divide the field order {order}")
     orbit = [(j, *action.power_pair(j, m), c) for j in range(n) for m, c in split_terms(x)]
     average = split_terms(algebra.delta((0,) * algebra.d, Fraction(1, n)))
     acc = Accumulator(algebra)

@@ -47,7 +47,7 @@ from fractions import Fraction
 
 from .actions import ActionOnTorus, deformed_action, homogeneous_components
 from .families import K0_GENERATORS
-from .scalars import PhasedScalar, SparseElement, certify, cyc_root
+from .scalars import DEFAULT_CYCLOTOMIC_ORDER, PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement, split_terms
 
 __all__ = [
@@ -387,7 +387,9 @@ def psi_multiplicativity_mismatch(cp: CrossedProduct, comps_x: list[TorusElement
     return None
 
 
-def crossed_product(family: str, dim: int = 2, theta_value=None, order: int | None = None) -> CrossedProduct:
+def crossed_product(
+    family: str, dim: int = 2, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER
+) -> CrossedProduct:
     """Build the crossed product of a family on the standard preset."""
     if dim == 2:
         algebra = NcTorus(ThetaMatrix.standard_2d(), theta_value=theta_value, order=order)

@@ -11,7 +11,7 @@ Two registries of finite-group actions on the three-torus generators are kept:
   each family has exact order N there, which the test suite verifies.
 
 Image coefficients are stored as pairs (a, b) meaning e^{i pi (a + b theta)},
-so the registries stay independent of the session cyclotomic order.
+so the registries stay independent of the cyclotomic field order.
 
 ``SCAN_REFERENCE`` records the admissible theta patterns as tabulated in the
 literature for each family.  Two of those rows (B6 and N2) disagree with what

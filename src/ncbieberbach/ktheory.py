@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import families
 from .crossed import crossed_product, k0_generator_table
-from .scalars import DEFAULT_CYCLOTOMIC_ORDER, certify
+from .scalars import certify
 
 __all__ = [
     "smith_normal_form",
@@ -313,9 +313,8 @@ def solve_in_span(basis, targets) -> IntMatrix:
 
 @functools.lru_cache(maxsize=None)
 def _derived_columns(family: str, spec: families.K0Spec) -> tuple:
-    """beta_hat_* on the non-exotic classes of ``spec``, solved at formal theta
-    in a field fixed here, so that the matrix does not follow the session order."""
-    cp = crossed_product(family, dim=2, order=DEFAULT_CYCLOTOMIC_ORDER)
+    """beta_hat_* on the non-exotic classes of ``spec``, solved at formal theta."""
+    cp = crossed_product(family, dim=2)
     elements = [el for _, el in k0_generator_table(cp).non_exotic()]
     columns = solve_in_span(elements, [cp.beta_hat(el) for el in elements])
     return tuple(map(tuple, columns))  # shared by every caller, so immutable
@@ -336,7 +335,6 @@ class BetaStarData:
     basis: tuple[str, ...]
     matrix: IntMatrix  # id - beta_hat_*
     order: int
-    epsilon: int | None = None
 
     def induced_map(self) -> IntMatrix:
         n = len(self.basis)
@@ -369,9 +367,7 @@ def beta_star_matrix(family: str, epsilon: int = 1) -> BetaStarData:
     for lbl, token in column:
         induced[basis.index(lbl)][-1] += _entry(token, epsilon)
     matrix = [[(1 if i == j else 0) - induced[i][j] for j in range(n)] for i in range(n)]
-    uses_epsilon = any(token in ("E", "-E") for _, token in column)
-    return BetaStarData(family, basis, matrix, order=families.DEFORMED[family][0],
-                        epsilon=epsilon if uses_epsilon else None)
+    return BetaStarData(family, basis, matrix, order=families.DEFORMED[family][0])
 
 
 def pv_solve(data: BetaStarData) -> tuple[AbelianGroup, AbelianGroup]:

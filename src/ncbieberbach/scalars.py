@@ -11,7 +11,7 @@ Two layers:
   rational and c_b cyclotomic.  ``theta`` stays formal; for irrational theta
   the phases with distinct b are linearly independent over the field, so this
   representation is canonical as well.  Substituting a rational value for
-  theta is an explicit operation (``rational_theta_fold``), never a default.
+  theta is an explicit operation (``PhasedScalar.fold``), never a default.
 
 A unit phase ``zeta^r * e^{i pi b theta}`` (a cocycle value, the phase of an
 action image) is carried downstream as the integer pair ``(r, key)``: the root
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from fractions import Fraction
 
 __all__ = [
@@ -41,39 +40,21 @@ __all__ = [
     "Cyclotomic",
     "PhasedScalar",
     "SparseElement",
-    "session_order",
     "cyclotomic_polynomial",
     "cyc_root",
-    "phased",
-    "rational_theta_fold",
 ]
 
 DEFAULT_CYCLOTOMIC_ORDER = 24
-_ORDER_ENV = "NBK_CYCLOTOMIC_ORDER"
 
 
 class OrderMismatchError(ValueError):
-    """A required root of unity lies outside the session cyclotomic field."""
+    """A required root of unity lies outside the cyclotomic field in use."""
 
 
 def certify(ok: bool, message: str) -> None:
     """Raise AssertionError unless ``ok``; unlike ``assert`` it survives ``python -O``."""
     if not ok:
         raise AssertionError(message)
-
-
-def session_order() -> int:
-    """Cyclotomic order used when none is given (env NBK_CYCLOTOMIC_ORDER)."""
-    raw = os.environ.get(_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_CYCLOTOMIC_ORDER
-    try:
-        order = int(raw)
-    except ValueError:
-        order = 0  # reported below, with the variable's name
-    if order < 2 or order % 2:
-        raise OrderMismatchError(f"{_ORDER_ENV} must be a positive even integer, got {raw!r}")
-    return order
 
 
 def _divisors(n: int) -> list[int]:
@@ -507,9 +488,8 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
         raise TypeError(f"cannot coerce {value!r} to PhasedScalar")
 
     @classmethod
-    def phase(cls, b, coeff=1, order: int | None = None) -> "PhasedScalar":
+    def phase(cls, b, coeff=1, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> "PhasedScalar":
         """coeff * e^{i pi b theta}."""
-        order = session_order() if order is None else order
         c = coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.from_rational(order, coeff)
         if c.is_zero():
             return cls._raw(order, {})
@@ -639,22 +619,12 @@ def _key_add(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-def cyc_root(m: int, k: int, order: int | None = None) -> Cyclotomic:
-    """The root of unity e^{2 pi i k / m} inside the session field.
+def cyc_root(m: int, k: int, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> Cyclotomic:
+    """The root of unity e^{2 pi i k / m} inside Q(zeta_order).
 
-    Raises OrderMismatchError unless m divides the session order.
+    Raises OrderMismatchError unless m divides the field order.
     """
-    order = session_order() if order is None else order
     if m < 1 or order % m:
-        raise OrderMismatchError(f"order {m} does not divide the session order {order}")
+        raise OrderMismatchError(f"order {m} does not divide the field order {order}")
     return Cyclotomic.root(order, (k % m) * (order // m))
 
-
-def phased(b, c=1, order: int | None = None) -> PhasedScalar:
-    """The scalar c * e^{i pi b theta} with theta formal."""
-    return PhasedScalar.phase(b, c, order=order)
-
-
-def rational_theta_fold(s: PhasedScalar, theta) -> PhasedScalar:
-    """Evaluate a phased scalar at a rational theta (see PhasedScalar.fold)."""
-    return s.fold(theta)

@@ -18,7 +18,7 @@ and the matching two-generator restriction for the rotation subalgebra.
 
 Every cocycle value is a unit phase e^{i pi (a + b theta)}.  The algebra keeps
 it as the integer pair (r, key): zeta^r with r = a * order / 2 modulo the
-session order, and the reduced theta key of b (``scalars``).  ``NcTorus``
+field order, and the reduced theta key of b (``scalars``).  ``NcTorus``
 caches these pairs per pair of active coordinates; ``cocycle`` builds the
 public ``PhasedScalar`` from them.
 
@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .scalars import (
+    DEFAULT_CYCLOTOMIC_ORDER,
     Cyclotomic,
     OrderMismatchError,
     PhasedScalar,
@@ -46,7 +47,6 @@ from .scalars import (
     _field_tables,
     _key_add,
     _root_table,
-    session_order,
 )
 
 __all__ = [
@@ -138,15 +138,15 @@ class NcTorus:
     """A twisted group algebra C*(Z^d, omega_theta) at the polynomial level.
 
     ``theta_value=None`` keeps theta formal; a Fraction folds every phase
-    e^{i pi b theta} into the cyclotomic field of the given session order.
+    e^{i pi b theta} into the cyclotomic field of the given order.
     """
 
     __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slots")
 
-    def __init__(self, theta: ThetaMatrix, theta_value=None, order: int | None = None):
+    def __init__(self, theta: ThetaMatrix, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
         self.theta = theta
         self.theta_value = None if theta_value is None else Fraction(theta_value)
-        self.order = session_order() if order is None else order
+        self.order = order
         # only coordinates coupled by a nonzero slot influence the cocycle
         active = set()
         for (j, k), _ in theta.upper_items():
@@ -189,14 +189,14 @@ class NcTorus:
         """e^{i pi (a + b theta)} as the pair (r, theta key), folded when theta has a value.
 
         The rational part e^{i pi a} with a = p/q is zeta_{2q}^p, so 2q must
-        divide the session order.
+        divide the field order.
         """
         if self.theta_value is not None:
             a = a + b * self.theta_value
             b = Fraction(0)
         q = 2 * a.denominator
         if self.order % q:
-            raise OrderMismatchError(f"order {q} does not divide the session order {self.order}")
+            raise OrderMismatchError(f"order {q} does not divide the field order {self.order}")
         return (a.numerator * (self.order // q)) % self.order, _bkey(b)
 
     def phase_of_entry(self, a: Fraction, b: Fraction) -> PhasedScalar:
@@ -227,7 +227,7 @@ class NcTorus:
             g = math.gcd(a, den)
             q = 2 * den // g
             if self.order % q:
-                raise OrderMismatchError(f"order {q} does not divide the session order {self.order}")
+                raise OrderMismatchError(f"order {q} does not divide the field order {self.order}")
             g_b = math.gcd(b, den)
             pair = (a // g * (self.order // q) % self.order, (b // g_b, den // g_b))
             if len(self._cocycle_pairs) < _COCYCLE_CACHE_CAP:
@@ -458,7 +458,7 @@ def _assert_sign_convention(algebra: NcTorus) -> None:
     _checked_conventions.add(key)
 
 
-def generators(preset: str, theta_value=None, order: int | None = None):
+def generators(preset: str, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
     """Unitary generators for a standard preset.
 
     ``"3d"`` returns (algebra, u, v, w) on the three-torus preset;

@@ -45,7 +45,7 @@ from .crossed import (
     tau_parity_trace,
 )
 from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, mat_mul, pv_solve
-from .scalars import PhasedScalar, cyc_root, session_order
+from .scalars import DEFAULT_CYCLOTOMIC_ORDER, PhasedScalar, cyc_root
 from .torus import NcTorus, ThetaMatrix
 
 __all__ = [
@@ -96,8 +96,9 @@ class Check:
 
 @dataclass
 class Settings:
-    """What the suites read.  ``order`` is derived: the session order raised to
-    hold the folded phases at ``theta`` and every scan grid phase k/denominator."""
+    """What the suites read.  ``order`` is the derived field order:
+    ``DEFAULT_CYCLOTOMIC_ORDER`` raised to hold the folded phases at ``theta``
+    and every scan grid phase k/denominator."""
 
     seed: int
     samples: int
@@ -107,7 +108,7 @@ class Settings:
     order: int = field(init=False)
 
     def __post_init__(self):
-        order = session_order()
+        order = DEFAULT_CYCLOTOMIC_ORDER
         if self.theta is not None:
             order = math.lcm(order, 12 * self.theta.denominator)
         self.order = math.lcm(order, 2 * self.denominator)

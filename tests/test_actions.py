@@ -55,6 +55,20 @@ def test_an_action_rejects_coefficients_of_another_order():
         ActionOnTorus(4, deformed_action("B4", a24).images, a48)
 
 
+@pytest.mark.parametrize("targets", [
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 0, 0), (0, 1), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+    (),
+], ids=["two-images", "ragged-target", "four-images", "no-images"])
+def test_an_action_needs_one_image_of_length_d_per_generator(preset, targets):
+    """Two images on the 3-torus would drop the third coordinate of every
+    monomial, so the action refuses any image list that does not match d."""
+    images = tuple(GeneratorImage(preset.scalar(1), target) for target in targets)
+    with pytest.raises(ValueError, match="dimension mismatch between action and algebra"):
+        ActionOnTorus(2, images, preset)
+
+
 def test_a_product_action_rejects_factors_on_different_algebras():
     a, b = (classical_action("B5", NcTorus(ThetaMatrix(3, {}), order=order)).factors[0] for order in (24, 48))
     with pytest.raises(ValueError, match="the factors act on different algebras"):
@@ -427,7 +441,7 @@ def test_reconstruction_row_catches_rotated_components(monkeypatch):
 def test_homogeneous_components_need_the_group_order_in_the_field():
     algebra = NcTorus(ThetaMatrix.standard_2d(), order=4)
     images = tuple(GeneratorImage(algebra.scalar(1), e) for e in ((1, 0), (0, 1)))
-    with pytest.raises(OrderMismatchError, match="order 3 does not divide the session order 4"):
+    with pytest.raises(OrderMismatchError, match="order 3 does not divide the field order 4"):
         homogeneous_components(ActionOnTorus(3, images, algebra), algebra.one())
 
 

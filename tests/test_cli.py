@@ -12,7 +12,7 @@ import pytest
 import ncbieberbach
 from ncbieberbach import families, verify
 from ncbieberbach.cli import main
-from ncbieberbach.scalars import session_order
+from ncbieberbach.scalars import DEFAULT_CYCLOTOMIC_ORDER
 
 
 def run_json(capsys, *argv):
@@ -63,7 +63,7 @@ def test_scan_works_at_the_order_of_its_grid(capsys, denominator):
     for family in families.FAMILIES:
         code, report = run_json(capsys, "scan", "--family", family, "--denominator", str(denominator))
         assert code in (0, 1), family
-        assert report["config"]["cyclotomic_order"] == math.lcm(session_order(), 2 * denominator)
+        assert report["config"]["cyclotomic_order"] == math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator)
     code, _ = run_json(capsys, "verify", "--suite", "actions", "--denominator", str(denominator))
     assert code in (0, 1)
 
@@ -73,7 +73,6 @@ def test_scan_works_at_the_order_of_its_grid(capsys, denominator):
     (["--theta", "1/5"], 120),
 ], ids=["denominator-5", "theta-1-5"])
 def test_verify_reports_the_order_its_scans_ran_at(capsys, monkeypatch, extra, order):
-    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
     orders = []
     scan_cocycles = verify.scan_cocycles
 
@@ -164,9 +163,8 @@ GOLDEN = Path(__file__).parent / "golden"
     ("verify_all_seed11.json", []),
     ("verify_all_seed11_theta1-5.json", ["--theta", "1/5"]),
 ])
-def test_verify_report_matches_golden(tmp_path, monkeypatch, name, extra):
+def test_verify_report_matches_golden(tmp_path, name, extra):
     # the golden files pin the exact report bytes, anomaly reprs included
-    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
     path = tmp_path / name
     code = main(["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11",
                  "--format", "json", "--out", str(path), *extra])
@@ -178,10 +176,9 @@ _KTHEORY_RUNS = [["ktheory", "B2", "--epsilon", "1"], ["ktheory", "B2", "--epsil
                  ["ktheory", "B3"], ["ktheory", "B4"], ["ktheory", "B6"]]
 
 
-def test_verify_report_matches_golden_under_optimize_flag(capsys, monkeypatch):
+def test_verify_report_matches_golden_under_optimize_flag(capsys):
     # the checks, and the certified solve behind beta_hat_*, must not rest on
     # plain asserts, which python -O removes
-    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
     runs = [["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11"],
             *_KTHEORY_RUNS]
     runs = [[*argv, "--format", "json"] for argv in runs]
@@ -220,21 +217,6 @@ def test_out_file_writing(tmp_path, capsys):
     assert report["payload"]["K0"] == {"rank": 2, "torsion": [2]}
 
 
-def test_cyclotomic_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("NBK_CYCLOTOMIC_ORDER", "48")
-    code, report = run_json(capsys, "verify", "--suite", "homology")
-    assert code == 0
-    assert report["config"]["cyclotomic_order"] == 48
-
-
-@pytest.mark.parametrize("value", ["abc", "7"])
-def test_bad_cyclotomic_order_env_exits_two_and_names_the_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("NBK_CYCLOTOMIC_ORDER", value)
-    assert main(["verify", "--suite", "homology"]) == 2
-    err = capsys.readouterr().err
-    assert f"NBK_CYCLOTOMIC_ORDER must be a positive even integer, got {value!r}" in err
-
-
 def test_folded_theta_verify(capsys):
     code, report = run_json(capsys, "verify", "--suite", "crossed", "--theta", "1/5")
     assert code == 0
@@ -259,7 +241,6 @@ def two_cpus(monkeypatch):
 
 
 def test_run_suites_gives_the_rows_of_a_sequential_run(monkeypatch):
-    monkeypatch.delenv("NBK_CYCLOTOMIC_ORDER", raising=False)
     settings = verify.Settings(**GOLDEN_SETTINGS)
     sequential = [verify.SUITES[name](settings) for name in verify.SUITES]
     assert verify.run_suites(list(verify.SUITES), settings) == sequential

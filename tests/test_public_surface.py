@@ -2,6 +2,7 @@
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,19 @@ def test_exported_names_resolve(module):
     names = _exports(module)
     assert names
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_src_imports_only_the_standard_library():
+    """``dependencies = []``: every import in the package, the ones inside
+    functions too, is a standard-library module or the package itself."""
+    package = Path(ncbieberbach.__file__).parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    top_level = {name.split(".")[0] for name in imported}
+    assert {"fractions", "os", "pickle", "signal"} <= top_level  # the walk sees the lazy imports
+    assert sorted(top_level - sys.stdlib_module_names - {"ncbieberbach"}) == []

@@ -13,8 +13,6 @@ from ncbieberbach.scalars import (
     PhasedScalar,
     cyc_root,
     cyclotomic_polynomial,
-    phased,
-    rational_theta_fold,
 )
 
 ORDER = 24
@@ -49,18 +47,20 @@ def test_root_inverse_pairs():
 
 
 def test_phased_examples():
-    assert phased(1, 1, order=ORDER) * phased(-1, 1, order=ORDER) == phased(0, 1, order=ORDER)
-    assert phased(Fraction(1, 3), 1, order=ORDER) ** 3 == phased(1, 1, order=ORDER)
+    assert PhasedScalar.phase(1, 1, order=ORDER) * PhasedScalar.phase(-1, 1, order=ORDER) == PhasedScalar.phase(
+        0, 1, order=ORDER
+    )
+    assert PhasedScalar.phase(Fraction(1, 3), 1, order=ORDER) ** 3 == PhasedScalar.phase(1, 1, order=ORDER)
     i = cyc_root(4, 1, order=ORDER)
-    assert phased(1, i, order=ORDER).conj() == phased(-1, -i, order=ORDER)
+    assert PhasedScalar.phase(1, i, order=ORDER).conj() == PhasedScalar.phase(-1, -i, order=ORDER)
 
 
 def test_fold_examples():
     i = cyc_root(4, 1, order=ORDER)
-    assert rational_theta_fold(phased(1, 1, order=ORDER), Fraction(1, 2)) == PhasedScalar.of(i, ORDER)
+    assert PhasedScalar.phase(1, 1, order=ORDER).fold(Fraction(1, 2)) == PhasedScalar.of(i, ORDER)
     c = cyc_root(24, 7, order=ORDER)
-    assert rational_theta_fold(phased(0, c, order=ORDER), Fraction(3, 7)) == PhasedScalar.of(c, ORDER)
-    assert rational_theta_fold(phased(2, 1, order=ORDER), Fraction(1, 3)) == PhasedScalar.of(
+    assert PhasedScalar.phase(0, c, order=ORDER).fold(Fraction(3, 7)) == PhasedScalar.of(c, ORDER)
+    assert PhasedScalar.phase(2, 1, order=ORDER).fold(Fraction(1, 3)) == PhasedScalar.of(
         cyc_root(3, 1, order=ORDER), ORDER
     )
 
@@ -68,7 +68,7 @@ def test_fold_examples():
 def test_fold_order_mismatch():
     # theta = 1/5 requires a tenth root of unity, outside the order-24 field
     with pytest.raises(OrderMismatchError):
-        phased(1, 1, order=ORDER).fold(Fraction(1, 5))
+        PhasedScalar.phase(1, 1, order=ORDER).fold(Fraction(1, 5))
 
 
 def test_conjugation_is_field_automorphism():

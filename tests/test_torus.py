@@ -153,7 +153,7 @@ def test_cocycle_matches_the_fraction_formula(theta_value, order):
 def test_cocycle_outside_the_field_raises():
     alg = NcTorus(ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 5))}), order=24)
     assert alg.cocycle((5, 0, 0), (0, 1, 0)) == _fraction_cocycle(alg, (5, 0, 0), (0, 1, 0))
-    with pytest.raises(OrderMismatchError, match="order 10 does not divide the session order 24"):
+    with pytest.raises(OrderMismatchError, match="order 10 does not divide the field order 24"):
         alg.cocycle((1, 0, 0), (0, 1, 0))
 
 
