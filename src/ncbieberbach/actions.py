@@ -91,6 +91,8 @@ class ActionOnTorus:
 
     def __init__(self, order: int, images: tuple[GeneratorImage, ...], algebra: NcTorus, name: str = ""):
         self.order = int(order)
+        if self.order < 1:
+            raise ValueError(f"the group order must be at least 1, got {self.order}")
         self.images = tuple(images)
         self.algebra = algebra
         self.name = name
@@ -514,11 +516,14 @@ def _parse_factor(token: str, algebra: NcTorus, letters: dict[str, int]):
     if token in ("i", "-i"):
         value = cyc_root(4, 1 if token == "i" else -1, order=algebra.order)
         return ("scalar", algebra.scalar(value) * sign)
-    if token.startswith("w(") and token.endswith(")"):
-        q = Fraction(token[2:-1])
-        return ("scalar", algebra.scalar(cyc_root(q.denominator, q.numerator, order=algebra.order)) * sign)
-    if token.startswith("t(") and token.endswith(")"):
-        return ("scalar", algebra.theta_phase(Fraction(token[2:-1])) * sign)
+    if token[:2] in ("w(", "t(") and token.endswith(")"):
+        try:
+            q = Fraction(token[2:-1])
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"cannot parse phase factor {token!r}") from None
+        if token[0] == "w":
+            return ("scalar", algebra.scalar(cyc_root(q.denominator, q.numerator, order=algebra.order)) * sign)
+        return ("scalar", algebra.theta_phase(q) * sign)
     name = token[0].upper()
     if name not in letters:
         raise ValueError(f"unknown generator letter {name!r}")

@@ -417,7 +417,7 @@ class TwistedTrace:
         self.name = name
 
     def base_eval(self, x: TorusElement) -> PhasedScalar:
-        acc = self.cp.algebra.scalar_zero()
+        acc = PhasedScalar.zero(self.cp.algebra.order)
         for m, c in x.terms():
             weight = self.rule(m)
             if weight is not None:

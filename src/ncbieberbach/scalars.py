@@ -8,10 +8,15 @@ Two layers:
   of coefficient tuples is equality of field elements.
 
 * ``PhasedScalar``: a finite sum ``sum_b c_b * e^{i pi b theta}`` with b
-  rational and c_b cyclotomic.  ``theta`` stays formal; for irrational theta
-  the phases with distinct b are linearly independent over the field, so this
-  representation is canonical as well.  Substituting a rational value for
-  theta is an explicit operation (``PhasedScalar.fold``), never a default.
+  rational and c_b cyclotomic.  ``theta`` stays formal, so an equality of two
+  such sums holds for every value of theta.  Distinct sums are distinct
+  numbers when t = e^{i pi theta / L} (L a common denominator of the b) is
+  transcendental, which holds for every algebraic irrational theta by
+  Gelfond-Schneider; irrationality alone is not enough (t = (3 + 4i)/5 solves
+  5t^2 - 6t + 5 = 0 and is not a root of unity, so its theta is irrational).
+  Only the inequalities, such as the residual of an anomaly, need that scope.
+  Substituting a rational value for theta is an explicit operation
+  (``PhasedScalar.fold``), never a default.
 
 A unit phase ``zeta^r * e^{i pi b theta}`` (a cocycle value, the phase of an
 action image) is carried downstream as the integer pair ``(r, key)``: the root
@@ -22,9 +27,11 @@ convert between the pair and the scalar.  Every reduction reads one table,
 ``_root_table``, the reduced vector of each ``zeta^e``: ``times_root``,
 ``conj``, the general product and the torus kernel ``torus.Accumulator``.
 
-``SparseElement`` holds the ring boilerplate of every sparse dict type in the
-package (``PhasedScalar`` here, ``TorusElement`` and ``CrossedElement``
-downstream); each subclass adds only its own product and involution.
+``RingElement`` states subtraction and powers once for every element type of
+the package.  ``SparseElement`` adds the rest of the ring boilerplate of every
+sparse dict type (``PhasedScalar`` here, ``TorusElement`` and
+``CrossedElement`` downstream); each subclass adds only its own product and
+involution.  ``Cyclotomic`` keeps its own sum and product, the hot kernels.
 
 All arithmetic is Fraction-exact.  There is no floating point in this module.
 """
@@ -128,7 +135,36 @@ def _root_table(order: int):
     return sparse * 3
 
 
-class Cyclotomic:
+class RingElement:
+    """Subtraction and non-negative integer powers, written once on the
+    subclass's ``_coerce`` (an operand as an element of this ring, or None for
+    a foreign type), ``+``, unary ``-``, ``*`` and ``_one`` (the unit of this
+    ring).  ``Cyclotomic`` and every ``SparseElement`` type subclass it."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else o + (-self)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not supported; use star() or conj() on unitaries")
+        result = self._one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class Cyclotomic(RingElement):
     """Element of Q(zeta_order) in reduced power-basis coordinates.
 
     Stored as an integer numerator tuple over one positive denominator, kept
@@ -175,6 +211,9 @@ class Cyclotomic:
         return cls(order, roots[k % order], 1, reduce=False)
 
     # -- helpers -------------------------------------------------------
+
+    def _one(self) -> "Cyclotomic":
+        return Cyclotomic.from_rational(self.order, 1)
 
     def _coerce(self, other):
         if isinstance(other, Cyclotomic):
@@ -227,18 +266,6 @@ class Cyclotomic:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __neg__(self):
         return Cyclotomic(self.order, tuple(-a for a in self.num), self.den, reduce=False)
 
@@ -278,18 +305,6 @@ class Cyclotomic:
                 for k, v in table[r + j]:
                     out[k] += a * v
         return Cyclotomic(self.order, tuple(out), self.den, reduce=False)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative cyclotomic powers are not supported")
-        result = Cyclotomic.from_rational(self.order, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugation, zeta^j -> zeta^(order - j); an automorphism of
@@ -332,16 +347,18 @@ class Cyclotomic:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class SparseElement:
-    """Ring boilerplate shared by PhasedScalar, TorusElement and CrossedElement.
+class SparseElement(RingElement):
+    """Sparse-dict boilerplate shared by PhasedScalar, TorusElement and CrossedElement.
 
     An element is a context (the ring it lives in) and a dict from keys to
     nonzero coefficients, which form a ring of their own.  A subclass names its
     two slots in the class statement, ``class X(SparseElement, ctx=..., data=...)``;
     the base reaches them through the aliases ``_ctx`` and ``_data`` of their slot
-    descriptors.  The subclass supplies ``__mul__`` (which hands scalars to
-    ``_scale``) and two hooks: ``_one``, the unit of its context, and ``_check``,
-    which raises the subclass's error for an element of another context.
+    descriptors.  This class adds the termwise sum, negation and equality to the
+    subtraction and powers of ``RingElement``.  The subclass supplies ``__mul__``
+    (which hands scalars to ``_scale``) and two hooks: ``_one``, the unit of its
+    context, and ``_check``, which raises the subclass's error for an element of
+    another context.
     """
 
     __slots__ = ()
@@ -405,31 +422,11 @@ class SparseElement:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is None else o + (-self)
-
     def __neg__(self):
         return self._raw(self._ctx, {k: -c for k, c in self._data.items()})
 
     def __rmul__(self, other):
         return self * other  # only scalars reach here, and they are central
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not supported; use star() or conj() on unitaries")
-        result = self._one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __eq__(self, other):
         try:

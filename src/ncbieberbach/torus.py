@@ -175,15 +175,11 @@ class NcTorus:
     def scalar(self, value) -> PhasedScalar:
         return PhasedScalar.of(value, self.order)
 
-    def scalar_zero(self) -> PhasedScalar:
-        return PhasedScalar.zero(self.order)
-
     def theta_phase(self, b) -> PhasedScalar:
-        """The scalar e^{i pi b theta}, folded when theta has a rational value."""
-        b = Fraction(b)
-        if self.theta_value is None:
-            return PhasedScalar.phase(b, 1, order=self.order)
-        return PhasedScalar.phase(b, 1, order=self.order).fold(self.theta_value)
+        """The scalar e^{i pi b theta}: the unit pair of the entry 0 + b theta,
+        folded there when theta has a rational value.  ``PhasedScalar.fold``
+        is the independent reference the tests compare it against."""
+        return self.phase_of_entry(Fraction(0), Fraction(b))
 
     def unit_pair(self, a: Fraction, b: Fraction) -> UnitPair:
         """e^{i pi (a + b theta)} as the pair (r, theta key), folded when theta has a value.
@@ -426,19 +422,6 @@ class Accumulator:
         }
 
 
-class Generators3(NamedTuple):
-    algebra: NcTorus
-    u: TorusElement
-    v: TorusElement
-    w: TorusElement
-
-
-class Generators2(NamedTuple):
-    algebra: NcTorus
-    v: TorusElement
-    w: TorusElement
-
-
 _checked_conventions: set = set()
 
 
@@ -468,10 +451,10 @@ def generators(preset: str, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_OR
         algebra = NcTorus(ThetaMatrix.standard_3d(), theta_value=theta_value, order=order)
         u, v, w = algebra.basis_generators()
         _assert_sign_convention(algebra)
-        return Generators3(algebra, u, v, w)
+        return algebra, u, v, w
     if preset == "2d":
         algebra = NcTorus(ThetaMatrix.standard_2d(), theta_value=theta_value, order=order)
         v, w = algebra.basis_generators()
         _assert_sign_convention(algebra)
-        return Generators2(algebra, v, w)
+        return algebra, v, w
     raise ValueError(f"unknown preset {preset!r}; expected '3d' or '2d'")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import action_oracle
@@ -67,6 +68,18 @@ def test_an_action_needs_one_image_of_length_d_per_generator(preset, targets):
     images = tuple(GeneratorImage(preset.scalar(1), target) for target in targets)
     with pytest.raises(ValueError, match="dimension mismatch between action and algebra"):
         ActionOnTorus(2, images, preset)
+
+
+@pytest.mark.parametrize("order", [0, -2])
+def test_an_action_needs_a_positive_group_order(preset, order):
+    """Order 0 would pass check_order vacuously (the zeroth power is the
+    identity) and a negative order would recurse without end; order 1 is the
+    identity action."""
+    images = tuple(GeneratorImage(preset.scalar(1), t) for t in ((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+    with pytest.raises(ValueError, match="group order must be at least 1"):
+        ActionOnTorus(order, images, preset)
+    with pytest.raises(ValueError, match="group order must be at least 1"):
+        parse_action_text(f"order: {order}\ne: U -> U\ne: V -> V*\ne: W -> W*", preset)
 
 
 def test_a_product_action_rejects_factors_on_different_algebras():
@@ -529,3 +542,9 @@ def test_parse_action_errors(preset):
         parse_action_text("order: 2\ne: U -> -U\ne: V -> V*", preset)  # missing W
     with pytest.raises(ValueError):
         parse_action_text("order: 2\ne: X -> X", preset)
+
+
+def test_parse_action_rejects_a_phase_factor_with_a_zero_denominator(preset):
+    for token in ("t(1/0)", "w(1/0)"):
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            parse_action_text(f"order: 2\ne: U -> {token} U\ne: V -> V*\ne: W -> W*", preset)

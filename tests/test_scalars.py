@@ -107,6 +107,30 @@ def test_product_and_conjugation_against_the_complex_embeddings(order):
             assert abs(_embed(xc, k) - sx.conjugate()) <= 1e-7 * max(1.0, abs(sx))
 
 
+@pytest.mark.parametrize("order", [24, 120])
+def test_cyclotomic_subtraction_and_powers(order):
+    """Subtraction and powers come from the ring core shared with the sparse
+    types; the differences are read against Fraction coordinates."""
+    rng = random.Random(f"ring:{order}")
+    deg = len(cyclotomic_polynomial(order)) - 1
+    half = Fraction(1, 2)
+    for _ in range(10):
+        c, d = (Cyclotomic(order, tuple(rng.randint(-9, 9) for _ in range(deg)), rng.randint(1, 12))
+                for _ in range(2))
+        cs, ds = c.coefficients(), d.coefficients()
+        assert (c - d).coefficients() == tuple(x - y for x, y in zip(cs, ds))
+        assert (1 - c).coefficients() == (1 - cs[0],) + tuple(-x for x in cs[1:])
+        assert (half - c).coefficients() == (half - cs[0],) + tuple(-x for x in cs[1:])
+        assert c ** 0 == 1
+        assert c ** 5 == c * c * c * c * c
+    with pytest.raises(ValueError, match="negative powers are not supported"):
+        c ** -1
+    with pytest.raises(OrderMismatchError):
+        c - cyc_root(4, 1, order=2 * order)
+    with pytest.raises(TypeError):
+        c - "1"
+
+
 def _random_scalar(rng: random.Random, terms: int = 2) -> PhasedScalar:
     out = PhasedScalar.zero(ORDER)
     for _ in range(terms):

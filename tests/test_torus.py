@@ -157,6 +157,25 @@ def test_cocycle_outside_the_field_raises():
         alg.cocycle((1, 0, 0), (0, 1, 0))
 
 
+@pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
+def test_theta_phase_matches_the_fold_reference(theta_value, order):
+    alg = NcTorus(ThetaMatrix.standard_3d(), theta_value=theta_value, order=order)
+    for b in {Fraction(n, d) for d in (1, 2, 3, 4, 6) for n in range(-2 * d, 2 * d + 1)}:
+        reference = PhasedScalar.phase(b, 1, order=order)
+        if theta_value is not None:
+            reference = reference.fold(theta_value)
+        assert alg.theta_phase(b) == reference, b
+
+
+def test_theta_phase_outside_the_field_raises_like_the_fold():
+    # theta = 1/5 needs a tenth root of unity, outside the order-24 field
+    alg = NcTorus(ThetaMatrix.standard_3d(), theta_value=Fraction(1, 5), order=24)
+    with pytest.raises(OrderMismatchError):
+        PhasedScalar.phase(1, 1, order=24).fold(alg.theta_value)
+    with pytest.raises(OrderMismatchError):
+        alg.theta_phase(1)
+
+
 def test_elements_of_different_algebras_do_not_mix():
     a1, *_ = generators("3d")
     a2, *rest = generators("3d", theta_value=Fraction(1, 3), order=24)
