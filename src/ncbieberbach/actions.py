@@ -1,4 +1,4 @@
-"""Finite cyclic group actions on twisted tori.
+"""Finite group actions on twisted tori: cyclic Z_N and products of them.
 
 An action belongs to one algebra: ``ActionOnTorus(order, images, algebra)``
 holds one phased-monomial image per torus generator,
@@ -33,6 +33,11 @@ congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
 for the theta coefficients ``b``, and rejects candidates with those alone.
 Only the survivors are built as an algebra and an action, and each gets the
 full certificate: ``check_compatibility`` and ``check_order``.
+
+A registry family is the tuple of its generators (``families.CLASSICAL``),
+and one builder serves the registry factories, the scan and the text format
+alike: one ``ActionOnTorus`` per generator, returned alone when there is one
+and wrapped in a ``ProductAction`` when there are several.
 """
 from __future__ import annotations
 
@@ -356,14 +361,10 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     """
     if denominator < 1 or denominator > 12:
         raise ValueError("grid denominator must be between 1 and 12")
-    kind, spec = families.classical_spec(family)
+    specs = _family(families.CLASSICAL, family)
     if order is None:
         order = math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator)
-    rows = [
-        row
-        for _, images in ([spec] if kind == "cyclic" else spec)
-        for row in _slot_matrix([target for _, target in images])
-    ]
+    rows = [row for _, images in specs for row in _slot_matrix([target for _, target in images])]
 
     found: dict[str | None, set] = {slot: set() for slot in (*_SLOTS, None)}  # None: no theta slot
     order_flags: dict = {}
@@ -380,7 +381,7 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
             for slot, k in numerators.items():
                 assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
             algebra = NcTorus(_candidate_matrix(assign), order=order)
-            action = _build_action(spec, kind, algebra)
+            action = _build_action(specs, algebra)
             if check_compatibility(action):
                 key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))
                 found[designated].add(key)
@@ -478,27 +479,33 @@ def _realize_images(image_specs, algebra: NcTorus) -> tuple[GeneratorImage, ...]
     return tuple(images)
 
 
-def _build_action(spec, kind: str, algebra: NcTorus, name: str = ""):
-    if kind == "cyclic":
-        n, image_specs = spec
-        return ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=name)
-    factors = tuple(
-        ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=f"{name}[{i}]")
-        for i, (n, image_specs) in enumerate(spec)
-    )
-    return ProductAction(factors, name=name)
+def _family(registry: dict, family: str):
+    try:
+        return registry[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; one of {tuple(registry)}") from None
+
+
+def _one_or_product(generators: tuple[ActionOnTorus, ...], name: str):
+    """The action of one generator, or the product action of several."""
+    return generators[0] if len(generators) == 1 else ProductAction(generators, name=name)
+
+
+def _build_action(specs, algebra: NcTorus, name: str = ""):
+    """One ActionOnTorus per (order, image specs) generator, all named ``name``."""
+    return _one_or_product(tuple(
+        ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=name) for n, image_specs in specs
+    ), name)
 
 
 def classical_action(family: str, algebra: NcTorus):
     """The undeformed action of the family on the given algebra."""
-    kind, spec = families.classical_spec(family)
-    return _build_action(spec, kind, algebra, name=f"{family}-classical")
+    return _build_action(_family(families.CLASSICAL, family), algebra, name=f"{family}-classical")
 
 
 def deformed_action(family: str, algebra: NcTorus) -> ActionOnTorus:
     """The order-N action on the twisted torus (standard preset)."""
-    spec = families.deformed_spec(family)
-    return _build_action(spec, "cyclic", algebra, name=family)
+    return _build_action((_family(families.DEFORMED, family),), algebra, name=family)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +550,9 @@ def _parse_factor(token: str, algebra: NcTorus, letters: dict[str, int]):
 def parse_action_text(text: str, algebra: NcTorus):
     """Load an action from the declarative one-line-per-generator format.
 
-    Grammar (see README): a header ``order: N`` (or ``order: 2x2``), then one
-    line per group generator and torus generator::
+    Grammar (see README): a header with one order per generator label,
+    ``order: N`` or ``order: 2 x 2``, then one line per group generator and
+    torus generator::
 
         e: V -> t(-1) V* W
 
@@ -598,15 +606,10 @@ def parse_action_text(text: str, algebra: NcTorus):
             images.append(GeneratorImage(coeff=coeff, target=target))
         return tuple(images)
 
-    if "x" in order_spec:
-        ns = [int(part) for part in order_spec.split("x")]
-        labels = sorted(lines)
-        if len(labels) != len(ns):
-            raise ValueError(f"expected {len(ns)} generators, found {labels}")
-        factors = tuple(ActionOnTorus(n, images_for(lbl), algebra, name=lbl) for n, lbl in zip(ns, labels))
-        return ProductAction(factors, name="parsed")
-    n = int(order_spec)
+    ns = [int(part) for part in order_spec.split("x")]
     labels = sorted(lines)
-    if len(labels) != 1:
-        raise ValueError(f"cyclic action must use a single generator label, found {labels}")
-    return ActionOnTorus(n, images_for(labels[0]), algebra, name="parsed")
+    if len(labels) != len(ns):
+        raise ValueError(f"expected {len(ns)} generators, found {labels}")
+    return _one_or_product(tuple(
+        ActionOnTorus(n, images_for(lbl), algebra, name=lbl) for n, lbl in zip(ns, labels)
+    ), "parsed")

@@ -432,7 +432,7 @@ class TwistedTrace:
 
 def canonical_trace(cp: CrossedProduct) -> TwistedTrace:
     """tau(sum a_k p^k) = coefficient of the identity monomial in a_0."""
-    return TwistedTrace(cp, lambda m: None if any(m) else 1, s=cp.n, name="tau")
+    return TwistedTrace(cp, lambda m: None if any(m) else 1, s=cp.n, name=f"tau[{cp.family}]")
 
 
 def tau_parity_trace(cp: CrossedProduct, j: int, k: int) -> TwistedTrace:

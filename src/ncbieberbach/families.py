@@ -3,12 +3,16 @@
 Two registries of finite-group actions on the three-torus generators are kept:
 
 * ``CLASSICAL``: the undeformed actions (coefficients are plain roots of
-  unity, targets are exponent vectors).  These drive the cocycle
-  compatibility scan and the holonomy extraction for group homology.
+  unity, targets are exponent vectors), each family the tuple of its group
+  generators: one for a cyclic Z_N family, two for a Z2 x Z2 family.  These
+  drive the cocycle compatibility scan and the holonomy extraction for group
+  homology; ``FAMILIES`` is their report order, and ``CYCLIC_FAMILIES`` and
+  ``PRODUCT_FAMILIES`` split it by the number of generators.
 
 * ``DEFORMED``: the order-N actions on the twisted torus with the standard
-  preset (theta_23 = -theta).  Their coefficients may carry theta-phases;
-  each family has exact order N there, which the test suite verifies.
+  preset (theta_23 = -theta), one generator each, since every deformed
+  family is cyclic.  Their coefficients may carry theta-phases; each family
+  has exact order N there, which the test suite verifies.
 
 Image coefficients are stored as pairs (a, b) meaning e^{i pi (a + b theta)},
 so the registries stay independent of the cyclotomic field order.
@@ -48,54 +52,45 @@ __all__ = [
 
 F = Fraction
 
-# (group order, image specs); an image spec is ((a, b), target-exponents),
-# the coefficient being e^{i pi (a + b theta)}.
+# A family is the tuple of its group generators, each (order, image specs);
+# an image spec is ((a, b), target-exponents), the coefficient being
+# e^{i pi (a + b theta)}.  The cyclic families have one generator, the
+# Z2 x Z2 families two, sharing the B2 generator.
 _E1 = (1, 0, 0)
 _E2 = (0, 1, 0)
 _E3 = (0, 0, 1)
+_B2 = (2, [((1, 0), _E1), ((0, 0), (0, -1, 0)), ((0, 0), (0, 0, -1))])
 
 CLASSICAL = {
-    "B2": (2, [((1, 0), _E1), ((0, 0), (0, -1, 0)), ((0, 0), (0, 0, -1))]),
-    "B3": (3, [((F(2, 3), 0), _E1), ((0, 0), (0, 0, -1)), ((0, 0), (0, 1, -1))]),
-    "B4": (4, [((F(1, 2), 0), _E1), ((0, 0), _E3), ((0, 0), (0, -1, 0))]),
-    "B6": (6, [((F(1, 3), 0), _E1), ((0, 0), _E3), ((0, 0), (0, -1, 1))]),
-    "N1": (2, [((1, 0), _E1), ((0, 0), _E2), ((0, 0), (0, 0, -1))]),
-    "N2": (2, [((1, 0), _E1), ((0, 0), (0, 1, 1)), ((0, 0), (0, 0, -1))]),
+    "B2": (_B2,),
+    "B3": ((3, [((F(2, 3), 0), _E1), ((0, 0), (0, 0, -1)), ((0, 0), (0, 1, -1))]),),
+    "B4": ((4, [((F(1, 2), 0), _E1), ((0, 0), _E3), ((0, 0), (0, -1, 0))]),),
+    "B6": ((6, [((F(1, 3), 0), _E1), ((0, 0), _E3), ((0, 0), (0, -1, 1))]),),
+    "B5": (_B2, (2, [((0, 0), (-1, 0, 0)), ((1, 0), _E2), ((1, 0), (0, 0, -1))])),
+    "N1": ((2, [((1, 0), _E1), ((0, 0), _E2), ((0, 0), (0, 0, -1))]),),
+    "N2": ((2, [((1, 0), _E1), ((0, 0), (0, 1, 1)), ((0, 0), (0, 0, -1))]),),
+    "N3": (_B2, (2, [((0, 0), _E1), ((1, 0), _E2), ((0, 0), (0, 0, -1))])),
+    "N4": (_B2, (2, [((0, 0), _E1), ((1, 0), _E2), ((1, 0), (0, 0, -1))])),
 }
 
-# Product-of-cyclic families: a list of commuting order-2 generator actions.
-CLASSICAL_PRODUCT = {
-    "B5": [
-        CLASSICAL["B2"],
-        (2, [((0, 0), (-1, 0, 0)), ((1, 0), _E2), ((1, 0), (0, 0, -1))]),
-    ],
-    "N3": [
-        CLASSICAL["B2"],
-        (2, [((0, 0), _E1), ((1, 0), _E2), ((0, 0), (0, 0, -1))]),
-    ],
-    "N4": [
-        CLASSICAL["B2"],
-        (2, [((0, 0), _E1), ((1, 0), _E2), ((1, 0), (0, 0, -1))]),
-    ],
-}
-
+# Every deformed family is cyclic, so an entry is its one generator.
 # The tabulated cubic and hexic rows write the plane images as the product
 # e^{-i pi theta} V* W; on the standard preset that product is exactly the
 # basis monomial delta_(0,-1,1) (the phase cancels against the normal form),
 # which is what an image spec stores, so the hexic row is the classical one.
 # The test suite asserts the tabulated product form against these entries.
 DEFORMED = {
-    "B2": CLASSICAL["B2"],
+    "B2": CLASSICAL["B2"][0],
     "B3": (3, [((F(2, 3), 0), _E1), ((0, 0), (0, -1, 1)), ((0, 0), (0, -1, 0))]),
-    "B4": CLASSICAL["B4"],
-    "B6": CLASSICAL["B6"],
+    "B4": CLASSICAL["B4"][0],
+    "B6": CLASSICAL["B6"][0],
     "N1": (2, [((0, 0), (-1, 0, 0)), ((1, 0), _E2), ((0, 0), _E3)]),
     "N2": (2, [((0, 0), (-1, 0, 0)), ((1, 0), _E2), ((0, 0), (-1, 0, 1))]),
 }
 
-CYCLIC_FAMILIES = ("B2", "B3", "B4", "B6", "N1", "N2")
-PRODUCT_FAMILIES = ("B5", "N3", "N4")
-FAMILIES = CYCLIC_FAMILIES[:4] + ("B5",) + CYCLIC_FAMILIES[4:] + ("N3", "N4")
+FAMILIES = tuple(CLASSICAL)
+CYCLIC_FAMILIES = tuple(f for f in FAMILIES if len(CLASSICAL[f]) == 1)
+PRODUCT_FAMILIES = tuple(f for f in FAMILIES if len(CLASSICAL[f]) > 1)
 K_FAMILIES = ("B2", "B3", "B4", "B6")
 
 _SLOTS = ("12", "13", "23")
@@ -206,21 +201,6 @@ K_EXPECTED = {
 }
 
 
-def classical_spec(family: str):
-    """(kind, data) for the undeformed action; kind is 'cyclic' or 'product'."""
-    if family in CLASSICAL:
-        return "cyclic", CLASSICAL[family]
-    if family in CLASSICAL_PRODUCT:
-        return "product", CLASSICAL_PRODUCT[family]
-    raise ValueError(f"unknown family {family!r}")
-
-
-def deformed_spec(family: str):
-    if family not in DEFORMED:
-        raise ValueError(f"unknown deformed family {family!r}; one of {CYCLIC_FAMILIES}")
-    return DEFORMED[family]
-
-
 def holonomy_matrix(family: str) -> list[list[int]]:
     """Integer 2x2 exponent action on the (v, w) lattice, undeformed table.
 
@@ -228,7 +208,7 @@ def holonomy_matrix(family: str) -> list[list[int]]:
     """
     if family not in K_FAMILIES:
         raise ValueError(f"holonomy is tabulated for {K_FAMILIES}, not {family!r}")
-    _, images = CLASSICAL[family]
+    (_, images), = CLASSICAL[family]
     cols = []
     for _, target in images[1:]:
         if target[0] != 0:

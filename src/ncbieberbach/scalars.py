@@ -488,6 +488,8 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
     def phase(cls, b, coeff=1, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> "PhasedScalar":
         """coeff * e^{i pi b theta}."""
         c = coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.from_rational(order, coeff)
+        if c.order != order:
+            raise OrderMismatchError("mixed scalar orders")
         if c.is_zero():
             return cls._raw(order, {})
         return cls._raw(order, {_bkey(b): c})

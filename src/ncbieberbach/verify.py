@@ -206,20 +206,18 @@ def check_matrix_units(cp: CrossedProduct) -> Check:
     return Check.of(f"matrix-units[{cp.family}]", ok)
 
 
-def verify_trace_laws(traces: list[TwistedTrace], samples: int = 200, seed: int = 7, degree: int = 2,
-                      labels: list[str] | None = None) -> list[Check]:
+def verify_trace_laws(traces: list[TwistedTrace], samples: int = 200, seed: int = 7, degree: int = 2) -> list[Check]:
     """Sample the twist laws of the base functionals and the trace laws upstairs.
 
     The traces, all of one crossed product, share one sample stream, whose
     products (alpha(a), a b, alpha^s(b) a, x y, y x, beta_hat(x)) are computed
     once, when a trace still tests the law; each trace tests each law on every
-    sample until it fails.  Rows ``{label}-{law}`` (label: the trace's name)
+    sample until it fails.  Rows ``{name}-{law}`` (name: the trace's name)
     go trace by trace.
     """
     cp = traces[0].cp
     if not all(cp.same_context(t.cp) for t in traces):
         raise ContextError("the traces live in different crossed products")
-    labels = [t.name for t in traces] if labels is None else labels
     laws = ("base-invariance", "base-twist-law", "tracial-on-crossed-product", "beta-hat-scaling")
     rng = random.Random(seed)
     found: list[dict[str, str]] = [{} for _ in traces]  # law -> counterexample, per trace
@@ -244,8 +242,8 @@ def verify_trace_laws(traces: list[TwistedTrace], samples: int = 200, seed: int 
                 fails["tracial-on-crossed-product"] = f"x={x!r}, y={y!r}"
             if "beta-hat-scaling" not in fails and t.eval(beta_x()) != t.eval(x) * factors[t.s]:
                 fails["beta-hat-scaling"] = f"x={x!r}"
-    return [Check.of(f"{label}-{law}", law not in fails, fails.get(law, ""))
-            for label, fails in zip(labels, found) for law in laws]
+    return [Check.of(f"{t.name}-{law}", law not in fails, fails.get(law, ""))
+            for t, fails in zip(traces, found) for law in laws]
 
 
 def verify_exchange_iso(cp: CrossedProduct, degree: int = 3) -> list[Check]:
@@ -279,14 +277,14 @@ def verify_exchange_iso(cp: CrossedProduct, degree: int = 3) -> list[Check]:
 # the induced map beta_hat_*
 
 
-def _as_affine(value) -> tuple[Fraction, Fraction]:
-    """Read a theta-free PhasedScalar as (rational, theta-coefficient)."""
+def _as_rational(value) -> Fraction:
+    """Read a theta-free PhasedScalar as its rational value."""
     if value.is_zero():
-        return Fraction(0), Fraction(0)
+        return Fraction(0)
     b, c = value.single_phase()
     if b != 0:
         raise ValueError("trace value is not theta-free")
-    return c.rational_value(), Fraction(0)
+    return c.rational_value()
 
 
 def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
@@ -338,22 +336,20 @@ def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
     if family == "B2":
         eps = Fraction(epsilon)
         tau = canonical_trace(cp)
-        tau_row = [_as_affine(tau.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
-        vectors = [("tau", tau_row + [(Fraction(0), Fraction(1, 2))], 1)]
+        tau_row = [_as_rational(tau.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
+        vectors = [("tau", tau_row + [Fraction(0)], 1)]  # tau on [M2] is theta/2, whose rational part is 0
         # tau_jk on [M2], keyed by the generator it pairs with: [e00], [e01], [e10], [e11]
         m2_values = {(0, 0): Fraction(1), (1, 0): -eps, (0, 1): eps, (1, 1): Fraction(-1)}
         for (j, k), m2 in m2_values.items():
             t = tau_parity_trace(cp, j, k)
-            row = [_as_affine(t.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
-            vectors.append((t.name, row + [(m2, Fraction(0))], -1))
-        pairing_row = [(Fraction(0), Fraction(0))] * (len(data.basis) - 1) + [(Fraction(1), Fraction(0))]
-        vectors.append(("chern-pairing", pairing_row, 1))
+            row = [_as_rational(t.eval(table.elements[lbl])) for lbl in data.basis[:-1]]
+            vectors.append((t.name, row + [m2], -1))
+        vectors.append(("chern-pairing", [Fraction(0)] * (len(data.basis) - 1) + [Fraction(1)], 1))
 
         ok = True
         detail = ""
         for name, row, sign in vectors:
-            parts = list(zip(*row))  # the rational and the theta row
-            if mat_mul(parts, induced) != [[sign * x for x in part] for part in parts]:
+            if mat_mul([row], induced) != [[sign * x for x in row]]:
                 ok, detail = False, f"{name} does not transform with sign {sign}"
                 break
         checks.append(Check.of(f"trace-row-constraints{suffix}", ok, detail))
@@ -549,7 +545,7 @@ def traces(settings: Settings) -> list[Check]:
             checks += verify_trace_laws(parity, samples=settings.samples, seed=settings.seed,
                                         degree=settings.degree)
         checks += verify_trace_laws([canonical_trace(cp)], samples=max(5, settings.samples // 4),
-                                    seed=settings.seed, degree=settings.degree, labels=[f"tau[{family}]"])
+                                    seed=settings.seed, degree=settings.degree)
     return checks
 
 

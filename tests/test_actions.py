@@ -82,6 +82,37 @@ def test_an_action_needs_a_positive_group_order(preset, order):
         parse_action_text(f"order: {order}\ne: U -> U\ne: V -> V*\ne: W -> W*", preset)
 
 
+def test_the_family_tuples_follow_the_registry():
+    assert families.FAMILIES == ("B2", "B3", "B4", "B6", "B5", "N1", "N2", "N3", "N4")
+    assert families.CYCLIC_FAMILIES == ("B2", "B3", "B4", "B6", "N1", "N2")
+    assert families.PRODUCT_FAMILIES == ("B5", "N3", "N4")
+
+
+def test_classical_action_has_one_factor_per_registry_generator():
+    algebra = NcTorus(ThetaMatrix(3, {}))
+    for family in families.FAMILIES:
+        action = classical_action(family, algebra)
+        specs = families.CLASSICAL[family]
+        if family in families.CYCLIC_FAMILIES:
+            assert type(action) is ActionOnTorus, family
+        else:
+            assert isinstance(action, ProductAction), family
+        assert [g.order for g in action.generators()] == [n for n, _ in specs], family
+        assert [[img.target for img in g.images] for g in action.generators()] == [
+            [tuple(target) for _, target in images] for _, images in specs], family
+        assert [[img.coeff for img in g.images] for g in action.generators()] == [
+            [algebra.phase_of_entry(Fraction(a), Fraction(b)) for (a, b), _ in images] for _, images in specs], family
+
+
+def test_unknown_families_raise_value_error(preset):
+    with pytest.raises(ValueError, match="unknown family 'X'; one of .*'N4'"):
+        classical_action("X", preset)
+    with pytest.raises(ValueError, match="unknown family 'B5'; one of .*'N2'"):
+        deformed_action("B5", preset)
+    with pytest.raises(ValueError, match="unknown family 'X'"):
+        scan_cocycles("X", 6)
+
+
 def test_a_product_action_rejects_factors_on_different_algebras():
     a, b = (classical_action("B5", NcTorus(ThetaMatrix(3, {}), order=order)).factors[0] for order in (24, 48))
     with pytest.raises(ValueError, match="the factors act on different algebras"):
@@ -342,7 +373,6 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
         result = scan_cocycles(family, 6)
         slot = result.free_slot()
         patterns = result.patterns[slot] if slot else result.all_rational
-        kind, spec_data = families.classical_spec(family)
         for assignment in patterns:
             upper = {}
             if slot:
@@ -542,6 +572,15 @@ def test_parse_action_errors(preset):
         parse_action_text("order: 2\ne: U -> -U\ne: V -> V*", preset)  # missing W
     with pytest.raises(ValueError):
         parse_action_text("order: 2\ne: X -> X", preset)
+
+
+@pytest.mark.parametrize("order", ["3", "2 x 2"])
+def test_parse_action_needs_one_order_per_generator_label(order):
+    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    lines = "e1: U -> U\ne1: V -> V*\ne1: W -> W*\n"
+    text = f"order: {order}\n" + lines + ("" if "x" in order else lines.replace("e1", "e2"))
+    with pytest.raises(ValueError, match="expected . generators, found"):
+        parse_action_text(text, zero_theta)
 
 
 def test_parse_action_rejects_a_phase_factor_with_a_zero_denominator(preset):

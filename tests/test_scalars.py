@@ -55,6 +55,16 @@ def test_phased_examples():
     assert PhasedScalar.phase(1, i, order=ORDER).conj() == PhasedScalar.phase(-1, -i, order=ORDER)
 
 
+def test_phase_rejects_a_coefficient_of_another_order():
+    """An order-48 coefficient inside an order-24 scalar would only fail later,
+    when the scalar meets another; the constructor refuses it, as ``of`` does."""
+    with pytest.raises(OrderMismatchError):
+        PhasedScalar.phase(1, cyc_root(4, 1, order=2 * ORDER), order=ORDER)
+    with pytest.raises(OrderMismatchError):
+        PhasedScalar.of(cyc_root(4, 1, order=2 * ORDER), ORDER)
+    assert PhasedScalar.phase(1, cyc_root(4, 1, order=ORDER), order=ORDER) != PhasedScalar.phase(1, 1, order=ORDER)
+
+
 def test_fold_examples():
     i = cyc_root(4, 1, order=ORDER)
     assert PhasedScalar.phase(1, 1, order=ORDER).fold(Fraction(1, 2)) == PhasedScalar.of(i, ORDER)
