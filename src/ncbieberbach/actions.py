@@ -18,15 +18,19 @@ keeps that generic-product construction as its reference.  Compatibility with
 the twisting cocycle means the extension is an algebra map.
 
 The slot matrix ``C`` is an integer matrix read from the theta-free targets.
-The multiplicativity identity is bilinear in the pair of monomials, so it
-holds for every pair iff the finitely many slot conditions ``s_jk integral
-(rational part) and zero (theta part)`` hold; ``check_compatibility``
-verifies exactly that and the test suite compares it with the literal
-identity ``g.(x y) = (g.x)(g.y)`` evaluated with the generic product.  The
-generators of a product action that pass them are algebra automorphisms, so
-they commute everywhere iff they commute on the basis monomials
-``delta_{e_i}``; one basis check serves ``check_order`` and
-``check_compatibility``.
+Theta enters only through the algebra's integer slot table (``torus``),
+Theta_pq = (a_pq + b_pq theta) / L with theta folded there when it has a
+value, so each s_jk is summed in integers, and the phase polynomial turns
+those numerators into unit pairs with the algebra's one conversion, as the
+cocycle does.  The multiplicativity identity is bilinear in the pair of
+monomials, so it holds for every pair iff the finitely many slot conditions
+hold: L divides the rational numerator of each s_jk and its theta numerator
+is zero.  ``check_compatibility`` verifies exactly that and the test suite
+compares it with the literal identity ``g.(x y) = (g.x)(g.y)`` evaluated
+with the generic product.  The generators of a product action that pass
+them are algebra automorphisms, so they commute everywhere iff they commute
+on the basis monomials ``delta_{e_i}``; one basis check serves
+``check_order`` and ``check_compatibility``.
 
 The cocycle scan reads the slot conditions on the grid ``k/D`` as integer
 congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
@@ -47,7 +51,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import families
-from .scalars import DEFAULT_CYCLOTOMIC_ORDER, _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, cyc_root
+from .scalars import (
+    DEFAULT_CYCLOTOMIC_ORDER, _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, _root_index, certify, cyc_root,
+)
 from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement, split_terms
 
 __all__ = [
@@ -223,29 +229,29 @@ def _slot_matrix(targets) -> list[list[int]]:
 
 
 def _slot_obstructions(action: ActionOnTorus) -> dict:
-    """{(j, k): (a, b)} with s_jk = a + b theta, for every upper slot."""
+    """{(j, k): (a, b)} with s_jk = (a + b theta) / L for every upper slot:
+    integer numerators over the slot denominator L of the algebra's table."""
     algebra = action.algebra
     slots = list(itertools.combinations(range(algebra.d), 2))
-    entries = [algebra.theta.entry(p, q) for p, q in slots]
-    if algebra.theta_value is not None:
-        entries = [(a + b * algebra.theta_value, 0) for a, b in entries]
+    entries = [algebra._slot_table.get(slot, (0, 0)) for slot in slots]
     matrix = _slot_matrix([img.target for img in action.images])
     return {
-        slot: (sum((c * a for c, (a, _) in zip(row, entries)), Fraction(0)),
-               sum((c * b for c, (_, b) in zip(row, entries)), Fraction(0)))
+        slot: (sum(c * a for c, (a, _) in zip(row, entries)), sum(c * b for c, (_, b) in zip(row, entries)))
         for slot, row in zip(slots, matrix)
     }
 
 
 def compatibility_obstructions(action: ActionOnTorus):
-    """Nonvanishing slot obstructions s_jk = t_j^T Theta t_k - Theta_jk.
+    """Nonvanishing slot obstructions s_jk = t_j^T Theta t_k - Theta_jk, as
+    (slot, rational part, theta part).
 
     The multiplicative-extension identity holds for every pair of monomials
     iff each s_jk has integral rational part and vanishing theta part.
     """
+    den = action.algebra._slot_den
     return [
-        (slot, a, b) for slot, (a, b) in _slot_obstructions(action).items()
-        if a.denominator != 1 or b != 0
+        (slot, Fraction(a, den), Fraction(b, den)) for slot, (a, b) in _slot_obstructions(action).items()
+        if a % den or b
     ]
 
 
@@ -267,7 +273,7 @@ def _phase_poly(action: ActionOnTorus):
     as ([(c, r_c, n_c)], L): one term per image coefficient and one per slot
     obstruction s_jk, the theta numerators over one common denominator L."""
     terms = [((i,), *img.coeff.unit_exponents()) for i, img in enumerate(action.images)]
-    terms += [(slot, *action.algebra.unit_pair(a, b)) for slot, (a, b) in _slot_obstructions(action).items()]
+    terms += [(slot, *action.algebra._slot_pair(a, b)) for slot, (a, b) in _slot_obstructions(action).items()]
     den = math.lcm(*(d for _, _, (_, d) in terms))
     return [(coords, r, n * (den // d)) for coords, r, (n, d) in terms], den
 
@@ -312,8 +318,7 @@ class ScanResult:
         hits = [slot for slot in _SLOTS if self.patterns[slot]]
         if not hits:
             return None
-        if len(hits) > 1:
-            raise AssertionError("more than one admissible free slot")
+        certify(len(hits) == 1, "more than one admissible free slot")
         return hits[0]
 
     def computed(self) -> tuple[str | None, frozenset]:
@@ -406,18 +411,18 @@ def homogeneous_components(action: ActionOnTorus, x: TorusElement):
     """x_k = (1/N) sum_j conj(lambda)^{kj} (g^j . x); sum_k x_k = x.
 
     One kernel pass: (1/N) delta_0 times the orbit terms g^j . x shifted by
-    conj(lambda)^{kj} = zeta^{-kj order/N}, summed into component k."""
+    conj(lambda)^{kj} = zeta^{kj s}, with zeta^s = e^{-2 pi i / N}, summed
+    into component k."""
     algebra = action.algebra
     if not algebra.same_algebra(x.algebra):
         raise ValueError("element lives in a different algebra")
     n, order = action.order, algebra.order
-    if order % n:
-        raise OrderMismatchError(f"order {n} does not divide the field order {order}")
+    s = _root_index(n, -1, order)
     orbit = [(j, *action.power_pair(j, m), c) for j in range(n) for m, c in split_terms(x)]
     average = split_terms(algebra.delta((0,) * algebra.d, Fraction(1, n)))
     acc = Accumulator(algebra)
     for k in range(n):
-        acc.add(k, average, [(t, (r - k * j * (order // n)) % order, key, c) for j, t, r, key, c in orbit])
+        acc.add(k, average, [(t, (r + k * j * s) % order, key, c) for j, t, r, key, c in orbit])
     comps = acc.components()
     return [comps.get(k) or algebra.zero() for k in range(n)]
 
@@ -444,21 +449,15 @@ def freeness_witness(action) -> bool:
         n = gens[0].order
         return any(r is not None and order // math.gcd(r, order) == n for (r,) in eigen)
 
-    # product of order-2 actions: gather sign characters of homogeneous generators
-    vectors = [[int(r != 0) for r in rs] for rs in eigen if all(r is not None and not 2 * r % order for r in rs)]
-    # the characters must span (Z_2)^{#factors}
-    rank = 0
-    basis: list[list[int]] = []
-    for vec in vectors:
-        v = vec[:]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if v[lead]:
-                v = [(x + y) % 2 for x, y in zip(v, b)]
-        if any(v):
-            basis.append(v)
-            rank += 1
-    return rank == len(gens)
+    # product of order-2 actions: the sign characters of the homogeneous
+    # generators, as bitmasks (bit i set for the sign -1 under factor i),
+    # must span (Z_2)^{#factors}
+    span = {0}
+    for rs in eigen:
+        if all(r is not None and not 2 * r % order for r in rs):
+            c = sum(1 << i for i, r in enumerate(rs) if r)
+            span |= {s ^ c for s in span}
+    return len(span) == 2 ** len(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +512,23 @@ def deformed_action(family: str, algebra: NcTorus) -> ActionOnTorus:
 
 
 def _parse_factor(token: str, algebra: NcTorus, letters: dict[str, int]):
-    """Return ('scalar', PhasedScalar) or ('gen', index, power)."""
-    sign = 1
-    if token.startswith("-") and token not in ("-1", "-i"):
-        sign = -1
-        token = token[1:]
-    if token in ("1", "-1"):
-        return ("scalar", algebra.scalar(int(token) * sign))
-    if token in ("i", "-i"):
-        value = cyc_root(4, 1 if token == "i" else -1, order=algebra.order)
-        return ("scalar", algebra.scalar(value) * sign)
+    """One factor of an image word: a PhasedScalar, or a generator power as a
+    TorusElement.  One leading sign is read; a lone or doubled one is refused."""
+    sign = -1 if token.startswith("-") else 1
+    token = token.removeprefix("-")
+    if token == "1":
+        return algebra.scalar(sign)
+    if token == "i":
+        return algebra.scalar(cyc_root(4, sign, order=algebra.order))
     if token[:2] in ("w(", "t(") and token.endswith(")"):
         try:
             q = Fraction(token[2:-1])
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"cannot parse phase factor {token!r}") from None
         if token[0] == "w":
-            return ("scalar", algebra.scalar(cyc_root(q.denominator, q.numerator, order=algebra.order)) * sign)
-        return ("scalar", algebra.theta_phase(q) * sign)
-    name = token[0].upper()
+            return algebra.scalar(cyc_root(q.denominator, q.numerator, order=algebra.order)) * sign
+        return algebra.theta_phase(q) * sign
+    name = token[:1].upper()
     if name not in letters:
         raise ValueError(f"unknown generator letter {name!r}")
     rest = token[1:]
@@ -544,7 +541,8 @@ def _parse_factor(token: str, algebra: NcTorus, letters: dict[str, int]):
         raise ValueError(f"cannot parse generator token {token!r}")
     if sign == -1:
         raise ValueError("place the sign before a scalar factor, not a generator")
-    return ("gen", letters[name], power)
+    base = algebra.basis_generators()[letters[name]]
+    return base ** power if power >= 0 else base.star() ** -power
 
 
 def parse_action_text(text: str, algebra: NcTorus):
@@ -581,16 +579,7 @@ def parse_action_text(text: str, algebra: NcTorus):
             raise ValueError(f"unknown torus generator {letter!r} in {raw!r}")
         value = algebra.one()
         for token in rhs.replace("*", "* ").split():
-            token = token.strip()
-            if not token:
-                continue
-            kind, *data = _parse_factor(token, algebra, letters)
-            if kind == "scalar":
-                value = value * data[0]
-            else:
-                idx, power = data
-                base = algebra.basis_generators()[idx]
-                value = value * (base ** power if power >= 0 else base.star() ** (-power))
+            value = value * _parse_factor(token, algebra, letters)
         lines.setdefault(gen_label, {})[letters[letter]] = value
     if order_spec is None:
         raise ValueError("missing 'order:' header")

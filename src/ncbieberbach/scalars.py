@@ -618,12 +618,21 @@ def _key_add(k1: tuple[int, int], k2: tuple[int, int]) -> tuple[int, int]:
     return (n // g, d // g) if g > 1 else (n, d)
 
 
-def cyc_root(m: int, k: int, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> Cyclotomic:
-    """The root of unity e^{2 pi i k / m} inside Q(zeta_order).
+def _root_index(m: int, k: int, order: int) -> int:
+    """The exponent e with zeta_order^e = e^{2 pi i k / m}: the one rule for
+    which roots of unity Q(zeta_order) holds.
 
     Raises OrderMismatchError unless m divides the field order.
     """
     if m < 1 or order % m:
         raise OrderMismatchError(f"order {m} does not divide the field order {order}")
-    return Cyclotomic.root(order, (k % m) * (order // m))
+    return (k % m) * (order // m)
+
+
+def cyc_root(m: int, k: int, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> Cyclotomic:
+    """The root of unity e^{2 pi i k / m} inside Q(zeta_order).
+
+    Raises OrderMismatchError unless m divides the field order.
+    """
+    return Cyclotomic.root(order, _root_index(m, k, order))
 

@@ -18,9 +18,13 @@ and the matching two-generator restriction for the rotation subalgebra.
 
 Every cocycle value is a unit phase e^{i pi (a + b theta)}.  The algebra keeps
 it as the integer pair (r, key): zeta^r with r = a * order / 2 modulo the
-field order, and the reduced theta key of b (``scalars``).  ``NcTorus``
-caches these pairs per pair of active coordinates; ``cocycle`` builds the
-public ``PhasedScalar`` from them.
+field order, and the reduced theta key of b (``scalars``).  ``NcTorus`` folds
+theta once, when it is built, into its integer slot table: the numerators
+(a, b) of each nonzero upper slot over one denominator L, with a rational
+theta value already substituted.  The cocycle sums those numerators and
+``_slot_pair`` turns the sums into a unit pair, cached per pair of active
+coordinates; the slot conditions of ``actions`` read the same table and the
+same conversion.  ``cocycle`` builds the public ``PhasedScalar`` from a pair.
 
 All products go through one multiply-accumulate kernel, ``Accumulator``: it
 sums c_m c_n zeta^r e^{i pi b theta} delta_{m+n} p^t over pairs of terms into
@@ -40,13 +44,14 @@ from typing import Iterable, NamedTuple
 from .scalars import (
     DEFAULT_CYCLOTOMIC_ORDER,
     Cyclotomic,
-    OrderMismatchError,
     PhasedScalar,
     SparseElement,
     _bkey,
     _field_tables,
     _key_add,
+    _root_index,
     _root_table,
+    certify,
 )
 
 __all__ = [
@@ -141,22 +146,24 @@ class NcTorus:
     e^{i pi b theta} into the cyclotomic field of the given order.
     """
 
-    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slots")
+    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slot_table", "_slot_den")
 
     def __init__(self, theta: ThetaMatrix, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
         self.theta = theta
         self.theta_value = None if theta_value is None else Fraction(theta_value)
         self.order = order
-        # only coordinates coupled by a nonzero slot influence the cocycle
-        active = set()
-        for (j, k), _ in theta.upper_items():
-            active.add(j)
-            active.add(k)
-        # the cocycle cache key: the active coordinates of m and of n (a
-        # nonzero slot couples two coordinates, so the getter returns tuples)
-        self._pair_key = operator.itemgetter(*sorted(active)) if active else None
+        # the one fold of theta: {(j, k): (a, b)} with theta_jk = (a + b theta) / L
+        value = self.theta_value
+        entries = {slot: (e.a, e.b) if value is None else (e.a + e.b * value, Fraction(0))
+                   for slot, e in theta.upper_items()}
+        den = math.lcm(*(x.denominator for pair in entries.values() for x in pair))
+        self._slot_table = {slot: (int(a * den), int(b * den)) for slot, (a, b) in entries.items()}
+        self._slot_den = den
+        # the cocycle cache key: the coordinates coupled by a nonzero slot, of
+        # m and of n (a slot couples two coordinates, so the getter returns tuples)
+        active = sorted({i for slot in entries for i in slot})
+        self._pair_key = operator.itemgetter(*active) if active else None
         self._cocycle_pairs: dict = {}
-        self._slots = None  # integer slot numerators, built on the first cache miss
 
     # -- identity ----------------------------------------------------------
 
@@ -190,10 +197,15 @@ class NcTorus:
         if self.theta_value is not None:
             a = a + b * self.theta_value
             b = Fraction(0)
-        q = 2 * a.denominator
-        if self.order % q:
-            raise OrderMismatchError(f"order {q} does not divide the field order {self.order}")
-        return (a.numerator * (self.order // q)) % self.order, _bkey(b)
+        return _root_index(2 * a.denominator, a.numerator, self.order), _bkey(b)
+
+    def _slot_pair(self, a: int, b: int) -> UnitPair:
+        """e^{i pi (a + b theta) / L} as a unit pair, for integer numerators
+        a, b over the slot denominator L of the table."""
+        den = self._slot_den
+        g = math.gcd(a, den)
+        g_b = math.gcd(b, den)
+        return _root_index(2 * den // g, a // g, self.order), (b // g_b, den // g_b)
 
     def phase_of_entry(self, a: Fraction, b: Fraction) -> PhasedScalar:
         """e^{i pi (a + b theta)} as a single-term PhasedScalar."""
@@ -201,31 +213,19 @@ class NcTorus:
 
     def _cocycle_pair(self, m: Monomial, n: Monomial) -> UnitPair:
         """omega(m, n) as a unit pair, cached per pair of active coordinates;
-        a miss sums the slot numerators of theta over one denominator."""
+        a miss sums the numerators of the slot table."""
         get = self._pair_key
         if get is None:
             return _ONE_PAIR
         key = (get(m), get(n))
         pair = self._cocycle_pairs.get(key)
         if pair is None:
-            if self._slots is None:
-                value = self.theta_value
-                entries = [(j, k, e.a, e.b) if value is None else (j, k, e.a + e.b * value, Fraction(0))
-                           for (j, k), e in self.theta.upper_items()]
-                den = math.lcm(*(x.denominator for *_, a, b in entries for x in (a, b)))
-                self._slots = [(j, k, int(a * den), int(b * den)) for j, k, a, b in entries], den
-            slots, den = self._slots
             a = b = 0
-            for j, k, na, nb in slots:
+            for (j, k), (na, nb) in self._slot_table.items():
                 cross = m[j] * n[k] - m[k] * n[j]
                 a += na * cross
                 b += nb * cross
-            g = math.gcd(a, den)
-            q = 2 * den // g
-            if self.order % q:
-                raise OrderMismatchError(f"order {q} does not divide the field order {self.order}")
-            g_b = math.gcd(b, den)
-            pair = (a // g * (self.order // q) % self.order, (b // g_b, den // g_b))
+            pair = self._slot_pair(a, b)
             if len(self._cocycle_pairs) < _COCYCLE_CACHE_CAP:
                 self._cocycle_pairs[key] = pair
         return pair
@@ -434,10 +434,7 @@ def _assert_sign_convention(algebra: NcTorus) -> None:
         _, v, w = algebra.basis_generators()
     else:
         v, w = algebra.basis_generators()
-    lhs = w * v
-    rhs = v * w * algebra.theta_phase(2)
-    if lhs != rhs:
-        raise AssertionError("sign convention broken: w*v != e^{2 pi i theta} v*w")
+    certify(w * v == v * w * algebra.theta_phase(2), "sign convention broken: w*v != e^{2 pi i theta} v*w")
     _checked_conventions.add(key)
 
 

@@ -326,6 +326,7 @@ def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
         j = index[lbl]
         if any(induced[index[bad]][j] for bad in exotic):
             ok, detail = False, f"column {lbl} touches the exotic class"
+            break
         expected = sum((table.elements[base] * induced[i][j]
                         for i, base in enumerate(data.basis) if induced[i][j]), cp.zero())
         if cp.beta_hat(element) != expected:

@@ -322,6 +322,28 @@ def test_scan_matches_the_fraction_enumeration(denominator):
         assert result.order_flags == order_flags, family
 
 
+@pytest.mark.parametrize("family", families.FAMILIES)
+def test_slot_obstructions_match_the_fraction_reference(family):
+    """``compatibility_obstructions`` returns, value for value, the entries of
+    the ``Fraction`` reference ``scan_oracle.slot_obstructions`` that break a
+    slot condition, for every generator on every grid candidate, at symbolic
+    theta and at theta folded to 1/5 and 2/7."""
+    outcomes = set()
+    for denominator in (2, 3, 4, 6):
+        for theta_value in (None, Fraction(1, 5), Fraction(2, 7)):
+            q = 1 if theta_value is None else theta_value.denominator
+            order = math.lcm(24, 2 * denominator, 12 * q)
+            for _, _, upper in scan_oracle.candidates(denominator):
+                algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
+                for g in classical_action(family, algebra).generators():
+                    reference = scan_oracle.slot_obstructions(g, algebra)
+                    expected = [(slot, a, b) for slot, (a, b) in sorted(reference.items())
+                                if a.denominator != 1 or b != 0]
+                    assert compatibility_obstructions(g) == expected, (family, upper, theta_value)
+                    outcomes.add(bool(expected))
+    assert outcomes == {True, False}  # both admissible and obstructed generators were compared
+
+
 def _times_phase(g, i, phase):
     """g with the coefficient of its i-th image multiplied by ``phase``."""
     images = list(g.images)
@@ -581,6 +603,23 @@ def test_parse_action_needs_one_order_per_generator_label(order):
     text = f"order: {order}\n" + lines + ("" if "x" in order else lines.replace("e1", "e2"))
     with pytest.raises(ValueError, match="expected . generators, found"):
         parse_action_text(text, zero_theta)
+
+
+@pytest.mark.parametrize("word", ["- U", "--1 U"])
+def test_parse_action_refuses_a_lone_or_doubled_sign(preset, word):
+    with pytest.raises(ValueError):
+        parse_action_text(f"order: 2\ne: U -> {word}\ne: V -> V*\ne: W -> W*", preset)
+
+
+@pytest.mark.parametrize("factor", ["1", "i", "w(1/3)", "t(1/2)"])
+def test_parse_action_reads_one_leading_sign_as_minus_one(preset, factor):
+    def u_image(word):
+        text = f"order: 2\ne: U -> {word} U\ne: V -> V*\ne: W -> W*"
+        return parse_action_text(text, preset).images[0]
+
+    plain, signed = u_image(factor), u_image(f"-{factor}")
+    assert signed.target == plain.target
+    assert signed.coeff == -plain.coeff
 
 
 def test_parse_action_rejects_a_phase_factor_with_a_zero_denominator(preset):

@@ -217,6 +217,19 @@ def test_inconsistent_data_is_rejected():
         unfixed.validate()
 
 
+def test_a_column_touching_the_exotic_class_fails_the_transport_row(monkeypatch):
+    data = beta_star_matrix("B4", 1)
+    exotic = data.basis.index("[M4]")
+    matrix = [row[:] for row in data.matrix]
+    matrix[exotic][1] -= 1  # beta_hat_* sends the non-exotic class of column 1 onto [M4]
+    broken = BetaStarData(data.family, data.basis, matrix, data.order)
+    monkeypatch.setattr(verify, "beta_star_matrix", lambda family, epsilon=1: broken)
+    rows = {c.name: c for c in verify_beta_star(crossed_product("B4"))}
+    row = rows["element-level-transport[B4]"]
+    assert row.status == "fail"
+    assert row.detail == f"column {data.basis[1]} touches the exotic class"
+
+
 def test_unknown_family_and_epsilon():
     with pytest.raises(ValueError):
         beta_star_matrix("B5")

@@ -46,3 +46,24 @@ def test_src_imports_only_the_standard_library():
     top_level = {name.split(".")[0] for name in imported}
     assert {"fractions", "os", "pickle", "signal"} <= top_level  # the walk sees the lazy imports
     assert sorted(top_level - sys.stdlib_module_names - {"ncbieberbach"}) == []
+
+
+def test_src_certifies_without_assert_statements():
+    """Certificates must survive ``python -O``, which strips ``assert``: the
+    package has no ``assert`` statement, and only ``scalars.certify`` raises
+    AssertionError itself."""
+    package = Path(ncbieberbach.__file__).parent
+    paths = sorted(package.rglob("*.py"))
+    found, certify_nodes = [], 0
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "certify"
+                   for node in ast.walk(fn)}
+        certify_nodes += len(allowed)
+        for node in ast.walk(tree):
+            raises_assertion = (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                                and getattr(node.exc.func, "id", None) == "AssertionError")
+            if isinstance(node, ast.Assert) or (raises_assertion and id(node) not in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(paths) >= 9 and certify_nodes  # the walk saw the modules and certify itself
+    assert found == []
