@@ -65,12 +65,15 @@ __all__ = [
     "compatibility_obstructions",
     "scan_cocycles",
     "ScanResult",
+    "MAX_DENOMINATOR",
     "homogeneous_components",
     "freeness_witness",
     "classical_action",
     "deformed_action",
     "parse_action_text",
 ]
+
+MAX_DENOMINATOR = 12  # the largest grid denominator of the cocycle scan
 
 
 @dataclass(frozen=True)
@@ -364,8 +367,8 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     flag.  Without an ``order`` the scan works at
     lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator), which holds every grid phase.
     """
-    if denominator < 1 or denominator > 12:
-        raise ValueError("grid denominator must be between 1 and 12")
+    if not 1 <= denominator <= MAX_DENOMINATOR:
+        raise ValueError(f"grid denominator must be between 1 and {MAX_DENOMINATOR}")
     specs = _family(families.CLASSICAL, family)
     if order is None:
         order = math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator)

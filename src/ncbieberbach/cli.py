@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__, families, verify
-from .actions import scan_cocycles
+from .actions import MAX_DENOMINATOR, scan_cocycles
 from .ktheory import beta_star_matrix, bieberbach_h1, pv_solve, smith_normal_form
 
 SCHEMA = "nbk-report/1"
@@ -212,6 +212,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _denominator(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DENOMINATOR:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_DENOMINATOR}, got {value}")
+    return value
+
+
 def _epsilon(text: str) -> int:
     if text in ("+1", "1"):
         return 1
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="treat anomalies as failures")
 
     def denominator(p):
-        p.add_argument("--denominator", type=_positive_int, default=6,
+        p.add_argument("--denominator", type=_denominator, default=6,
                        help="grid denominator of the cocycle scan")
 
     p_scan = sub.add_parser("scan", help="admissible theta patterns for one family")

@@ -6,6 +6,11 @@ K-groups of the quotient from the exact sequence with vanishing odd corner:
 K1 is the kernel and K0 the cokernel of M, both presented canonically via the
 Smith normal form (divisor-chain torsion coefficients).
 
+The Smith normal form is the one canonicaliser: every K-group, first homology
+group and span solve reads its diagonal.  It states each row operation once,
+on the pair (S, U), and each column operation once, on (S, V), and it
+certifies U M V = S for every shape, an r x 0 matrix included.
+
 The basis is read from ``families.K0_GENERATORS``.  Every column of
 beta_hat_* but the exotic [M_N] one is derived: the image beta_hat(e_j) of
 each generator element is solved for its integer coordinates in the other
@@ -57,28 +62,13 @@ def _identity(n: int) -> IntMatrix:
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if not a or not b:
-        return []
-    inner = len(b)
-    return [
-        [sum(row[k] * b[k][j] for k in range(inner)) for j in range(len(b[0]))]
-        for row in a
-    ]
-
-
-def mat_pow(a: IntMatrix, n: int) -> IntMatrix:
-    result = _identity(len(a))
-    base = [row[:] for row in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
+    """The product a b, with one row per row of a, also when b has no rows."""
+    columns = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)] if a else []
+    return [list(col) for col in zip(*a)]
 
 
 def int_det(matrix: IntMatrix) -> int:
@@ -123,7 +113,8 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     """U * matrix * V = S with U, V unimodular and S a divisor-chain diagonal.
 
     Deterministic: the pivot is the entry of smallest nonzero absolute value
-    in the remaining block, ties broken by lexicographic position.
+    in the remaining block, ties broken by lexicographic position.  Every
+    shape is certified, an r x 0 matrix included.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
@@ -132,80 +123,51 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
     v = _identity(cols)
 
     def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
+        for m in (d, u):
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
+        for r in (*d, *v):
             r[i], r[j] = r[j], r[i]
 
     def add_row(dst, src, q):
-        d[dst] = [a + q * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + q * b for a, b in zip(u[dst], u[src])]
+        for m in (d, u):
+            m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
 
     def add_col(dst, src, q):
-        for r in d:
-            r[dst] += q * r[src]
-        for r in v:
+        for r in (*d, *v):
             r[dst] += q * r[src]
 
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    while t < min(rows, cols):
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                mag = abs(d[i][j])
-                if mag and (best is None or mag < best):
-                    best, pivot = mag, (i, j)
+    for t in range(min(rows, cols)):
+        pivot = min(((abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]),
+                    default=None)
         if pivot is None:
             break
-        if pivot[0] != t:
-            swap_rows(t, pivot[0])
-        if pivot[1] != t:
-            swap_cols(t, pivot[1])
+        swap_rows(t, pivot[1])
+        swap_cols(t, pivot[2])
         while True:
             if d[t][t] < 0:
-                negate_row(t)
-            restart = False
-            for i in range(t + 1, rows):
-                if d[i][t] % d[t][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
-                    swap_rows(i, t)
-                    restart = True
-                    break
-            if restart:
+                add_row(t, t, -2)
+            i = next((i for i in range(t + 1, rows) if d[i][t] % d[t][t]), None)
+            if i is not None:
+                add_row(i, t, -(d[i][t] // d[t][t]))
+                swap_rows(i, t)
                 continue
             for i in range(t + 1, rows):
                 if d[i][t]:
                     add_row(i, t, -(d[i][t] // d[t][t]))
-            for j in range(t + 1, cols):
-                if d[t][j] % d[t][t]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-                    swap_cols(j, t)
-                    restart = True
-                    break
-            if restart:
+            j = next((j for j in range(t + 1, cols) if d[t][j] % d[t][t]), None)
+            if j is not None:
+                add_col(j, t, -(d[t][j] // d[t][t]))
+                swap_cols(j, t)
                 continue
             for j in range(t + 1, cols):
                 if d[t][j]:
                     add_col(j, t, -(d[t][j] // d[t][t]))
-            pivot_val = d[t][t]
-            fix = None
-            for i in range(t + 1, rows):
-                if any(x % pivot_val for x in d[i][t + 1:]):
-                    fix = i
-                    break
+            fix = next((i for i in range(t + 1, rows) if any(x % d[t][t] for x in d[i][t + 1:])), None)
             if fix is None:
                 break
             add_row(t, fix, 1)
-        t += 1
 
     diag = tuple(d[i][i] for i in range(min(rows, cols)))
     for a, b in zip(diag, diag[1:]):
@@ -236,21 +198,6 @@ class AbelianGroup:
             if b % a:
                 raise ValueError("torsion must form a divisor chain")
 
-    @classmethod
-    def from_parts(cls, free_rank: int, torsion_values) -> "AbelianGroup":
-        """Canonicalize an arbitrary list of cyclic orders via SNF."""
-        vals = [int(v) for v in torsion_values if int(v) not in (0, 1)]
-        if not vals:
-            return cls(free_rank, ())
-        diag = [[vals[i] if i == j else 0 for j in range(len(vals))] for i in range(len(vals))]
-        chain = tuple(x for x in smith_normal_form(diag).diagonal if x > 1)
-        return cls(free_rank, chain)
-
-    def direct_sum(self, other: "AbelianGroup") -> "AbelianGroup":
-        return AbelianGroup.from_parts(
-            self.free_rank + other.free_rank, self.torsion + other.torsion
-        )
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:
@@ -263,15 +210,9 @@ class AbelianGroup:
 
 def kernel_cokernel(matrix: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
     """Kernel and cokernel of an integer matrix acting on column vectors."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        return AbelianGroup(cols), AbelianGroup(rows)
     snf = smith_normal_form(matrix)
-    kernel = AbelianGroup(cols - snf.rank)
     torsion = tuple(x for x in snf.diagonal if x > 1)
-    cokernel = AbelianGroup(rows - snf.rank, torsion)
-    return kernel, cokernel
+    return AbelianGroup(len(snf.v) - snf.rank), AbelianGroup(len(snf.u) - snf.rank, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +283,7 @@ class BetaStarData:
 
     def validate(self) -> None:
         b = self.induced_map()
-        if mat_pow(b, self.order) != _identity(len(self.basis)):
+        if functools.reduce(mat_mul, [b] * self.order) != _identity(len(self.basis)):
             raise ValueError(f"{self.family}: the induced map does not have order {self.order}")
         if [row[0] for row in b] != [1] + [0] * (len(self.basis) - 1):
             raise ValueError(f"{self.family}: the class of the identity is not fixed")
@@ -448,5 +389,5 @@ def bieberbach_h1(family: str) -> AbelianGroup:
 def compare_with_k0(family: str) -> bool:
     """K0 of the quotient equals Z plus the first homology of the space group."""
     k0, _ = pv_solve(beta_star_matrix(family, 1))
-    expected = AbelianGroup(1).direct_sum(bieberbach_h1(family))
-    return k0 == expected
+    h1 = bieberbach_h1(family)
+    return k0 == AbelianGroup(h1.free_rank + 1, h1.torsion)

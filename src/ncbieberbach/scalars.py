@@ -320,7 +320,10 @@ class Cyclotomic(RingElement):
     # -- comparisons / display ------------------------------------------
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except OrderMismatchError:  # elements of different orders are never equal
+            return False
         if o is None:
             return NotImplemented
         return self.num == o.num and self.den == o.den

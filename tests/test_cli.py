@@ -118,6 +118,9 @@ def test_usage_error_exit_code():
                  # a grid denominator below 1 leaves no order for the run
                  ["verify", "--suite", "algebra", "--denominator", "0"],
                  ["scan", "--family", "B2", "--denominator", "-2"],
+                 # one grid bound for both subcommands that read a denominator
+                 ["verify", "--suite", "algebra", "--denominator", "13"],
+                 ["scan", "--family", "B2", "--denominator", "13"],
                  # options a subcommand would not read
                  ["ktheory", "B3", "--theta", "1/5"],
                  ["ktheory", "B3", "--samples", "7"],
@@ -174,6 +177,16 @@ def test_verify_report_matches_golden(tmp_path, name, extra):
 
 _KTHEORY_RUNS = [["ktheory", "B2", "--epsilon", "1"], ["ktheory", "B2", "--epsilon", "-1"],
                  ["ktheory", "B3"], ["ktheory", "B4"], ["ktheory", "B6"]]
+
+
+def test_ktheory_reports_match_golden(capsys):
+    # the golden list pins every report, the SNF certificate's U and V included
+    golden = json.loads((GOLDEN / "ktheory.json").read_text())
+    assert len(golden) == len(_KTHEORY_RUNS)
+    for argv, expected in zip(_KTHEORY_RUNS, golden):
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report == expected
 
 
 def test_verify_report_matches_golden_under_optimize_flag(capsys):

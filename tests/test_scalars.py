@@ -41,6 +41,17 @@ def test_root_constructor_order_mismatch():
         cyc_root(7, 2, order=ORDER)
 
 
+def test_elements_of_different_orders_are_never_equal():
+    """Equality follows the rule of every sparse element type; arithmetic
+    across orders still raises."""
+    i24, i48 = cyc_root(4, 1, order=ORDER), cyc_root(4, 1, order=2 * ORDER)
+    assert not i24 == i48
+    assert i24 != i48
+    assert Cyclotomic.from_rational(ORDER, 1) != Cyclotomic.from_rational(2 * ORDER, 1)
+    with pytest.raises(OrderMismatchError):
+        i24 + i48
+
+
 def test_root_inverse_pairs():
     for k in range(ORDER):
         assert cyc_root(ORDER, k, order=ORDER) * cyc_root(ORDER, ORDER - k, order=ORDER) == 1
