@@ -41,7 +41,7 @@ e: V -> t(-1) V* W
 e: W -> V*
 """
 parsed = parse_action_text(b3_text, alg)
-print("parsed action equals the built-in B3:", parsed == deformed_action("B3", alg))
+print("parsed action equals the built-in B3:", parsed == (deformed_action("B3", alg),))
 
 print()
 print("admissible rational twists per family (grid denominator 6):")

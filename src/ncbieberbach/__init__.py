@@ -20,7 +20,6 @@ from .scalars import (  # noqa: F401
 from .torus import NcTorus, ThetaEntry, ThetaMatrix, TorusElement, generators  # noqa: F401
 from .actions import (  # noqa: F401
     ActionOnTorus,
-    ProductAction,
     check_compatibility,
     check_order,
     classical_action,

@@ -1,12 +1,14 @@
-"""Finite group actions on twisted tori: cyclic Z_N and products of them.
+"""Finite group actions on twisted tori: Z_{n_1} x ... x Z_{n_k}.
 
-An action belongs to one algebra: ``ActionOnTorus(order, images, algebra)``
-holds one phased-monomial image per torus generator,
-``g . delta_{e_i} = mu_i delta_{t_i}``, whose coefficients live in that
-algebra (a coefficient of another cyclotomic order raises
-``OrderMismatchError``), and every check takes the action alone.  It acts
-on every monomial by the closed form ``g . delta_m = phi(m) delta_{A m}``
-with ``A`` the integer matrix of target exponents and
+An action is the tuple of its generators.  A generator belongs to one
+algebra: ``ActionOnTorus(order, images, algebra)`` holds one phased-monomial
+image per torus generator, ``g . delta_{e_i} = mu_i delta_{t_i}``, whose
+coefficients live in that algebra (a coefficient of another cyclotomic order
+raises ``OrderMismatchError``), and every check takes the generators as its
+arguments, ``check_order(*gens)``; generators on different algebras raise
+``ValueError``.  A generator acts on every monomial by the closed form
+``g . delta_m = phi(m) delta_{A m}`` with ``A`` the integer matrix of target
+exponents and
 
     phi(m) = prod_i mu_i^{m_i} * e^{i pi sum_{j<k} s_jk m_j m_k},
     s_jk   = t_j^T Theta t_k - Theta_jk = sum_{p<q} C[jk][pq] Theta_pq,
@@ -27,10 +29,10 @@ monomials, so it holds for every pair iff the finitely many slot conditions
 hold: L divides the rational numerator of each s_jk and its theta numerator
 is zero.  ``check_compatibility`` verifies exactly that and the test suite
 compares it with the literal identity ``g.(x y) = (g.x)(g.y)`` evaluated
-with the generic product.  The generators of a product action that pass
-them are algebra automorphisms, so they commute everywhere iff they commute
-on the basis monomials ``delta_{e_i}``; one basis check serves
-``check_order`` and ``check_compatibility``.
+with the generic product.  Generators that pass them are algebra
+automorphisms, so they commute everywhere iff they commute on the basis
+monomials ``delta_{e_i}``; one basis check serves ``check_order`` and
+``check_compatibility``.
 
 The cocycle scan reads the slot conditions on the grid ``k/D`` as integer
 congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
@@ -40,8 +42,7 @@ full certificate: ``check_compatibility`` and ``check_order``.
 
 A registry family is the tuple of its generators (``families.CLASSICAL``),
 and one builder serves the registry factories, the scan and the text format
-alike: one ``ActionOnTorus`` per generator, returned alone when there is one
-and wrapped in a ``ProductAction`` when there are several.
+alike: one ``ActionOnTorus`` per generator, returned as a tuple.
 """
 from __future__ import annotations
 
@@ -59,7 +60,6 @@ from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaM
 __all__ = [
     "GeneratorImage",
     "ActionOnTorus",
-    "ProductAction",
     "check_order",
     "check_compatibility",
     "compatibility_obstructions",
@@ -73,7 +73,7 @@ __all__ = [
     "parse_action_text",
 ]
 
-MAX_DENOMINATOR = 12  # the largest grid denominator of the cocycle scan
+MAX_DENOMINATOR = 12  # the largest grid denominator of the cocycle scan, and of a folded theta
 
 
 @dataclass(frozen=True)
@@ -103,13 +103,12 @@ class ActionOnTorus:
     kernel reads the phase without building a scalar.
     """
 
-    def __init__(self, order: int, images: tuple[GeneratorImage, ...], algebra: NcTorus, name: str = ""):
+    def __init__(self, order: int, images: tuple[GeneratorImage, ...], algebra: NcTorus):
         self.order = int(order)
         if self.order < 1:
             raise ValueError(f"the group order must be at least 1, got {self.order}")
         self.images = tuple(images)
         self.algebra = algebra
-        self.name = name
         if len(self.images) != algebra.d or any(len(img.target) != algebra.d for img in self.images):
             raise ValueError("dimension mismatch between action and algebra")
         for img in self.images:
@@ -121,9 +120,6 @@ class ActionOnTorus:
         self._powers: dict[tuple[int, Monomial], tuple[Monomial, int, tuple[int, int]]] = {}
         self._poly: tuple[list, int] | None = None
 
-    def generators(self):
-        return [self]
-
     def key(self):
         return (self.algebra.key(), self.order, tuple((img.target, img.coeff.terms()) for img in self.images))
 
@@ -133,7 +129,7 @@ class ActionOnTorus:
         return self.key() == other.key()
 
     def __repr__(self):
-        return f"ActionOnTorus({self.name or 'anonymous'}, order={self.order})"
+        return f"ActionOnTorus(order={self.order})"
 
     def _image(self, m: Monomial) -> tuple[Monomial, int, tuple[int, int]]:
         """g . delta_m as (target, r, theta key)."""
@@ -185,37 +181,24 @@ class ActionOnTorus:
         return TorusElement(self.algebra, out)
 
 
-class ProductAction:
-    """Two (or more) commuting order-2 actions on one algebra, for the Z2 x Z2 families."""
-
-    def __init__(self, factors: tuple[ActionOnTorus, ...], name: str = ""):
-        self.factors = tuple(factors)
-        self.algebra = self.factors[0].algebra
-        if not all(f.algebra.same_algebra(self.algebra) for f in self.factors):
-            raise ValueError("the factors act on different algebras")
-        self.name = name
-
-    def generators(self):
-        return list(self.factors)
-
-    def __repr__(self):
-        return f"ProductAction({self.name or 'anonymous'}, factors={len(self.factors)})"
-
-
 # ---------------------------------------------------------------------------
 # spec-level operations
 
 
-def _basis(d: int) -> list[Monomial]:
-    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+def _basis(gens: tuple[ActionOnTorus, ...]) -> list[Monomial]:
+    """The basis monomials delta_{e_i} of the one algebra the generators act on."""
+    algebra = gens[0].algebra
+    if not all(g.algebra.same_algebra(algebra) for g in gens[1:]):
+        raise ValueError("the generators act on different algebras")
+    return [tuple(int(i == j) for j in range(algebra.d)) for i in range(algebra.d)]
 
 
-def check_order(action) -> bool:
-    """True iff applying each generator its full order fixes every generator
-    and the generators of a product action commute on basis monomials."""
-    gens = action.generators()
-    basis = _basis(action.algebra.d)
-    return all(g.power_pair(g.order, e) == (e, *_ONE_PAIR) for g in gens for e in basis) and _commute_on_basis(gens)
+def check_order(*gens: ActionOnTorus) -> bool:
+    """True iff applying each generator its full order fixes every basis
+    monomial and the generators commute on the basis monomials."""
+    basis = _basis(gens)
+    fixed = all(g.power_pair(g.order, e) == (e, *_ONE_PAIR) for g in gens for e in basis)
+    return fixed and _commute_on_basis(gens, basis)
 
 
 def _slot_matrix(targets) -> list[list[int]]:
@@ -258,17 +241,17 @@ def compatibility_obstructions(action: ActionOnTorus):
     ]
 
 
-def check_compatibility(action) -> bool:
+def check_compatibility(*gens: ActionOnTorus) -> bool:
     """True iff g.(delta_m * delta_n) = (g.delta_m)*(g.delta_n) for every
     generator g and every pair of monomials, and the generators commute.
 
     The identity is bilinear in (m, n), so it is equivalent to the slot
     conditions computed by :func:`compatibility_obstructions`.  Generators
-    that pass them are algebra automorphisms, so for product actions they
-    commute everywhere iff they commute on the basis monomials.
+    that pass them are algebra automorphisms, so they commute everywhere iff
+    they commute on the basis monomials.
     """
-    gens = action.generators()
-    return not any(compatibility_obstructions(g) for g in gens) and _commute_on_basis(gens)
+    basis = _basis(gens)
+    return not any(compatibility_obstructions(g) for g in gens) and _commute_on_basis(gens, basis)
 
 
 def _phase_poly(action: ActionOnTorus):
@@ -286,7 +269,7 @@ def _target_of(action: ActionOnTorus, m: Monomial) -> Monomial:
     return tuple(sum(mj * img.target[i] for mj, img in zip(m, action.images)) for i in range(len(m)))
 
 
-def _commute_on_basis(gens) -> bool:
+def _commute_on_basis(gens, basis) -> bool:
     """g1 (g2 . delta_e) == g2 (g1 . delta_e) for every pair of generators and
     basis monomial e, as composed image triples."""
 
@@ -295,7 +278,6 @@ def _commute_on_basis(gens) -> bool:
         t, r2, key2 = outer._image(t)
         return t, (r + r2) % outer.algebra.order, _key_add(key, key2)
 
-    basis = _basis(gens[0].algebra.d)
     return all(composed(g1, g2, e) == composed(g2, g1, e) for g1, g2 in itertools.combinations(gens, 2) for e in basis)
 
 
@@ -363,9 +345,9 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     theta coefficients b, every group generator's slot matrix C needs
     ``C n = 0 (mod denominator)`` and ``C b = 0``.  Only the candidates that
     pass are built; each gets the full certificate, check_compatibility
-    (product families also need commuting generators), and its check_order
-    flag.  Without an ``order`` the scan works at
-    lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator), which holds every grid phase.
+    (several generators also need to commute), and its check_order flag.
+    Without an ``order`` the scan works at lcm(DEFAULT_CYCLOTOMIC_ORDER,
+    2 * denominator), which holds every grid phase.
     """
     if not 1 <= denominator <= MAX_DENOMINATOR:
         raise ValueError(f"grid denominator must be between 1 and {MAX_DENOMINATOR}")
@@ -389,11 +371,11 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
             for slot, k in numerators.items():
                 assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
             algebra = NcTorus(_candidate_matrix(assign), order=order)
-            action = _build_action(specs, algebra)
-            if check_compatibility(action):
+            gens = _build_action(specs, algebra)
+            if check_compatibility(*gens):
                 key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))
                 found[designated].add(key)
-                order_flags[(designated, key)] = check_order(action)
+                order_flags[(designated, key)] = check_order(*gens)
 
     all_rational = found.pop(None)
     return ScanResult(
@@ -430,37 +412,26 @@ def homogeneous_components(action: ActionOnTorus, x: TorusElement):
     return [comps.get(k) or algebra.zero() for k in range(n)]
 
 
-def freeness_witness(action) -> bool:
-    """Look for a unitary generator monomial that is homogeneous of full order.
+def freeness_witness(*gens: ActionOnTorus) -> bool:
+    """Look for unitary monomials whose eigencharacters generate the dual group.
 
-    For a cyclic action this is a generator with g.u = lambda u and lambda a
-    primitive N-th root of unity.  For product actions the eigencharacters of
-    jointly homogeneous generators must generate the whole dual group.  The
-    witness is sufficient for freeness, not necessary.
+    A basis monomial counts when each generator g_i fixes it with no theta
+    phase and an eigenvalue zeta^r that is an n_i-th root of unity; its
+    character is r n_i / order in Z_{n_i}.  The characters of the monomials
+    that count must generate Z_{n_1} x ... x Z_{n_k}, so that products of
+    those monomials are homogeneous of every character (for a cyclic action,
+    one is homogeneous of a primitive N-th root).  The witness is sufficient
+    for freeness, not necessary.
     """
-    gens = action.generators()
-    if len(gens) == 1 and gens[0].order == 1:
-        return True
-    order = action.algebra.order
-    # per basis monomial: the exponent r of its eigenvalue zeta^r under each
-    # group generator, or None unless it is homogeneous with no theta phase
-    eigen = [
-        [r if t == e and key == _ZERO_KEY else None for t, r, key in (g._image(e) for g in gens)]
-        for e in _basis(action.algebra.d)
-    ]
-    if len(gens) == 1:
-        n = gens[0].order
-        return any(r is not None and order // math.gcd(r, order) == n for (r,) in eigen)
-
-    # product of order-2 actions: the sign characters of the homogeneous
-    # generators, as bitmasks (bit i set for the sign -1 under factor i),
-    # must span (Z_2)^{#factors}
-    span = {0}
-    for rs in eigen:
-        if all(r is not None and not 2 * r % order for r in rs):
-            c = sum(1 << i for i, r in enumerate(rs) if r)
-            span |= {s ^ c for s in span}
-    return len(span) == 2 ** len(gens)
+    order, ns = gens[0].algebra.order, [g.order for g in gens]
+    span = {(0,) * len(gens)}  # the subgroup the characters generate
+    for e in _basis(gens):
+        images = [g._image(e) for g in gens]
+        if all(t == e and key == _ZERO_KEY and not r * n % order for (t, r, key), n in zip(images, ns)):
+            char = [r * n // order for (_, r, _), n in zip(images, ns)]
+            span = {tuple((s + j * c) % n for s, c, n in zip(v, char, ns))
+                    for v in span for j in range(math.lcm(*ns))}
+    return len(span) == math.prod(ns)
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +459,19 @@ def _family(registry: dict, family: str):
         raise ValueError(f"unknown family {family!r}; one of {tuple(registry)}") from None
 
 
-def _one_or_product(generators: tuple[ActionOnTorus, ...], name: str):
-    """The action of one generator, or the product action of several."""
-    return generators[0] if len(generators) == 1 else ProductAction(generators, name=name)
+def _build_action(specs, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
+    """One ActionOnTorus per (order, image specs) generator."""
+    return tuple(ActionOnTorus(n, _realize_images(image_specs, algebra), algebra) for n, image_specs in specs)
 
 
-def _build_action(specs, algebra: NcTorus, name: str = ""):
-    """One ActionOnTorus per (order, image specs) generator, all named ``name``."""
-    return _one_or_product(tuple(
-        ActionOnTorus(n, _realize_images(image_specs, algebra), algebra, name=name) for n, image_specs in specs
-    ), name)
-
-
-def classical_action(family: str, algebra: NcTorus):
-    """The undeformed action of the family on the given algebra."""
-    return _build_action(_family(families.CLASSICAL, family), algebra, name=f"{family}-classical")
+def classical_action(family: str, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
+    """The generators of the family's undeformed action on the given algebra."""
+    return _build_action(_family(families.CLASSICAL, family), algebra)
 
 
 def deformed_action(family: str, algebra: NcTorus) -> ActionOnTorus:
-    """The order-N action on the twisted torus (standard preset)."""
-    return _build_action((_family(families.DEFORMED, family),), algebra, name=family)
+    """The one generator of the order-N action on the twisted torus (standard preset)."""
+    return _build_action((_family(families.DEFORMED, family),), algebra)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +512,8 @@ def _parse_factor(token: str, algebra: NcTorus, letters: dict[str, int]):
     return base ** power if power >= 0 else base.star() ** -power
 
 
-def parse_action_text(text: str, algebra: NcTorus):
-    """Load an action from the declarative one-line-per-generator format.
+def parse_action_text(text: str, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
+    """Load an action's generators from the declarative one-line-per-generator format.
 
     Grammar (see README): a header with one order per generator label,
     ``order: N`` or ``order: 2 x 2``, then one line per group generator and
@@ -602,6 +566,4 @@ def parse_action_text(text: str, algebra: NcTorus):
     labels = sorted(lines)
     if len(labels) != len(ns):
         raise ValueError(f"expected {len(ns)} generators, found {labels}")
-    return _one_or_product(tuple(
-        ActionOnTorus(n, images_for(lbl), algebra, name=lbl) for n, lbl in zip(ns, labels)
-    ), "parsed")
+    return tuple(ActionOnTorus(n, images_for(lbl), algebra) for n, lbl in zip(ns, labels))

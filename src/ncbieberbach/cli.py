@@ -195,11 +195,14 @@ def cmd_homology(args) -> int:
 # argument parsing
 
 
-def _fraction(text: str) -> Fraction:
+def _theta(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    if value.denominator > MAX_DENOMINATOR:  # the field order grows with it
+        raise argparse.ArgumentTypeError(f"denominator must be at most {MAX_DENOMINATOR}, got {value.denominator}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -261,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--seed", type=int, default=2024)
     p_v.add_argument("--samples", type=_positive_int, default=40)
     p_v.add_argument("--degree", type=_positive_int, default=2)
-    p_v.add_argument("--theta", type=_fraction, default=None,
+    p_v.add_argument("--theta", type=_theta, default=None,
                      help="run in folded rational-theta mode at this value")
     denominator(p_v)
     common(p_v)

@@ -20,7 +20,7 @@ def basis(d):
 
 
 class Reference:
-    """One cyclic action on one algebra; images as (target, r, theta key)."""
+    """One generator on one algebra; images as (target, r, theta key)."""
 
     def __init__(self, action, algebra):
         self.action = action
@@ -62,10 +62,10 @@ class Reference:
         return pair
 
 
-def order_ok(action, algebra):
+def order_ok(gens, algebra):
     """Each generator fixes every delta_{e_i} after its full order, and the
-    generators of a product action commute on the basis monomials."""
-    refs = [Reference(g, algebra) for g in action.generators()]
+    generators commute on the basis monomials."""
+    refs = [Reference(g, algebra) for g in gens]
     units = basis(algebra.d)
     fixed = all(ref.power(ref.action.order, e) == (e, *ONE_PAIR) for ref in refs for e in units)
     return fixed and all(

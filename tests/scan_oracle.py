@@ -113,12 +113,11 @@ def generators_commute(g1, g2, algebra, bound):
 def admissible(family, upper, order):
     """(slot conditions and commutation hold, order flag) for one candidate."""
     algebra = NcTorus(ThetaMatrix(3, upper), order=order)
-    action = classical_action(family, algebra)
-    gens = action.generators()
+    gens = classical_action(family, algebra)
     ok = all(slots_hold(g, algebra) for g in gens) and all(
         generators_commute(g1, g2, algebra, 2) for g1, g2 in itertools.combinations(gens, 2)
     )
-    return ok, order_ok(action, algebra) if ok else False
+    return ok, order_ok(gens, algebra) if ok else False
 
 
 def candidates(denominator):

@@ -7,12 +7,13 @@ from fractions import Fraction
 import action_oracle
 import pytest
 import scan_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncbieberbach import families, verify
 from ncbieberbach.actions import (
     ActionOnTorus,
     GeneratorImage,
-    ProductAction,
     check_compatibility,
     check_order,
     classical_action,
@@ -91,16 +92,13 @@ def test_the_family_tuples_follow_the_registry():
 def test_classical_action_has_one_factor_per_registry_generator():
     algebra = NcTorus(ThetaMatrix(3, {}))
     for family in families.FAMILIES:
-        action = classical_action(family, algebra)
+        gens = classical_action(family, algebra)
         specs = families.CLASSICAL[family]
-        if family in families.CYCLIC_FAMILIES:
-            assert type(action) is ActionOnTorus, family
-        else:
-            assert isinstance(action, ProductAction), family
-        assert [g.order for g in action.generators()] == [n for n, _ in specs], family
-        assert [[img.target for img in g.images] for g in action.generators()] == [
+        assert type(gens) is tuple and all(type(g) is ActionOnTorus for g in gens), family
+        assert [g.order for g in gens] == [n for n, _ in specs], family
+        assert [[img.target for img in g.images] for g in gens] == [
             [tuple(target) for _, target in images] for _, images in specs], family
-        assert [[img.coeff for img in g.images] for g in action.generators()] == [
+        assert [[img.coeff for img in g.images] for g in gens] == [
             [algebra.phase_of_entry(Fraction(a), Fraction(b)) for (a, b), _ in images] for _, images in specs], family
 
 
@@ -113,10 +111,11 @@ def test_unknown_families_raise_value_error(preset):
         scan_cocycles("X", 6)
 
 
-def test_a_product_action_rejects_factors_on_different_algebras():
-    a, b = (classical_action("B5", NcTorus(ThetaMatrix(3, {}), order=order)).factors[0] for order in (24, 48))
-    with pytest.raises(ValueError, match="the factors act on different algebras"):
-        ProductAction((a, b))
+def test_the_checks_reject_generators_on_different_algebras():
+    a, b = (classical_action("B5", NcTorus(ThetaMatrix(3, {}), order=order))[0] for order in (24, 48))
+    for check in (check_order, check_compatibility, freeness_witness):
+        with pytest.raises(ValueError, match="the generators act on different algebras"):
+            check(a, b)
 
 
 def test_b2_generator_images(preset):
@@ -161,7 +160,7 @@ def test_b3_order_on_generators(preset):
 
 def test_identity_action_order_one(preset):
     one_img = [GeneratorImage(preset.scalar(1), t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    identity = ActionOnTorus(1, tuple(one_img), preset, name="id")
+    identity = ActionOnTorus(1, tuple(one_img), preset)
     assert check_order(identity)
     assert freeness_witness(identity)
 
@@ -176,13 +175,14 @@ def test_b4_fourth_root_on_u(preset):
 
 
 def _oracle_cases():
-    """The four K families in 2d and 3d at formal and folded theta, then every
-    grid-1/2 scan candidate of every family, compatible or not."""
+    """The generators of the four K families in 2d and 3d at formal and folded
+    theta, then of every grid-1/2 scan candidate of every family, compatible
+    or not."""
     for family in families.K_FAMILIES:
         for theta_value, order in ((None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)):
             for theta in (ThetaMatrix.standard_2d(), ThetaMatrix.standard_3d()):
                 algebra = NcTorus(theta, theta_value=theta_value, order=order)
-                yield deformed_action(family, algebra), algebra
+                yield (deformed_action(family, algebra),), algebra
     for family in families.FAMILIES:
         for _, _, upper in scan_oracle.candidates(2):
             algebra = NcTorus(ThetaMatrix(3, upper), order=24)
@@ -195,9 +195,9 @@ def test_closed_form_matches_the_generic_product_reference():
     candidates matter: on compatible actions every s_jk is an integer, so a
     sign error in its phase e^{i pi s_jk m_j m_k} cannot show there."""
     compatible = set()
-    for action, algebra in _oracle_cases():
-        compatible.add(check_compatibility(action))
-        for g in action.generators():
+    for gens, algebra in _oracle_cases():
+        compatible.add(check_compatibility(*gens))
+        for g in gens:
             ref = action_oracle.Reference(g, algebra)
             for m in itertools.product((-1, 0, 1), repeat=algebra.d):
                 assert g._image(m) == ref.image(m), (g, algebra, m)
@@ -220,13 +220,13 @@ def test_b3_rejects_a_half_twist_slot():
         (1, 2): ThetaEntry.of(0, 1),
     })
     algebra = NcTorus(matrix)
-    assert not check_compatibility(classical_action("B3", algebra))
+    assert not check_compatibility(*classical_action("B3", algebra))
 
 
 def test_untwisted_classical_actions_compatible():
     algebra = NcTorus(ThetaMatrix(3, {}))
     for family in families.FAMILIES:
-        assert check_compatibility(classical_action(family, algebra)), family
+        assert check_compatibility(*classical_action(family, algebra)), family
 
 
 def _literal_box_identity(action, algebra, bound):
@@ -257,9 +257,8 @@ def _literal_box_identity(action, algebra, bound):
 )
 def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
     algebra = NcTorus(ThetaMatrix(3, upper))
-    action = classical_action(family, algebra)
-    gens = action.generators()
-    fast = check_compatibility(action)
+    gens = classical_action(family, algebra)
+    fast = check_compatibility(*gens)
     literal = all(_literal_box_identity(g, algebra, 1) for g in gens)
     assert fast == literal == expected
 
@@ -268,7 +267,7 @@ def test_counterexample_rendering():
     matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0),
                                         (1, 2): ThetaEntry.of(0, 1)})
     algebra = NcTorus(matrix)
-    action = classical_action("B3", algebra)
+    (action,) = classical_action("B3", algebra)
     bad = compatibility_obstructions(action)
     assert bad
     (j, k), _, _ = bad[0]
@@ -335,7 +334,7 @@ def test_slot_obstructions_match_the_fraction_reference(family):
             order = math.lcm(24, 2 * denominator, 12 * q)
             for _, _, upper in scan_oracle.candidates(denominator):
                 algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
-                for g in classical_action(family, algebra).generators():
+                for g in classical_action(family, algebra):
                     reference = scan_oracle.slot_obstructions(g, algebra)
                     expected = [(slot, a, b) for slot, (a, b) in sorted(reference.items())
                                 if a.denominator != 1 or b != 0]
@@ -353,8 +352,8 @@ def _times_phase(g, i, phase):
 
 @pytest.mark.parametrize("theta_value,order", [(None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)])
 def test_integer_commutation_check_matches_fraction_reference(theta_value, order):
-    """``check_compatibility`` of a product action, whose generators are
-    compared on the basis monomials only, against the slot conditions and the
+    """``check_compatibility`` of two generators, which it compares on the
+    basis monomials only, against the slot conditions and the
     ``Fraction`` commutation check on the whole box |m_i| <= bound.
 
     The grid candidates of the product families all commute, so one image
@@ -365,12 +364,12 @@ def test_integer_commutation_check_matches_fraction_reference(theta_value, order
     for family in families.PRODUCT_FAMILIES:
         for _, _, upper in itertools.islice(scan_oracle.candidates(2), 0, None, 3):
             algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
-            g1, g2 = classical_action(family, algebra).generators()
+            g1, g2 = classical_action(family, algebra)
             quarter = algebra.scalar(cyc_root(4, 1, order=order))
             for a, b in ((g1, g2), (_times_phase(g1, 0, quarter), g2),
                          (g1, _times_phase(g2, 2, algebra.theta_phase(1)))):
                 slots = scan_oracle.slots_hold(a, algebra) and scan_oracle.slots_hold(b, algebra)
-                compatible = check_compatibility(ProductAction((a, b)))
+                compatible = check_compatibility(a, b)
                 for bound in (1, 2):
                     commute = scan_oracle.generators_commute(a, b, algebra, bound)
                     assert compatible == (slots and commute), (family, upper, bound)
@@ -402,9 +401,9 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
             for name, value in assignment:
                 upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[name]] = ThetaEntry.of(value, 0)
             algebra = NcTorus(ThetaMatrix(3, upper))
-            action = classical_action(family, algebra)
-            assert check_compatibility(action), (family, assignment)
-            order_ok = check_order(action)
+            gens = classical_action(family, algebra)
+            assert check_compatibility(*gens), (family, assignment)
+            order_ok = check_order(*gens)
             if family == "N2" and ("23", Fraction(1, 2)) in assignment:
                 # the tabulated coefficients break the order here; a quarter
                 # turn on the sheared image restores it (see below)
@@ -417,14 +416,14 @@ def test_n2_half_slot_order_restored_by_quarter_turn_coefficient():
     matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(0, 1),
                                         (1, 2): ThetaEntry.of(Fraction(1, 2), 0)})
     algebra = NcTorus(matrix)
-    plain = classical_action("N2", algebra)
+    (plain,) = classical_action("N2", algebra)
     assert check_compatibility(plain)
     assert not check_order(plain)
     fixed = ActionOnTorus(2, (
         plain.images[0],
         GeneratorImage(algebra.scalar(cyc_root(4, 1, order=algebra.order)), (0, 1, 1)),
         plain.images[2],
-    ), algebra, name="N2-adjusted")
+    ), algebra)
     assert check_compatibility(fixed)
     assert check_order(fixed)
 
@@ -517,7 +516,7 @@ def test_freeness_witnesses(preset):
     # (sufficient-only) witness is not found there
     zero_theta = NcTorus(ThetaMatrix(3, {}))
     for family in families.PRODUCT_FAMILIES:
-        assert not freeness_witness(classical_action(family, zero_theta)), family
+        assert not freeness_witness(*classical_action(family, zero_theta)), family
 
 
 @pytest.mark.parametrize("v_image,expected", [("-1 V", True), ("i V", False), ("V", False)])
@@ -534,7 +533,7 @@ def test_freeness_witness_of_a_product_needs_spanning_sign_characters(v_image, e
     e2: V -> {v_image}
     e2: W -> W
     """
-    assert freeness_witness(parse_action_text(text, zero_theta)) is expected
+    assert freeness_witness(*parse_action_text(text, zero_theta)) is expected
 
 
 def test_freeness_witness_rejects_an_eigenvalue_of_smaller_order():
@@ -545,9 +544,22 @@ def test_freeness_witness_rejects_an_eigenvalue_of_smaller_order():
     e: V -> W
     e: W -> V*
     """
-    action = parse_action_text(text, zero_theta)
-    assert check_order(action)
-    assert not freeness_witness(action)
+    gens = parse_action_text(text, zero_theta)
+    assert check_order(*gens)
+    assert not freeness_witness(*gens)
+
+
+@pytest.mark.parametrize("text", [
+    # no basis eigenvalue has order 6, but delta_(-1,1,0) has e^{2 pi i/6}:
+    # the characters 2 (of U) and 3 (of V) generate Z_6
+    "order: 6\ne: U -> w(1/3) U\ne: V -> -1 V\ne: W -> W",
+    # U alone has the character (1, 1) of order 6, which generates Z2 x Z3
+    "order: 2 x 3\ne1: U -> -1 U\ne1: V -> V\ne1: W -> W\ne2: U -> w(1/3) U\ne2: V -> V\ne2: W -> W",
+], ids=["Z6", "Z2xZ3"])
+def test_freeness_witness_combines_the_characters_of_basis_monomials(text):
+    gens = parse_action_text(text, NcTorus(ThetaMatrix(3, {})))
+    assert check_order(*gens) and check_compatibility(*gens)
+    assert freeness_witness(*gens)
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +577,8 @@ e: W -> V*
 
 def test_parse_action_round_trip(preset):
     parsed = parse_action_text(B3_TEXT, preset)
-    assert parsed == deformed_action("B3", preset)
-    assert check_order(parsed)
+    assert parsed == (deformed_action("B3", preset),)
+    assert check_order(*parsed)
 
 
 def test_parse_product_action():
@@ -581,10 +593,9 @@ def test_parse_product_action():
     e2: W -> -1 W*
     """
     parsed = parse_action_text(text, zero_theta)
-    assert isinstance(parsed, ProductAction)
-    assert check_order(parsed)
-    reference = classical_action("B5", zero_theta)
-    assert [f.images for f in parsed.factors] == [f.images for f in reference.factors]
+    assert [g.order for g in parsed] == [2, 2]
+    assert check_order(*parsed)
+    assert [g.images for g in parsed] == [g.images for g in classical_action("B5", zero_theta)]
 
 
 def test_parse_action_errors(preset):
@@ -615,7 +626,7 @@ def test_parse_action_refuses_a_lone_or_doubled_sign(preset, word):
 def test_parse_action_reads_one_leading_sign_as_minus_one(preset, factor):
     def u_image(word):
         text = f"order: 2\ne: U -> {word} U\ne: V -> V*\ne: W -> W*"
-        return parse_action_text(text, preset).images[0]
+        return parse_action_text(text, preset)[0].images[0]
 
     plain, signed = u_image(factor), u_image(f"-{factor}")
     assert signed.target == plain.target
@@ -626,3 +637,42 @@ def test_parse_action_rejects_a_phase_factor_with_a_zero_denominator(preset):
     for token in ("t(1/0)", "w(1/0)"):
         with pytest.raises(ValueError, match=re.escape(repr(token))):
             parse_action_text(f"order: 2\ne: U -> {token} U\ne: V -> V*\ne: W -> W*", preset)
+
+
+@st.composite
+def _action_texts(draw):
+    """(text, header orders) from the format's own tokens: at most three
+    labels and three orders, scalar factors with or without a sign, and
+    generator letters bare, starred or raised to a power in [-3, 3]."""
+    scalar = st.one_of(st.sampled_from(["1", "i"]), st.builds(
+        "{}({}/{})".format, st.sampled_from("wt"), st.integers(-3, 3), st.integers(0, 4)))
+    letter = st.builds(str.__add__, st.sampled_from("UVW"), st.one_of(
+        st.sampled_from(["", "*"]), st.integers(-3, 3).map("^{}".format)))
+    token = st.builds(str.__add__, st.sampled_from(["", "-"]), st.one_of(scalar, letter))
+    orders = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    lines = ["order: " + " x ".join(map(str, orders))]
+    for label in draw(st.lists(st.sampled_from(["e", "e1", "e2"]), min_size=1, max_size=3, unique=True)):
+        for torus_letter in "UVW":
+            if draw(st.integers(0, 7)):  # 0: leave the image out
+                lines.append(f"{label}: {torus_letter} -> " + " ".join(draw(st.lists(token, min_size=1, max_size=3))))
+    return "\n".join(lines), orders
+
+
+def test_parse_action_text_gives_one_generator_per_order_or_a_value_error(preset):
+    outcomes = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_action_texts())
+    def parse(case):
+        text, orders = case
+        try:
+            gens = parse_action_text(text, preset)
+        except ValueError:
+            outcomes.add("refused")
+            return
+        assert type(gens) is tuple and all(type(g) is ActionOnTorus for g in gens), text
+        assert [g.order for g in gens] == orders, text
+        outcomes.add("parsed")
+
+    parse()
+    assert outcomes == {"parsed", "refused"}

@@ -237,6 +237,19 @@ def test_folded_theta_verify(capsys):
     assert report["config"]["cyclotomic_order"] == 120
 
 
+@pytest.mark.parametrize("theta", [["--theta", "1/1009"], ["--theta=-2/13"]], ids=["1/1009", "-2/13"])
+def test_theta_denominator_is_bounded_before_any_table_is_built(capsys, theta):
+    """``--theta 1/1009`` would derive field order 24,216 and never finish;
+    the parser refuses a denominator above ``MAX_DENOMINATOR`` and names the
+    option."""
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "algebra", *theta])
+    assert err.value.code == 2
+    assert "argument --theta: denominator must be at most 12" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # the suites side by side
 

@@ -440,7 +440,7 @@ def test_exchange_trivial_root():
     algebra = NcTorus(ThetaMatrix.standard_3d())
     identity = ActionOnTorus(1, tuple(
         GeneratorImage(algebra.scalar(1), t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    ), algebra, name="id")
+    ), algebra)
     cp = CrossedProduct(identity)
     assert cp.p() == cp.one()
     u = cp.delta((1, 0, 0), 0)

@@ -1,5 +1,5 @@
 """Every script under ``demos/`` and every ``python`` block of ``README.md``
-runs to completion against this checkout."""
+runs to completion against this checkout, and no demo prints ``False``."""
 import os
 import re
 import subprocess
@@ -27,6 +27,8 @@ def test_demo_runs(demo):
     run = _run([str(demo)])
     assert run.returncode == 0, run.stderr
     assert run.stdout
+    # every boolean a demo prints is a check that should hold
+    assert not re.search(r"\bFalse\b", run.stdout), run.stdout
 
 
 @pytest.mark.parametrize("code", README_BLOCKS, ids=[f"README-block{i}" for i in range(len(README_BLOCKS))])
