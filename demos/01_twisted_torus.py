@@ -6,7 +6,7 @@ and the involution.  Everything printed is an exact symbolic value.
 """
 from fractions import Fraction
 
-from ncbieberbach import generators
+from ncbieberbach import standard_torus
 from ncbieberbach.scalars import PhasedScalar, cyc_root
 
 # Scalars: roots of unity live in the cyclotomic field of order 24 by default.
@@ -23,7 +23,8 @@ print("conjugate of e^{i pi th} i =", PhasedScalar.phase(1, i).conj())
 print("e^{i pi theta} at th=1/2   =", PhasedScalar.phase(1, 1).fold(Fraction(1, 2)))
 
 # The twisted torus: u is central, w and v commute up to e^{2 pi i theta}.
-alg, u, v, w = generators("3d")
+alg = standard_torus(3)
+u, v, w = alg.basis_generators()
 print()
 print("u v == v u                 :", u * v == v * u)
 print("w v == e^{2 pi i th} v w   :", w * v == v * w * alg.theta_phase(2))

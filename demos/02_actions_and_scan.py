@@ -14,9 +14,9 @@ from ncbieberbach.actions import (
     scan_cocycles,
 )
 from ncbieberbach.families import FAMILIES, SCAN_KNOWN_DISCREPANCIES
-from ncbieberbach.torus import NcTorus, ThetaMatrix
+from ncbieberbach.torus import standard_torus
 
-alg = NcTorus(ThetaMatrix.standard_3d())
+alg = standard_torus(3)
 u, v, w = alg.basis_generators()
 
 b2 = deformed_action("B2", alg)

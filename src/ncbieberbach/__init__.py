@@ -17,7 +17,7 @@ from .scalars import (  # noqa: F401
     PhasedScalar,
     cyc_root,
 )
-from .torus import NcTorus, ThetaEntry, ThetaMatrix, TorusElement, generators  # noqa: F401
+from .torus import NcTorus, TorusElement, standard_torus  # noqa: F401
 from .actions import (  # noqa: F401
     ActionOnTorus,
     check_compatibility,

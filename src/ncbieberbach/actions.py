@@ -37,8 +37,11 @@ monomials ``delta_{e_i}``; one basis check serves ``check_order`` and
 The cocycle scan reads the slot conditions on the grid ``k/D`` as integer
 congruences, ``C n = 0 (mod D)`` for the grid numerators ``n`` and ``C b = 0``
 for the theta coefficients ``b``, and rejects candidates with those alone.
-Only the survivors are built as an algebra and an action, and each gets the
-full certificate: ``check_compatibility`` and ``check_order``.
+Only the survivors are built, each from its slot dict ``{(j, k): (a, b)}``
+as an algebra and an action, and each gets the full certificate:
+``check_compatibility`` and ``check_order``.  A ``ScanResult`` compares with
+the tabulated row on the grid it ran: the row's assignments whose values are
+not multiples of 1/D are left out.
 
 A registry family is the tuple of its generators (``families.CLASSICAL``),
 and one builder serves the registry factories, the scan and the text format
@@ -55,7 +58,7 @@ from . import families
 from .scalars import (
     DEFAULT_CYCLOTOMIC_ORDER, _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, _root_index, certify, cyc_root,
 )
-from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, ThetaEntry, ThetaMatrix, TorusElement, split_terms
+from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, TorusElement, split_terms
 
 __all__ = [
     "GeneratorImage",
@@ -150,16 +153,29 @@ class ActionOnTorus:
         return result
 
     def power_pair(self, k: int, m: Monomial) -> tuple[Monomial, int, tuple[int, int]]:
-        """g^k . delta_m as (target, r, theta key)."""
-        if k == 0:
-            return (m, *_ONE_PAIR)
-        cached = self._powers.get((k, m))
-        if cached is not None:
-            return cached
-        target, r, key = self._image(m)
-        rest_target, rest_r, rest_key = self.power_pair(k - 1, target)
-        result = (rest_target, (r + rest_r) % self.algebra.order, _key_add(key, rest_key))
-        self._powers[(k, m)] = result
+        """g^k . delta_m as (target, r, theta key), for k >= 0.
+
+        A miss walks the orbit m, g.m, g^2.m, ... forward to a cached power or
+        to g^0, then caches the power of each monomial of the walk on the way
+        back; no recursion, so any group order works."""
+        powers = self._powers
+        result = powers.get((k, m))
+        if result is not None:
+            return result
+        if k < 0:
+            raise ValueError(f"the power must be at least 0, got {k}")
+        walk = []
+        while k and result is None:
+            image = self._image(m)
+            walk.append((k, m, image))
+            k, m = k - 1, image[0]
+            result = powers.get((k, m))
+        if result is None:
+            result = (m, *_ONE_PAIR)
+        order = self.algebra.order
+        for k, m, (_, r, key) in reversed(walk):
+            result = (result[0], (r + result[1]) % order, _key_add(key, result[2]))
+            powers[(k, m)] = result
         return result
 
     def power_image(self, k: int, m: Monomial) -> tuple[PhasedScalar, Monomial]:
@@ -312,8 +328,16 @@ class ScanResult:
             return None, self.all_rational
         return slot, self.patterns[slot]
 
+    def on_grid(self, row: tuple[str | None, frozenset]) -> tuple[str | None, frozenset]:
+        """A tabulated row restricted to the assignments the k/denominator grid holds."""
+        slot, assignments = row
+        return slot, frozenset(
+            a for a in assignments if all((v * self.denominator).denominator == 1 for _, v in a)
+        )
+
     def reference(self) -> tuple[str | None, frozenset]:
-        return families.SCAN_REFERENCE[self.family]
+        """The tabulated row, on the grid the scan ran."""
+        return self.on_grid(families.SCAN_REFERENCE[self.family])
 
     def matches_reference(self) -> bool:
         return self.computed() == self.reference()
@@ -331,9 +355,9 @@ class ScanResult:
         return expected == set(self.all_rational)
 
 
-def _candidate_matrix(assign: dict[str, ThetaEntry]) -> ThetaMatrix:
-    upper = {_SLOT_INDEX[slot]: entry for slot, entry in assign.items() if not entry.is_zero()}
-    return ThetaMatrix(3, upper)
+def _candidate_matrix(assign: dict[str, tuple]) -> dict:
+    """The slot dict of one candidate, from its (a, b) pair per slot name."""
+    return {_SLOT_INDEX[slot]: pair for slot, pair in assign.items()}
 
 
 def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -> ScanResult:
@@ -367,10 +391,10 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
             n = [numerators.get(slot, 0) for slot in _SLOTS]
             if any(sum(c * x for c, x in zip(row, n)) % denominator for row in rows):
                 continue
-            assign = {} if designated is None else {designated: ThetaEntry.of(0, 1)}
+            assign = {} if designated is None else {designated: (0, 1)}
             for slot, k in numerators.items():
-                assign[slot] = ThetaEntry.of(Fraction(k, denominator), 0)
-            algebra = NcTorus(_candidate_matrix(assign), order=order)
+                assign[slot] = (Fraction(k, denominator), 0)
+            algebra = NcTorus(3, _candidate_matrix(assign), order=order)
             gens = _build_action(specs, algebra)
             if check_compatibility(*gens):
                 key = tuple(sorted((slot, Fraction(k, denominator)) for slot, k in numerators.items()))

@@ -205,21 +205,29 @@ def _theta(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+# `verify --suite all` at both bounds: about 5 s at formal theta, 21 s at the
+# largest field order (--theta 1/9 --denominator 11), on two CPUs
+MAX_SAMPLES = 1000
+MAX_DEGREE = 10  # the exchange check walks (2 degree + 1)^2 monomials per family
 
 
-def _denominator(text: str) -> int:
-    value = _positive_int(text)
-    if value > MAX_DENOMINATOR:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_DENOMINATOR}, got {value}")
-    return value
+def _int_from_one_to(upper: int):
+    """The argparse type of an integer option from 1 to ``upper``: a sample
+    count or degree of 0 would let a check pass after evaluating nothing, and
+    the upper bound keeps a run finite."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        if value > upper:
+            raise argparse.ArgumentTypeError(f"must be at most {upper}, got {value}")
+        return value
+
+    return parse
 
 
 def _epsilon(text: str) -> int:
@@ -244,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="treat anomalies as failures")
 
     def denominator(p):
-        p.add_argument("--denominator", type=_denominator, default=6,
+        p.add_argument("--denominator", type=_int_from_one_to(MAX_DENOMINATOR), default=6,
                        help="grid denominator of the cocycle scan")
 
     p_scan = sub.add_parser("scan", help="admissible theta patterns for one family")
@@ -262,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_v = sub.add_parser("verify", help="run a verification suite")
     p_v.add_argument("--suite", choices=SUITES, default="all")
     p_v.add_argument("--seed", type=int, default=2024)
-    p_v.add_argument("--samples", type=_positive_int, default=40)
-    p_v.add_argument("--degree", type=_positive_int, default=2)
+    p_v.add_argument("--samples", type=_int_from_one_to(MAX_SAMPLES), default=40)
+    p_v.add_argument("--degree", type=_int_from_one_to(MAX_DEGREE), default=2)
     p_v.add_argument("--theta", type=_theta, default=None,
                      help="run in folded rational-theta mode at this value")
     denominator(p_v)

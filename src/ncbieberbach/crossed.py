@@ -48,7 +48,7 @@ from fractions import Fraction
 from .actions import ActionOnTorus, deformed_action, homogeneous_components
 from .families import K0_GENERATORS
 from .scalars import DEFAULT_CYCLOTOMIC_ORDER, PhasedScalar, SparseElement, certify, cyc_root
-from .torus import Accumulator, Monomial, NcTorus, ThetaMatrix, TorusElement, split_terms
+from .torus import Accumulator, Monomial, NcTorus, TorusElement, split_terms, standard_torus
 
 __all__ = [
     "ContextError",
@@ -188,9 +188,8 @@ class CrossedProduct:
     def _require_central_scaled_u(self):
         if self.algebra.d != 3:
             raise ContextError("the p_hat construction needs the three-torus context")
-        for k in (1, 2):
-            if not self.algebra.theta.entry(0, k).is_zero():
-                raise ContextError("the first generator must be central")
+        if (0, 1) in self.algebra.slots or (0, 2) in self.algebra.slots:
+            raise ContextError("the first generator must be central")
         img = self.action.images[0]
         if img.target != (1, 0, 0):
             raise ContextError("the action must scale the central generator")
@@ -391,13 +390,7 @@ def crossed_product(
     family: str, dim: int = 2, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER
 ) -> CrossedProduct:
     """Build the crossed product of a family on the standard preset."""
-    if dim == 2:
-        algebra = NcTorus(ThetaMatrix.standard_2d(), theta_value=theta_value, order=order)
-    elif dim == 3:
-        algebra = NcTorus(ThetaMatrix.standard_3d(), theta_value=theta_value, order=order)
-    else:
-        raise ValueError("dim must be 2 or 3")
-    return CrossedProduct(deformed_action(family, algebra), family=family)
+    return CrossedProduct(deformed_action(family, standard_torus(dim, theta_value, order)), family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,19 @@ vectors m, multiplied by the bicharacter cocycle
 
 where theta is a real antisymmetric d x d matrix whose entries are affine
 expressions ``a + b*theta`` with rational a, b and theta a formal symbol.
-Setting theta to an actual rational number is supported through the algebra's
-``theta_value`` (folded mode); the symbolic mode is the default.
+An algebra is built from its upper slots alone, ``NcTorus(d, {(j, k): (a,
+b)})`` with j < k and theta_jk = a + b*theta: the same (a, b) pair the action
+registries (``families``) use for their coefficients.  Setting theta to an
+actual rational number is supported through the algebra's ``theta_value``
+(folded mode); the symbolic mode is the default.
 
-The standard presets give three unitary generators with relations
+The one preset, ``standard_torus(3)``, gives three unitary generators with
+relations
 
     u v = v u,   u w = w u,   w v = e^{2 pi i theta} v w,
 
-and the matching two-generator restriction for the rotation subalgebra.
+and ``standard_torus(2)`` the matching two-generator restriction for the
+rotation subalgebra; both certify that sign convention when built.
 
 Every cocycle value is a unit phase e^{i pi (a + b theta)}.  The algebra keeps
 it as the integer pair (r, key): zeta^r with r = a * order / 2 modulo the
@@ -39,7 +44,7 @@ import functools
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .scalars import (
     DEFAULT_CYCLOTOMIC_ORDER,
@@ -55,13 +60,11 @@ from .scalars import (
 )
 
 __all__ = [
-    "ThetaEntry",
-    "ThetaMatrix",
     "NcTorus",
+    "standard_torus",
     "TorusElement",
     "Accumulator",
     "split_terms",
-    "generators",
 ]
 
 Monomial = tuple[int, ...]
@@ -70,92 +73,32 @@ _ONE_PAIR: UnitPair = (0, (0, 1))
 _COCYCLE_CACHE_CAP = 200_000
 
 
-class ThetaEntry(NamedTuple):
-    """The value a + b*theta of one matrix slot."""
-
-    a: Fraction
-    b: Fraction
-
-    @classmethod
-    def of(cls, a, b=0) -> "ThetaEntry":
-        return cls(Fraction(a), Fraction(b))
-
-    def __neg__(self) -> "ThetaEntry":
-        return ThetaEntry(-self.a, -self.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-
-class ThetaMatrix:
-    """Antisymmetric d x d matrix of ThetaEntry values (diagonal zero)."""
-
-    __slots__ = ("d", "_upper")
-
-    def __init__(self, d: int, upper: dict[tuple[int, int], ThetaEntry]):
-        self.d = d
-        self._upper = {}
-        for (j, k), entry in upper.items():
-            if not 0 <= j < k < d:
-                raise ValueError(f"slot ({j},{k}) is not an upper-triangle position")
-            if not entry.is_zero():
-                self._upper[(j, k)] = entry
-
-    @classmethod
-    def standard_3d(cls) -> "ThetaMatrix":
-        """theta_12 = theta_13 = 0 and theta_23 = -theta (symbolic)."""
-        return cls(3, {(1, 2): ThetaEntry.of(0, -1)})
-
-    @classmethod
-    def standard_2d(cls) -> "ThetaMatrix":
-        """theta_12 = -theta, the rotation-subalgebra restriction."""
-        return cls(2, {(0, 1): ThetaEntry.of(0, -1)})
-
-    def entry(self, j: int, k: int) -> ThetaEntry:
-        if j == k:
-            return ThetaEntry.of(0, 0)
-        if j < k:
-            return self._upper.get((j, k), ThetaEntry.of(0, 0))
-        return -self._upper.get((k, j), ThetaEntry.of(0, 0))
-
-    def upper_items(self):
-        return sorted(self._upper.items())
-
-    def key(self):
-        return (self.d, tuple(sorted(self._upper.items())))
-
-    def __eq__(self, other):
-        if not isinstance(other, ThetaMatrix):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __repr__(self):
-        slots = ", ".join(
-            f"theta_{j + 1}{k + 1}={e.a}+{e.b}t" for (j, k), e in self.upper_items()
-        )
-        return f"ThetaMatrix(d={self.d}, {slots or 'zero'})"
-
-
 class NcTorus:
     """A twisted group algebra C*(Z^d, omega_theta) at the polynomial level.
 
-    ``theta_value=None`` keeps theta formal; a Fraction folds every phase
-    e^{i pi b theta} into the cyclotomic field of the given order.
+    ``slots`` maps each upper slot (j, k), 0 <= j < k < d, to the pair (a, b)
+    of theta_jk = a + b theta; the algebra keeps the nonzero pairs, as
+    Fractions in slot order.  ``theta_value=None`` keeps theta formal; a
+    Fraction folds every phase e^{i pi b theta} into the cyclotomic field of
+    the given order.
     """
 
-    __slots__ = ("theta", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slot_table", "_slot_den")
+    __slots__ = ("d", "slots", "theta_value", "order", "_pair_key", "_cocycle_pairs", "_slot_table", "_slot_den")
 
-    def __init__(self, theta: ThetaMatrix, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
-        self.theta = theta
+    def __init__(self, d: int, slots: dict, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
+        self.d = d
+        self.slots: dict[tuple[int, int], tuple[Fraction, Fraction]] = {}
+        for (j, k), (a, b) in sorted(slots.items()):
+            if not 0 <= j < k < d:
+                raise ValueError(f"slot ({j},{k}) is not an upper-triangle position")
+            if a or b:
+                self.slots[(j, k)] = (Fraction(a), Fraction(b))
         self.theta_value = None if theta_value is None else Fraction(theta_value)
         self.order = order
         # the one fold of theta: {(j, k): (a, b)} with theta_jk = (a + b theta) / L
         value = self.theta_value
-        entries = {slot: (e.a, e.b) if value is None else (e.a + e.b * value, Fraction(0))
-                   for slot, e in theta.upper_items()}
+        entries = {slot: (a, b) if value is None else (a + b * value, Fraction(0))
+                   for slot, (a, b) in self.slots.items()}
         den = math.lcm(*(x.denominator for pair in entries.values() for x in pair))
         self._slot_table = {slot: (int(a * den), int(b * den)) for slot, (a, b) in entries.items()}
         self._slot_den = den
@@ -167,12 +110,8 @@ class NcTorus:
 
     # -- identity ----------------------------------------------------------
 
-    @property
-    def d(self) -> int:
-        return self.theta.d
-
     def key(self):
-        return (self.theta.key(), self.theta_value, self.order)
+        return (self.d, tuple(self.slots.items()), self.theta_value, self.order)
 
     def same_algebra(self, other: "NcTorus") -> bool:
         return other is self or (isinstance(other, NcTorus) and self.key() == other.key())
@@ -259,8 +198,9 @@ class NcTorus:
         return gens
 
     def __repr__(self):
+        slots = ", ".join(f"theta_{j + 1}{k + 1}={a}+{b}t" for (j, k), (a, b) in self.slots.items())
         mode = "symbolic" if self.theta_value is None else f"theta={self.theta_value}"
-        return f"NcTorus({self.theta!r}, {mode}, order={self.order})"
+        return f"NcTorus(d={self.d}, {slots or 'zero'}, {mode}, order={self.order})"
 
 
 class TorusElement(SparseElement, ctx="algebra", data="_terms"):
@@ -422,36 +362,21 @@ class Accumulator:
         }
 
 
-_checked_conventions: set = set()
+_checked_conventions: set = set()  # keys of the preset algebras already certified
 
 
-def _assert_sign_convention(algebra: NcTorus) -> None:
-    """One-time check that the preset reproduces w v = e^{2 pi i theta} v w."""
-    key = algebra.key()
-    if key in _checked_conventions:
-        return
-    if algebra.d == 3:
-        _, v, w = algebra.basis_generators()
-    else:
-        v, w = algebra.basis_generators()
-    certify(w * v == v * w * algebra.theta_phase(2), "sign convention broken: w*v != e^{2 pi i theta} v*w")
-    _checked_conventions.add(key)
+def standard_torus(d: int, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER) -> NcTorus:
+    """The standard preset, with its sign convention w v = e^{2 pi i theta} v w
+    certified once per algebra.
 
-
-def generators(preset: str, theta_value=None, order: int = DEFAULT_CYCLOTOMIC_ORDER):
-    """Unitary generators for a standard preset.
-
-    ``"3d"`` returns (algebra, u, v, w) on the three-torus preset;
-    ``"2d"`` returns (algebra, v, w) for the rotation subalgebra.
+    ``d = 3``: theta_23 = -theta, so u is central;
+    ``d = 2``: theta_12 = -theta, the rotation-subalgebra restriction.
     """
-    if preset == "3d":
-        algebra = NcTorus(ThetaMatrix.standard_3d(), theta_value=theta_value, order=order)
-        u, v, w = algebra.basis_generators()
-        _assert_sign_convention(algebra)
-        return algebra, u, v, w
-    if preset == "2d":
-        algebra = NcTorus(ThetaMatrix.standard_2d(), theta_value=theta_value, order=order)
-        v, w = algebra.basis_generators()
-        _assert_sign_convention(algebra)
-        return algebra, v, w
-    raise ValueError(f"unknown preset {preset!r}; expected '3d' or '2d'")
+    if d not in (2, 3):
+        raise ValueError(f"the standard preset has d = 2 or 3, got {d}")
+    algebra = NcTorus(d, {(d - 2, d - 1): (0, -1)}, theta_value, order)
+    if algebra.key() not in _checked_conventions:
+        v, w = algebra.basis_generators()[-2:]
+        certify(w * v == v * w * algebra.theta_phase(2), "sign convention broken: w*v != e^{2 pi i theta} v*w")
+        _checked_conventions.add(algebra.key())
+    return algebra

@@ -14,17 +14,21 @@ from fractions import Fraction
 
 from action_oracle import order_ok
 from ncbieberbach.actions import classical_action
-from ncbieberbach.torus import NcTorus, ThetaEntry, ThetaMatrix
+from ncbieberbach.torus import NcTorus
 
 SLOTS = ("12", "13", "23")
 SLOT_INDEX = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
 
 
 def theta_pair(algebra, j, k):
-    entry = algebra.theta.entry(j, k)
+    """Theta_jk as an (a, b) pair, from the upper slot entries and antisymmetry."""
+    if j > k:
+        a, b = theta_pair(algebra, k, j)
+        return -a, -b
+    a, b = algebra.slots.get((j, k), (Fraction(0), Fraction(0)))
     if algebra.theta_value is not None:
-        return entry.a + entry.b * algebra.theta_value, Fraction(0)
-    return entry.a, entry.b
+        return a + b * algebra.theta_value, Fraction(0)
+    return a, b
 
 
 def pairing(algebra, m, n):
@@ -112,7 +116,7 @@ def generators_commute(g1, g2, algebra, bound):
 
 def admissible(family, upper, order):
     """(slot conditions and commutation hold, order flag) for one candidate."""
-    algebra = NcTorus(ThetaMatrix(3, upper), order=order)
+    algebra = NcTorus(3, upper, order=order)
     gens = classical_action(family, algebra)
     ok = all(slots_hold(g, algebra) for g in gens) and all(
         generators_commute(g1, g2, algebra, 2) for g1, g2 in itertools.combinations(gens, 2)
@@ -127,8 +131,8 @@ def candidates(denominator):
     for designated in (*SLOTS, None):
         fixed = tuple(s for s in SLOTS if s != designated)
         for combo in itertools.product(grid, repeat=len(fixed)):
-            upper = {} if designated is None else {SLOT_INDEX[designated]: ThetaEntry.of(0, 1)}
-            upper.update({SLOT_INDEX[s]: ThetaEntry.of(v, 0) for s, v in zip(fixed, combo)})
+            upper = {} if designated is None else {SLOT_INDEX[designated]: (0, 1)}
+            upper.update({SLOT_INDEX[s]: (v, 0) for s, v in zip(fixed, combo)})
             yield designated, tuple(sorted(zip(fixed, combo))), upper
 
 

@@ -26,12 +26,12 @@ from ncbieberbach.actions import (
 )
 from ncbieberbach.crossed import random_torus_element
 from ncbieberbach.scalars import OrderMismatchError, cyc_root
-from ncbieberbach.torus import NcTorus, ThetaEntry, ThetaMatrix
+from ncbieberbach.torus import NcTorus, standard_torus
 
 
 @pytest.fixture(scope="module")
 def preset():
-    return NcTorus(ThetaMatrix.standard_3d())
+    return standard_torus(3)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_generator_image_coefficient_is_a_root_of_unity_times_a_theta_phase(pres
 def test_an_action_rejects_coefficients_of_another_order():
     """Image exponents of order 24 read at order 48 would send u to the wrong
     root under B4, so the action refuses them when it is built."""
-    a24, a48 = (NcTorus(ThetaMatrix.standard_3d(), order=order) for order in (24, 48))
+    a24, a48 = (standard_torus(3, order=order) for order in (24, 48))
     with pytest.raises(OrderMismatchError, match="order 24 on an algebra of order 48"):
         ActionOnTorus(4, deformed_action("B4", a24).images, a48)
 
@@ -90,7 +90,7 @@ def test_the_family_tuples_follow_the_registry():
 
 
 def test_classical_action_has_one_factor_per_registry_generator():
-    algebra = NcTorus(ThetaMatrix(3, {}))
+    algebra = NcTorus(3, {})
     for family in families.FAMILIES:
         gens = classical_action(family, algebra)
         specs = families.CLASSICAL[family]
@@ -112,7 +112,7 @@ def test_unknown_families_raise_value_error(preset):
 
 
 def test_the_checks_reject_generators_on_different_algebras():
-    a, b = (classical_action("B5", NcTorus(ThetaMatrix(3, {}), order=order))[0] for order in (24, 48))
+    a, b = (classical_action("B5", NcTorus(3, {}, order=order))[0] for order in (24, 48))
     for check in (check_order, check_compatibility, freeness_witness):
         with pytest.raises(ValueError, match="the generators act on different algebras"):
             check(a, b)
@@ -180,12 +180,12 @@ def _oracle_cases():
     or not."""
     for family in families.K_FAMILIES:
         for theta_value, order in ((None, 24), (Fraction(1, 5), 120), (Fraction(2, 7), 168)):
-            for theta in (ThetaMatrix.standard_2d(), ThetaMatrix.standard_3d()):
-                algebra = NcTorus(theta, theta_value=theta_value, order=order)
+            for d in (2, 3):
+                algebra = standard_torus(d, theta_value=theta_value, order=order)
                 yield (deformed_action(family, algebra),), algebra
     for family in families.FAMILIES:
         for _, _, upper in scan_oracle.candidates(2):
-            algebra = NcTorus(ThetaMatrix(3, upper), order=24)
+            algebra = NcTorus(3, upper, order=24)
             yield classical_action(family, algebra), algebra
 
 
@@ -205,6 +205,27 @@ def test_closed_form_matches_the_generic_product_reference():
     assert compatible == {True, False}
 
 
+def test_power_pair_walks_the_orbit_without_recursion():
+    """A group order far above the recursion limit; each miss caches g^j of
+    every monomial it walks, as a step-by-step application would."""
+    (g,) = parse_action_text("order: 5000\ne: U -> U\ne: V -> V\ne: W -> W", NcTorus(3, {}))
+    assert check_order(g)
+    algebra = standard_torus(3)
+    action, reference = deformed_action("B3", algebra), deformed_action("B3", algebra)
+    m = (1, 2, -1)
+    walk = [m]
+    for _ in range(6):
+        walk.append(reference.power_pair(1, walk[-1])[0])
+    target, r, key = action.power_pair(7, m)
+    assert set(action._powers) == {(7 - i, mi) for i, mi in enumerate(walk)}
+    x = algebra.delta(m)
+    for _ in range(7):
+        x = reference.apply(x)
+    assert x == algebra.delta(target) * algebra.scalar(1).times_unit(r, key)
+    with pytest.raises(ValueError, match="at least 0"):
+        action.power_pair(-1, m)
+
+
 # ---------------------------------------------------------------------------
 # compatibility
 
@@ -215,16 +236,15 @@ def test_deformed_families_compatible_at_bound_three(preset, family):
 
 
 def test_b3_rejects_a_half_twist_slot():
-    matrix = ThetaMatrix(3, {
-        (0, 1): ThetaEntry.of(Fraction(1, 2), 0),
-        (1, 2): ThetaEntry.of(0, 1),
+    algebra = NcTorus(3, {
+        (0, 1): (Fraction(1, 2), 0),
+        (1, 2): (0, 1),
     })
-    algebra = NcTorus(matrix)
     assert not check_compatibility(*classical_action("B3", algebra))
 
 
 def test_untwisted_classical_actions_compatible():
-    algebra = NcTorus(ThetaMatrix(3, {}))
+    algebra = NcTorus(3, {})
     for family in families.FAMILIES:
         assert check_compatibility(*classical_action(family, algebra)), family
 
@@ -244,19 +264,19 @@ def _literal_box_identity(action, algebra, bound):
 @pytest.mark.parametrize(
     "family,upper,expected",
     [
-        ("B2", {(1, 2): ThetaEntry.of(0, 1)}, True),
-        ("B3", {(0, 1): ThetaEntry.of(Fraction(1, 3), 0),
-                (0, 2): ThetaEntry.of(Fraction(2, 3), 0),
-                (1, 2): ThetaEntry.of(0, 1)}, True),
-        ("B3", {(0, 1): ThetaEntry.of(Fraction(1, 2), 0), (1, 2): ThetaEntry.of(0, 1)}, False),
-        ("B6", {(0, 1): ThetaEntry.of(Fraction(1, 3), 0),
-                (0, 2): ThetaEntry.of(Fraction(2, 3), 0),
-                (1, 2): ThetaEntry.of(0, 1)}, False),
-        ("N1", {(0, 1): ThetaEntry.of(0, 1), (0, 2): ThetaEntry.of(Fraction(1, 2), 0)}, True),
+        ("B2", {(1, 2): (0, 1)}, True),
+        ("B3", {(0, 1): (Fraction(1, 3), 0),
+                (0, 2): (Fraction(2, 3), 0),
+                (1, 2): (0, 1)}, True),
+        ("B3", {(0, 1): (Fraction(1, 2), 0), (1, 2): (0, 1)}, False),
+        ("B6", {(0, 1): (Fraction(1, 3), 0),
+                (0, 2): (Fraction(2, 3), 0),
+                (1, 2): (0, 1)}, False),
+        ("N1", {(0, 1): (0, 1), (0, 2): (Fraction(1, 2), 0)}, True),
     ],
 )
 def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
-    algebra = NcTorus(ThetaMatrix(3, upper))
+    algebra = NcTorus(3, upper)
     gens = classical_action(family, algebra)
     fast = check_compatibility(*gens)
     literal = all(_literal_box_identity(g, algebra, 1) for g in gens)
@@ -264,9 +284,7 @@ def test_slot_conditions_agree_with_literal_identity(family, upper, expected):
 
 
 def test_counterexample_rendering():
-    matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(Fraction(1, 2), 0),
-                                        (1, 2): ThetaEntry.of(0, 1)})
-    algebra = NcTorus(matrix)
+    algebra = NcTorus(3, {(0, 1): (Fraction(1, 2), 0), (1, 2): (0, 1)})
     (action,) = classical_action("B3", algebra)
     bad = compatibility_obstructions(action)
     assert bad
@@ -319,6 +337,8 @@ def test_scan_matches_the_fraction_enumeration(denominator):
         assert result.patterns == patterns, family
         assert result.all_rational == all_rational, family
         assert result.order_flags == order_flags, family
+        # a correct scan passes, or shows the documented defect, on every grid
+        assert verify.scan_row(result).status != "fail", family
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)
@@ -333,7 +353,7 @@ def test_slot_obstructions_match_the_fraction_reference(family):
             q = 1 if theta_value is None else theta_value.denominator
             order = math.lcm(24, 2 * denominator, 12 * q)
             for _, _, upper in scan_oracle.candidates(denominator):
-                algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
+                algebra = NcTorus(3, upper, theta_value=theta_value, order=order)
                 for g in classical_action(family, algebra):
                     reference = scan_oracle.slot_obstructions(g, algebra)
                     expected = [(slot, a, b) for slot, (a, b) in sorted(reference.items())
@@ -363,7 +383,7 @@ def test_integer_commutation_check_matches_fraction_reference(theta_value, order
     outcomes = set()
     for family in families.PRODUCT_FAMILIES:
         for _, _, upper in itertools.islice(scan_oracle.candidates(2), 0, None, 3):
-            algebra = NcTorus(ThetaMatrix(3, upper), theta_value=theta_value, order=order)
+            algebra = NcTorus(3, upper, theta_value=theta_value, order=order)
             g1, g2 = classical_action(family, algebra)
             quarter = algebra.scalar(cyc_root(4, 1, order=order))
             for a, b in ((g1, g2), (_times_phase(g1, 0, quarter), g2),
@@ -397,10 +417,10 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
         for assignment in patterns:
             upper = {}
             if slot:
-                upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[slot]] = ThetaEntry.of(0, 1)
+                upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[slot]] = (0, 1)
             for name, value in assignment:
-                upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[name]] = ThetaEntry.of(value, 0)
-            algebra = NcTorus(ThetaMatrix(3, upper))
+                upper[{"12": (0, 1), "13": (0, 2), "23": (1, 2)}[name]] = (value, 0)
+            algebra = NcTorus(3, upper)
             gens = classical_action(family, algebra)
             assert check_compatibility(*gens), (family, assignment)
             order_ok = check_order(*gens)
@@ -413,9 +433,7 @@ def test_admissible_patterns_keep_order_and_compatibility_at_bound_three():
 
 
 def test_n2_half_slot_order_restored_by_quarter_turn_coefficient():
-    matrix = ThetaMatrix(3, {(0, 1): ThetaEntry.of(0, 1),
-                                        (1, 2): ThetaEntry.of(Fraction(1, 2), 0)})
-    algebra = NcTorus(matrix)
+    algebra = NcTorus(3, {(0, 1): (0, 1), (1, 2): (Fraction(1, 2), 0)})
     (plain,) = classical_action("N2", algebra)
     assert check_compatibility(plain)
     assert not check_order(plain)
@@ -476,8 +494,8 @@ def test_homogeneous_components_match_the_elementwise_sum(theta_value, order):
     ``tests/action_oracle.py``, on every cyclic family, in 2d and 3d."""
     rng = random.Random(f"homogeneous:{theta_value}")
     for family in families.CYCLIC_FAMILIES:
-        for theta in (ThetaMatrix.standard_2d(), ThetaMatrix.standard_3d()):
-            algebra = NcTorus(theta, theta_value=theta_value, order=order)
+        for d in (2, 3):
+            algebra = standard_torus(d, theta_value=theta_value, order=order)
             try:
                 action = deformed_action(family, algebra)
             except ValueError:  # the plane restriction of an action moving the circle generator
@@ -485,7 +503,7 @@ def test_homogeneous_components_match_the_elementwise_sum(theta_value, order):
             for _ in range(10):
                 x = random_torus_element(rng, algebra, 2, terms=3)
                 expected = action_oracle.homogeneous_components(action, algebra, x)
-                assert homogeneous_components(action, x) == expected, (family, theta)
+                assert homogeneous_components(action, x) == expected, (family, d)
 
 
 def test_reconstruction_row_catches_rotated_components(monkeypatch):
@@ -503,7 +521,7 @@ def test_reconstruction_row_catches_rotated_components(monkeypatch):
 
 
 def test_homogeneous_components_need_the_group_order_in_the_field():
-    algebra = NcTorus(ThetaMatrix.standard_2d(), order=4)
+    algebra = standard_torus(2, order=4)
     images = tuple(GeneratorImage(algebra.scalar(1), e) for e in ((1, 0), (0, 1)))
     with pytest.raises(OrderMismatchError, match="order 3 does not divide the field order 4"):
         homogeneous_components(ActionOnTorus(3, images, algebra), algebra.one())
@@ -514,7 +532,7 @@ def test_freeness_witnesses(preset):
         assert freeness_witness(deformed_action(family, preset)), family
     # the product families have no jointly homogeneous generator, so the
     # (sufficient-only) witness is not found there
-    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    zero_theta = NcTorus(3, {})
     for family in families.PRODUCT_FAMILIES:
         assert not freeness_witness(*classical_action(family, zero_theta)), family
 
@@ -523,7 +541,7 @@ def test_freeness_witnesses(preset):
 def test_freeness_witness_of_a_product_needs_spanning_sign_characters(v_image, expected):
     """U and V homogeneous with characters (1, 0) and (0, 1) span the dual of
     Z2 x Z2; an eigenvalue i is no sign character, and a trivial one spans less."""
-    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    zero_theta = NcTorus(3, {})
     text = f"""
     order: 2 x 2
     e1: U -> -1 U
@@ -537,7 +555,7 @@ def test_freeness_witness_of_a_product_needs_spanning_sign_characters(v_image, e
 
 
 def test_freeness_witness_rejects_an_eigenvalue_of_smaller_order():
-    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    zero_theta = NcTorus(3, {})
     text = """
     order: 4
     e: U -> -1 U
@@ -557,7 +575,7 @@ def test_freeness_witness_rejects_an_eigenvalue_of_smaller_order():
     "order: 2 x 3\ne1: U -> -1 U\ne1: V -> V\ne1: W -> W\ne2: U -> w(1/3) U\ne2: V -> V\ne2: W -> W",
 ], ids=["Z6", "Z2xZ3"])
 def test_freeness_witness_combines_the_characters_of_basis_monomials(text):
-    gens = parse_action_text(text, NcTorus(ThetaMatrix(3, {})))
+    gens = parse_action_text(text, NcTorus(3, {}))
     assert check_order(*gens) and check_compatibility(*gens)
     assert freeness_witness(*gens)
 
@@ -582,7 +600,7 @@ def test_parse_action_round_trip(preset):
 
 
 def test_parse_product_action():
-    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    zero_theta = NcTorus(3, {})
     text = """
     order: 2 x 2
     e1: U -> -1 U
@@ -609,7 +627,7 @@ def test_parse_action_errors(preset):
 
 @pytest.mark.parametrize("order", ["3", "2 x 2"])
 def test_parse_action_needs_one_order_per_generator_label(order):
-    zero_theta = NcTorus(ThetaMatrix(3, {}))
+    zero_theta = NcTorus(3, {})
     lines = "e1: U -> U\ne1: V -> V*\ne1: W -> W*\n"
     text = f"order: {order}\n" + lines + ("" if "x" in order else lines.replace("e1", "e2"))
     with pytest.raises(ValueError, match="expected . generators, found"):

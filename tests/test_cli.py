@@ -11,6 +11,7 @@ import pytest
 
 import ncbieberbach
 from ncbieberbach import families, verify
+from ncbieberbach.actions import scan_cocycles
 from ncbieberbach.cli import main
 from ncbieberbach.scalars import DEFAULT_CYCLOTOMIC_ORDER
 
@@ -88,11 +89,26 @@ def test_verify_reports_the_order_its_scans_ran_at(capsys, monkeypatch, extra, o
 
 
 def test_scan_row_is_an_anomaly_only_for_the_pinned_defect(capsys):
-    # at D = 3 N2 computes a set other than its pinned defect set
+    # the 1/3 grid holds the thirds of the B6 row but not the halves of N2,
+    # and on it the tabulated and pinned N2 rows coincide
     _, report = run_json(capsys, "verify", "--suite", "actions", "--denominator", "3")
     statuses = {r["name"]: r["status"] for r in report["results"]}
-    assert statuses["scan[N2]"] == "fail"
+    assert statuses["scan[N2]"] == "pass"
     assert statuses["scan[B6]"] == "anomaly"
+    # a scan that computes neither the tabulated nor the pinned set fails
+    result = scan_cocycles("N2", 6)
+    slot, patterns = result.computed()
+    result.patterns[slot] = patterns - {min(patterns)}
+    assert verify.scan_row(result).status == "fail"
+
+
+@pytest.mark.parametrize("denominator", [5, 7, 11])
+def test_verify_passes_correct_scans_on_a_grid_without_the_tabulated_values(capsys, denominator):
+    """Halves and thirds are not multiples of 1/5, 1/7 or 1/11: the scan rows
+    compare the rows the grid holds, and pass."""
+    code, report = run_json(capsys, "verify", "--suite", "actions", "--denominator", str(denominator))
+    assert code == 0
+    assert {r["status"] for r in report["results"] if r["name"].startswith("scan[")} == {"pass"}
 
 
 def test_scan_documented_mismatch_exits_nonzero(capsys):
@@ -115,6 +131,9 @@ def test_usage_error_exit_code():
                  ["verify", "--suite", "traces", "--samples", "-3"],
                  ["verify", "--suite", "morita", "--degree", "-1"],
                  ["verify", "--suite", "morita", "--degree", "0"],
+                 # sample sizes and degrees above their bounds
+                 ["verify", "--suite", "traces", "--samples", "1001"],
+                 ["verify", "--suite", "morita", "--degree", "11"],
                  # a grid denominator below 1 leaves no order for the run
                  ["verify", "--suite", "algebra", "--denominator", "0"],
                  ["scan", "--family", "B2", "--denominator", "-2"],
@@ -129,6 +148,14 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize("option, value", [("--samples", "1001"), ("--degree", "11")])
+def test_sample_size_and_degree_are_bounded(capsys, option, value):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--suite", "algebra", option, value])
+    assert err.value.code == 2
+    assert f"argument {option}: must be at most" in capsys.readouterr().err
 
 
 def test_verify_homology_suite(capsys):

@@ -21,7 +21,7 @@ from ncbieberbach.crossed import (
 )
 from ncbieberbach.families import K_FAMILIES
 from ncbieberbach.scalars import PhasedScalar, cyc_root
-from ncbieberbach.torus import NcTorus, ThetaMatrix
+from ncbieberbach.torus import standard_torus
 from ncbieberbach.verify import (
     Settings,
     check_matrix_units,
@@ -437,7 +437,7 @@ def test_exchange_relation_b2():
 
 def test_exchange_trivial_root():
     # order 1: the double crossed product is plain, conjugation by u is trivial
-    algebra = NcTorus(ThetaMatrix.standard_3d())
+    algebra = standard_torus(3)
     identity = ActionOnTorus(1, tuple(
         GeneratorImage(algebra.scalar(1), t) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ), algebra)
