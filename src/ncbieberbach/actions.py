@@ -41,7 +41,9 @@ Only the survivors are built, each from its slot dict ``{(j, k): (a, b)}``
 as an algebra and an action, and each gets the full certificate:
 ``check_compatibility`` and ``check_order``.  A ``ScanResult`` compares with
 the tabulated row on the grid it ran: the row's assignments whose values are
-not multiples of 1/D are left out.
+not multiples of 1/D are left out.  ``scan_checks`` and ``scan_row`` read a
+``ScanResult`` as the rows of ``nbk scan`` and of the ``actions`` suite, so
+the scan loads no verification code.
 
 A registry family is the tuple of its generators (``families.CLASSICAL``),
 and one builder serves the registry factories, the scan and the text format
@@ -51,12 +53,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
+from .report import Check
 from .scalars import (
-    DEFAULT_CYCLOTOMIC_ORDER, _ZERO_KEY, OrderMismatchError, PhasedScalar, _key_add, _root_index, certify, cyc_root,
+    _ZERO_KEY, MAX_DENOMINATOR, OrderMismatchError, PhasedScalar, _key_add, _root_index, certify, cyc_root,
+    field_order,
 )
 from .torus import _ONE_PAIR, Accumulator, Monomial, NcTorus, TorusElement, split_terms
 
@@ -68,7 +72,8 @@ __all__ = [
     "compatibility_obstructions",
     "scan_cocycles",
     "ScanResult",
-    "MAX_DENOMINATOR",
+    "scan_checks",
+    "scan_row",
     "homogeneous_components",
     "freeness_witness",
     "classical_action",
@@ -76,28 +81,19 @@ __all__ = [
     "parse_action_text",
 ]
 
-MAX_DENOMINATOR = 12  # the largest grid denominator of the cocycle scan, and of a folded theta
 
-
-@dataclass(frozen=True)
-class GeneratorImage:
-    """g . delta_{e_i} = coeff * delta_target, with a unit single-phase coeff."""
+class GeneratorImage(NamedTuple):
+    """g . delta_{e_i} = coeff * delta_target; the action that holds it
+    requires a unit single-phase coeff."""
 
     coeff: PhasedScalar
     target: Monomial
 
-    def __post_init__(self):
-        try:
-            self.coeff.unit_exponents()
-        except ValueError:
-            raise ValueError(
-                "generator image coefficient must be a root of unity times a theta phase"
-            ) from None
-
 
 class ActionOnTorus:
     """An order-N action on one torus algebra, given by one GeneratorImage per
-    torus generator whose coefficients live in that algebra.
+    torus generator whose coefficients live in that algebra and are each a
+    root of unity times a theta phase.
 
     g . delta_m = phi(m) delta_{A m} (see the module docstring), with phi(m)
     the unit phase zeta^r e^{i pi b theta} summed from the integer phase
@@ -119,6 +115,10 @@ class ActionOnTorus:
                 raise OrderMismatchError(
                     f"image coefficient of order {img.coeff.order} on an algebra of order {algebra.order}"
                 )
+            try:
+                img.coeff.unit_exponents()
+            except ValueError:
+                raise ValueError("generator image coefficient must be a root of unity times a theta phase") from None
         self._images: dict[Monomial, tuple[Monomial, int, tuple[int, int]]] = {}
         self._powers: dict[tuple[int, Monomial], tuple[Monomial, int, tuple[int, int]]] = {}
         self._poly: tuple[list, int] | None = None
@@ -304,8 +304,7 @@ _SLOT_INDEX = {"12": (0, 1), "13": (0, 2), "23": (1, 2)}
 _SLOTS = ("12", "13", "23")
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """Admissible theta patterns for one action family on a rational grid."""
 
     family: str
@@ -313,7 +312,7 @@ class ScanResult:
     patterns: dict  # designated free slot -> frozenset of fixed assignments
     all_rational: frozenset  # admissible fully rational assignments
     order: int  # cyclotomic order the candidates were certified at
-    order_flags: dict = field(default_factory=dict)  # pattern -> order check with tabulated coefficients
+    order_flags: dict  # pattern -> order check with tabulated coefficients
 
     def free_slot(self) -> str | None:
         hits = [slot for slot in _SLOTS if self.patterns[slot]]
@@ -355,6 +354,46 @@ class ScanResult:
         return expected == set(self.all_rational)
 
 
+def scan_checks(result: ScanResult) -> list[Check]:
+    """The rows of one family's scan report: the grid expansion, the order of
+    the tabulated coefficients (an anomaly where they break it), and the
+    comparison with the tabulated row."""
+    bad_order = sorted(
+        str({s: str(v) for s, v in key[1]})
+        for key, ok in result.order_flags.items()
+        if not ok and key[0] == result.free_slot()
+    )
+    keep_order = Check.of("tabulated-coefficients-keep-order", True)
+    if bad_order:
+        keep_order = Check(
+            keep_order.name, "anomaly",
+            "compatible patterns whose tabulated unit coefficients break the"
+            f" group order: {', '.join(bad_order)} (a coefficient adjustment restores it)",
+        )
+    return [
+        Check.of("rational-grid-consistency", result.rational_expansion_consistent()),
+        keep_order,
+        Check.of("matches-reference-table", result.matches_reference()),
+    ]
+
+
+def scan_row(result: ScanResult) -> Check:
+    """``scan[F]``: passes on the tabulated row; an anomaly only when the scan
+    computes exactly the pinned set of a documented tabulation defect.  Both
+    rows are read on the grid the scan ran."""
+    name = f"scan[{result.family}]"
+    if result.matches_reference():
+        return Check.of(name, True)
+    known = families.SCAN_KNOWN_DISCREPANCIES.get(result.family)
+    if known is not None and result.computed() == result.on_grid(known):
+        return Check(
+            name, "anomaly",
+            "computed admissible set differs from the tabulated row"
+            " (documented tabulation defect)",
+        )
+    return Check.of(name, False, "unexpected scan mismatch")
+
+
 def _candidate_matrix(assign: dict[str, tuple]) -> dict:
     """The slot dict of one candidate, from its (a, b) pair per slot name."""
     return {_SLOT_INDEX[slot]: pair for slot, pair in assign.items()}
@@ -370,14 +409,14 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     ``C n = 0 (mod denominator)`` and ``C b = 0``.  Only the candidates that
     pass are built; each gets the full certificate, check_compatibility
     (several generators also need to commute), and its check_order flag.
-    Without an ``order`` the scan works at lcm(DEFAULT_CYCLOTOMIC_ORDER,
-    2 * denominator), which holds every grid phase.
+    Without an ``order`` the scan works at ``field_order(denominator)``,
+    which holds every grid phase.
     """
     if not 1 <= denominator <= MAX_DENOMINATOR:
         raise ValueError(f"grid denominator must be between 1 and {MAX_DENOMINATOR}")
     specs = _family(families.CLASSICAL, family)
     if order is None:
-        order = math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 2 * denominator)
+        order = field_order(denominator)
     rows = [row for _, images in specs for row in _slot_matrix([target for _, target in images])]
 
     found: dict[str | None, set] = {slot: set() for slot in (*_SLOTS, None)}  # None: no theta slot

@@ -1,88 +1,28 @@
 """Command-line surface: parses arguments, runs the engine and the checks of
 ``verify`` (``verify.run_suites`` forks a worker per suite), renders the report.
 
-Reports are deterministic for a fixed (version, command, seed): JSON output
-is sorted and carries no timestamps, so repeated runs are byte-identical.
-Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
-Checks that detect a documented tabulation defect are reported with status
-``anomaly``; they fail the run only under ``--strict``.
+Each command imports only the modules it runs: ``scan`` and the parser need
+``actions``, ``families`` and ``report``, while ``verify``, ``ktheory`` and
+``homology`` import ``verify`` and ``ktheory`` (and with them ``crossed``)
+when they run.  Reports are deterministic for a fixed (version, command,
+seed): JSON output is sorted and carries no timestamps, so repeated runs are
+byte-identical.  Exit codes: 0 success, 1 check failure, 2 usage or
+configuration error.  Checks that detect a documented tabulation defect are
+reported with status ``anomaly``; they fail the run only under ``--strict``.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__, families, verify
-from .actions import MAX_DENOMINATOR, scan_cocycles
-from .ktheory import beta_star_matrix, bieberbach_h1, pv_solve, smith_normal_form
+from . import families
+from .actions import scan_checks, scan_cocycles
+from .report import Report
+from .scalars import MAX_DENOMINATOR
 
-SCHEMA = "nbk-report/1"
-_SUITE_RUNNERS = verify.SUITES  # the same dict: perfbench/trace_nbk.py wraps its entries
-SUITES = (*_SUITE_RUNNERS, "all")
-
-
-@dataclass
-class Report:
-    command: str
-    config: dict
-    results: list[verify.Check] = field(default_factory=list)
-    payload: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-
-    def exit_code(self, strict: bool = False) -> int:
-        failing = ("fail", "anomaly") if strict else ("fail",)
-        return int(any(c.status in failing for c in self.results))
-
-    def as_dict(self) -> dict:
-        return {
-            "tool": "nbk",
-            "version": __version__,
-            "schema": SCHEMA,
-            "command": self.command,
-            "config": self.config,
-            "results": [c.as_dict() for c in self.results],
-            "payload": self.payload,
-            "notes": self.notes,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True, default=str) + "\n"
-
-    def to_markdown(self) -> str:
-        lines = [f"# nbk {self.command}", ""]
-        lines.append(f"version {__version__}, schema {SCHEMA}")
-        lines.append("")
-        if self.config:
-            lines.append("## configuration")
-            lines.append("")
-            for key in sorted(self.config):
-                lines.append(f"- {key}: {self.config[key]}")
-            lines.append("")
-        if self.results:
-            lines.append("## checks")
-            lines.append("")
-            lines.append("| check | status | detail |")
-            lines.append("|---|---|---|")
-            for c in self.results:
-                lines.append(f"| {c.name} | {c.status} | {c.detail} |")
-            lines.append("")
-        for key in sorted(self.payload):
-            lines.append(f"## {key}")
-            lines.append("")
-            lines.append("```")
-            lines.append(json.dumps(self.payload[key], indent=2, sort_keys=True, default=str))
-            lines.append("```")
-            lines.append("")
-        if self.notes:
-            lines.append("## notes")
-            lines.append("")
-            for note in self.notes:
-                lines.append(f"- {note}")
-            lines.append("")
-        return "\n".join(lines)
+# the suites of ``verify.SUITES``, named here so that the parser needs no ``verify``
+SUITES = ("algebra", "actions", "crossed", "traces", "morita", "betastar", "homology", "all")
 
 
 def _emit(report: Report, args) -> int:
@@ -126,7 +66,7 @@ def cmd_scan(args) -> int:
     report = Report("scan", _config(args, "denominator", "family", cyclotomic_order=result.order))
     report.payload["computed"] = _pattern_payload(*result.computed())
     report.payload["reference"] = _pattern_payload(*result.reference())
-    report.results = verify.scan_checks(result)
+    report.results = scan_checks(result)
     if not result.matches_reference() and args.family in families.SCAN_KNOWN_DISCREPANCIES:
         report.notes.append(
             f"the tabulated row for {args.family} is not reproducible: the exact"
@@ -144,6 +84,9 @@ def cmd_scan(args) -> int:
 
 
 def cmd_ktheory(args) -> int:
+    from . import verify
+    from .ktheory import beta_star_matrix, pv_solve, smith_normal_form
+
     report = Report("ktheory", _config(args, "family", "epsilon"))
     data = beta_star_matrix(args.family, args.epsilon)
     k0, k1 = pv_solve(data)
@@ -166,13 +109,16 @@ def cmd_ktheory(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+    from .ktheory import bieberbach_h1
+
     settings = verify.Settings(args.seed, args.samples, args.degree, args.denominator, args.theta)
     report = Report("verify", _config(
         args, "seed", "samples", "degree", "denominator", "suite", "strict",
         cyclotomic_order=settings.order,
         theta_mode="symbolic" if args.theta is None else str(args.theta),
     ))
-    suites = list(_SUITE_RUNNERS) if args.suite == "all" else [args.suite]
+    suites = list(verify.SUITES) if args.suite == "all" else [args.suite]
     for suite, rows in zip(suites, verify.run_suites(suites, settings)):
         report.results += rows
         report.notes += verify.SUITE_NOTES.get(suite, ())
@@ -182,6 +128,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from . import verify
+    from .ktheory import beta_star_matrix, bieberbach_h1, pv_solve
+
     fams = [args.family] if args.family else list(families.K_FAMILIES)
     report = Report("homology", _config(args, family=args.family or "all"),
                     results=[verify.homology_check(family) for family in fams])

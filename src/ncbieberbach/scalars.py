@@ -43,15 +43,31 @@ from fractions import Fraction
 
 __all__ = [
     "DEFAULT_CYCLOTOMIC_ORDER",
+    "MAX_CYCLOTOMIC_ORDER",
+    "MAX_DENOMINATOR",
     "OrderMismatchError",
     "Cyclotomic",
     "PhasedScalar",
     "SparseElement",
     "cyclotomic_polynomial",
     "cyc_root",
+    "field_order",
 ]
 
 DEFAULT_CYCLOTOMIC_ORDER = 24
+MAX_DENOMINATOR = 12  # the largest grid denominator of the cocycle scan, and of a folded theta
+
+
+def field_order(denominator: int, theta_denominator: int = 1) -> int:
+    """The field order of a run: ``DEFAULT_CYCLOTOMIC_ORDER`` raised to hold
+    every scan grid phase k/denominator and the folded phases of a theta
+    with this denominator."""
+    return math.lcm(DEFAULT_CYCLOTOMIC_ORDER, 12 * theta_denominator, 2 * denominator)
+
+
+# the largest order the command line derives: 2,376, at --theta 1/9 --denominator 11
+MAX_CYCLOTOMIC_ORDER = max(field_order(d, q) for d in range(1, MAX_DENOMINATOR + 1)
+                           for q in range(1, MAX_DENOMINATOR + 1))
 
 
 class OrderMismatchError(ValueError):
@@ -105,7 +121,11 @@ def _field_tables(order: int):
     ``roots[k]`` is the basis representation of ``zeta^k`` for ``0 <= k < order``,
     an integer tuple: the cyclotomic polynomial is monic, so the reduction
     never introduces denominators.  ``root_index`` maps a vector back to k.
+    The tables grow about 5x per doubling of the order, so an order above
+    ``MAX_CYCLOTOMIC_ORDER`` is refused.
     """
+    if order > MAX_CYCLOTOMIC_ORDER:
+        raise ValueError(f"cyclotomic order {order} is above the largest supported order {MAX_CYCLOTOMIC_ORDER}")
     poly = cyclotomic_polynomial(order)
     deg = len(poly) - 1
     top = tuple(-c for c in poly[:deg])  # zeta^deg

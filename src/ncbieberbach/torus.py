@@ -95,6 +95,7 @@ class NcTorus:
                 self.slots[(j, k)] = (Fraction(a), Fraction(b))
         self.theta_value = None if theta_value is None else Fraction(theta_value)
         self.order = order
+        _field_tables(order)  # built once per order; an order above MAX_CYCLOTOMIC_ORDER raises here
         # the one fold of theta: {(j, k): (a, b)} with theta_jk = (a + b theta) / L
         value = self.theta_value
         entries = {slot: (a, b) if value is None else (a + b * value, Fraction(0))

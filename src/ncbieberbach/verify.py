@@ -1,11 +1,10 @@
 """Verification: the checks the engine runs on its own results, as report rows.
 
-A ``Check`` is one row, with status ``pass``, ``fail`` or ``anomaly`` (a
-documented tabulation defect: surfaced, not a failure).  Every checker returns
-its rows as a ``list[Check]`` under the names the reports print.  They cover
-each link the K-theory rests on: the ring laws, the Z_N actions and the cocycle
-scan, the crossed products and their projectors, the trace laws, the Morita
-witnesses, the exchange identity, beta_hat_*, the K-groups and K0 = Z + H1.
+Every checker returns its rows as a ``list[report.Check]`` under the names the
+reports print.  They cover each link the K-theory rests on: the ring laws, the
+Z_N actions and the cocycle scan (whose rows ``actions.scan_row`` builds), the
+crossed products and their projectors, the trace laws, the Morita witnesses,
+the exchange identity, beta_hat_*, the K-groups and K0 = Z + H1.
 A check of a crossed product takes the ``CrossedProduct`` it checks and reads
 the family from it.  ``SUITES`` maps the suites of ``nbk verify`` to
 functions of one ``Settings``; a suite builds each of its crossed products
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -24,13 +22,13 @@ from fractions import Fraction
 
 from . import families
 from .actions import (
-    ScanResult,
     check_compatibility,
     check_order,
     deformed_action,
     freeness_witness,
     homogeneous_components,
     scan_cocycles,
+    scan_row,
 )
 from .crossed import (
     ContextError,
@@ -45,11 +43,11 @@ from .crossed import (
     tau_parity_trace,
 )
 from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, mat_mul, pv_solve
-from .scalars import DEFAULT_CYCLOTOMIC_ORDER, PhasedScalar, cyc_root
+from .report import Check
+from .scalars import PhasedScalar, cyc_root, field_order
 from .torus import standard_torus
 
 __all__ = [
-    "Check",
     "Settings",
     "SUITES",
     "SUITE_NOTES",
@@ -60,45 +58,15 @@ __all__ = [
     "hexic_reading_comparison",
     "verify_beta_star",
     "check_matrix_units",
-    "scan_checks",
-    "scan_row",
     "k_group_checks",
     "homology_check",
 ]
 
 
 @dataclass
-class Check:
-    """One report row."""
-
-    name: str
-    status: str  # pass | fail | anomaly
-    detail: str = ""
-    counterexample: dict | None = None
-
-    @classmethod
-    def of(cls, name: str, ok: bool, detail: str = "", counterexample: dict | None = None) -> "Check":
-        return cls(name, "pass" if ok else "fail", detail, counterexample)
-
-    @property
-    def ok(self) -> bool:
-        """False only for a failure: an anomaly is a documented defect."""
-        return self.status != "fail"
-
-    def as_dict(self) -> dict:
-        out = {"name": self.name, "status": self.status}
-        if self.detail:
-            out["detail"] = self.detail
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
-        return out
-
-
-@dataclass
 class Settings:
-    """What the suites read.  ``order`` is the derived field order:
-    ``DEFAULT_CYCLOTOMIC_ORDER`` raised to hold the folded phases at ``theta``
-    and every scan grid phase k/denominator."""
+    """What the suites read.  ``order`` is the derived field order,
+    ``scalars.field_order`` of the grid denominator and of ``theta``."""
 
     seed: int
     samples: int
@@ -108,10 +76,7 @@ class Settings:
     order: int = field(init=False)
 
     def __post_init__(self):
-        order = DEFAULT_CYCLOTOMIC_ORDER
-        if self.theta is not None:
-            order = math.lcm(order, 12 * self.theta.denominator)
-        self.order = math.lcm(order, 2 * self.denominator)
+        self.order = field_order(self.denominator, 1 if self.theta is None else self.theta.denominator)
 
 
 def _sampled(name: str, samples: int, trial) -> Check:
@@ -375,47 +340,7 @@ def verify_beta_star(cp: CrossedProduct, epsilon: int = 1) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# scan, K-groups and homology rows
-
-
-def scan_checks(result: ScanResult) -> list[Check]:
-    """The rows of one family's scan report: the grid expansion, the order of
-    the tabulated coefficients (an anomaly where they break it), and the
-    comparison with the tabulated row."""
-    bad_order = sorted(
-        str({s: str(v) for s, v in key[1]})
-        for key, ok in result.order_flags.items()
-        if not ok and key[0] == result.free_slot()
-    )
-    keep_order = Check.of("tabulated-coefficients-keep-order", True)
-    if bad_order:
-        keep_order = Check(
-            keep_order.name, "anomaly",
-            "compatible patterns whose tabulated unit coefficients break the"
-            f" group order: {', '.join(bad_order)} (a coefficient adjustment restores it)",
-        )
-    return [
-        Check.of("rational-grid-consistency", result.rational_expansion_consistent()),
-        keep_order,
-        Check.of("matches-reference-table", result.matches_reference()),
-    ]
-
-
-def scan_row(result: ScanResult) -> Check:
-    """``scan[F]``: passes on the tabulated row; an anomaly only when the scan
-    computes exactly the pinned set of a documented tabulation defect.  Both
-    rows are read on the grid the scan ran."""
-    name = f"scan[{result.family}]"
-    if result.matches_reference():
-        return Check.of(name, True)
-    known = families.SCAN_KNOWN_DISCREPANCIES.get(result.family)
-    if known is not None and result.computed() == result.on_grid(known):
-        return Check(
-            name, "anomaly",
-            "computed admissible set differs from the tabulated row"
-            " (documented tabulation defect)",
-        )
-    return Check.of(name, False, "unexpected scan mismatch")
+# K-groups and homology rows
 
 
 def k_group_checks(family: str, epsilon: int, k0, k1) -> list[Check]:

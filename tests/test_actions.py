@@ -23,6 +23,7 @@ from ncbieberbach.actions import (
     homogeneous_components,
     parse_action_text,
     scan_cocycles,
+    scan_row,
 )
 from ncbieberbach.crossed import random_torus_element
 from ncbieberbach.scalars import OrderMismatchError, cyc_root
@@ -40,13 +41,14 @@ def preset():
 
 def test_generator_image_coefficient_is_a_root_of_unity_times_a_theta_phase(preset):
     i = cyc_root(4, 1, order=preset.order)
+    rest = tuple(GeneratorImage(preset.scalar(1), t) for t in ((0, 1, 0), (0, 0, 1)))
     image = GeneratorImage(preset.theta_phase(1) * i, (1, 0, 0))
-    assert image.coeff.unit_exponents() == (preset.order // 4, (1, 1))
+    assert ActionOnTorus(4, (image, *rest), preset).images[0].coeff.unit_exponents() == (preset.order // 4, (1, 1))
     # unit modulus is not enough: (3 + 4i)/5 is no root of unity
     for coeff in (preset.scalar(2), preset.scalar(i * Fraction(4, 5) + Fraction(3, 5)),
                   preset.scalar(1) + preset.theta_phase(1)):
-        with pytest.raises(ValueError):
-            GeneratorImage(coeff, (1, 0, 0))
+        with pytest.raises(ValueError, match="must be a root of unity times a theta phase"):
+            ActionOnTorus(4, (GeneratorImage(coeff, (1, 0, 0)), *rest), preset)
 
 
 def test_an_action_rejects_coefficients_of_another_order():
@@ -338,7 +340,7 @@ def test_scan_matches_the_fraction_enumeration(denominator):
         assert result.all_rational == all_rational, family
         assert result.order_flags == order_flags, family
         # a correct scan passes, or shows the documented defect, on every grid
-        assert verify.scan_row(result).status != "fail", family
+        assert scan_row(result).status != "fail", family
 
 
 @pytest.mark.parametrize("family", families.FAMILIES)

@@ -11,8 +11,9 @@ import pytest
 
 import ncbieberbach
 from ncbieberbach import families, verify
-from ncbieberbach.actions import scan_cocycles
-from ncbieberbach.cli import main
+from ncbieberbach.actions import scan_cocycles, scan_row
+from ncbieberbach.cli import SUITES, main
+from ncbieberbach.report import Check
 from ncbieberbach.scalars import DEFAULT_CYCLOTOMIC_ORDER
 
 
@@ -99,7 +100,7 @@ def test_scan_row_is_an_anomaly_only_for_the_pinned_defect(capsys):
     result = scan_cocycles("N2", 6)
     slot, patterns = result.computed()
     result.patterns[slot] = patterns - {min(patterns)}
-    assert verify.scan_row(result).status == "fail"
+    assert scan_row(result).status == "fail"
 
 
 @pytest.mark.parametrize("denominator", [5, 7, 11])
@@ -226,18 +227,55 @@ def test_verify_report_matches_golden_under_optimize_flag(capsys):
     for argv in runs[1:]:
         assert main(argv) == 0
         expected += capsys.readouterr().out
-    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"
     code = (
         "import sys\n"
         "from ncbieberbach.cli import main\n"
         f"codes = [main(argv) for argv in {runs!r}]\n"
         "sys.exit(max(codes))\n"
     )
-    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True,
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
     assert run.stdout == expected
+
+
+def _src_env() -> dict:
+    """The environment of a fresh interpreter that imports this package from
+    its source tree, compiling it as ``nbk`` does when no bytecode is written."""
+    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+SCAN_MODULES = {"ncbieberbach", *(f"ncbieberbach.{m}" for m in ("actions", "cli", "families", "report", "scalars", "torus"))}
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """The package modules, and ``dataclasses``, loaded in a fresh interpreter
+    that imports the CLI and runs ``statement`` with its output captured."""
+    code = (
+        "import contextlib, io, sys\n"
+        "import ncbieberbach.cli as cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    {statement}\n"
+        "print(*(m for m in sys.modules if m.split('.')[0] in ('ncbieberbach', 'dataclasses')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    """Every invocation compiles what it imports: the scan and the parser
+    need neither the crossed products nor ``verify``, ``ktheory`` or
+    ``dataclasses``; the verify suites load them when they run."""
+    scan = 'cli.main(["scan", "--family", "B2", "--denominator", "4", "--format", "json"])'
+    assert _loaded_after(scan) == SCAN_MODULES
+    assert _loaded_after("cli.build_parser()") <= SCAN_MODULES
+    verify_homology = 'cli.main(["verify", "--suite", "homology", "--format", "json"])'
+    assert {"ncbieberbach.verify", "ncbieberbach.crossed", "ncbieberbach.ktheory"} <= _loaded_after(verify_homology)
+
+
+def test_the_parser_names_the_verify_suites():
+    assert SUITES == (*verify.SUITES, "all")
 
 
 def test_markdown_rendering(capsys):
@@ -307,7 +345,7 @@ def test_run_suites_runs_each_suite_in_a_worker_and_reads_them_at_call_time(monk
 
     def recording(settings):
         calls.append(os.getpid())
-        return [verify.Check(f"ran-in[{os.getpid()}]", "pass")]
+        return [Check(f"ran-in[{os.getpid()}]", "pass")]
 
     monkeypatch.setitem(verify.SUITES, "homology", recording)
     settings = verify.Settings(**GOLDEN_SETTINGS)

@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves."""
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -11,11 +13,10 @@ import ncbieberbach
 
 
 def _exports(module):
-    """``__all__`` of a submodule; for the package, the names ``__init__.py`` imports."""
+    """``__all__`` of a submodule; for the package, the names of its name -> submodule table."""
     if module is not ncbieberbach:
         return module.__all__
-    tree = ast.parse(Path(ncbieberbach.__file__).read_text())
-    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return list(ncbieberbach._SUBMODULE)
 
 
 MODULES = [ncbieberbach] + [
@@ -30,6 +31,32 @@ def test_exported_names_resolve(module):
     names = _exports(module)
     assert names
     assert [name for name in names if not hasattr(module, name)] == []
+
+
+def test_the_package_names_come_from_their_submodules():
+    for name, module in ncbieberbach._SUBMODULE.items():
+        assert getattr(ncbieberbach, name) is getattr(importlib.import_module(f"ncbieberbach.{module}"), name)
+    assert sorted(ncbieberbach.__all__) == sorted(ncbieberbach._SUBMODULE)
+    assert set(ncbieberbach._SUBMODULE) <= set(dir(ncbieberbach))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ncbieberbach.no_such_name
+
+
+def test_star_import_and_submodule_import_in_a_fresh_interpreter():
+    """``import *`` binds every table name, and a submodule that is no table
+    name still imports with ``from ncbieberbach import``."""
+    code = (
+        "import sys\n"
+        "from ncbieberbach import *\n"
+        "import ncbieberbach\n"
+        "missing = [n for n in ncbieberbach._SUBMODULE if n not in globals()]\n"
+        "from ncbieberbach import crossed\n"
+        "print(missing, crossed.__name__, sys.modules['ncbieberbach.crossed'] is crossed)\n"
+    )
+    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == ["[]", "ncbieberbach.crossed", "True"]
 
 
 def test_src_imports_only_the_standard_library():

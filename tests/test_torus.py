@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncbieberbach.scalars import OrderMismatchError, PhasedScalar, cyc_root
+from ncbieberbach.scalars import MAX_CYCLOTOMIC_ORDER, OrderMismatchError, PhasedScalar, cyc_root, field_order
 from ncbieberbach.torus import NcTorus, standard_torus
 
 
@@ -190,3 +190,15 @@ def test_elements_of_different_algebras_do_not_mix():
     a2 = standard_torus(3, theta_value=Fraction(1, 3), order=24)
     with pytest.raises(ValueError):
         a1.one() * a2.one()
+
+
+def test_a_field_order_above_the_largest_the_command_line_derives_raises_at_once():
+    """The field tables grow about 5x per doubling of the order, so an order
+    of 10**6 would build for minutes; the algebra refuses it when it is built.
+    The bound is the order of ``verify --theta 1/9 --denominator 11``."""
+    assert MAX_CYCLOTOMIC_ORDER == field_order(11, 9) == 2376
+    for order in (10**6, MAX_CYCLOTOMIC_ORDER + 1):
+        with pytest.raises(ValueError, match=f"cyclotomic order {order} is above the largest supported order 2376"):
+            NcTorus(3, {}, order=order)
+        with pytest.raises(ValueError, match="largest supported order 2376"):
+            cyc_root(1, 0, order=order)
