@@ -154,10 +154,10 @@ def _theta(text: str) -> Fraction:
     return value
 
 
-# `verify --suite all` at both bounds: about 5 s at formal theta, 21 s at the
+# `verify --suite all` at both bounds: about 2.6 s at formal theta, 11 s at the
 # largest field order (--theta 1/9 --denominator 11), on two CPUs
 MAX_SAMPLES = 1000
-MAX_DEGREE = 10  # the exchange check walks (2 degree + 1)^2 monomials per family
+MAX_DEGREE = 10  # the degree of the sampled elements of the traces suite
 
 
 def _int_from_one_to(upper: int):

@@ -12,10 +12,10 @@ read as (target, r, theta key) unit pairs (``ActionOnTorus.power_pair``) and
 its phase is added to the cocycle's, so no intermediate torus element is
 built.  ``CrossedProduct.dot`` sums many products x_i y_i in one accumulator
 and reduces the coefficients once; the matrix work (``_matrix_of``, the
-u-power matrices, ``psi_matrix``, ``psi_multiplicativity_mismatch``) is built
-on it.  Sums, negation, powers, scalar multiples and equality come from
-``scalars.SparseElement``, the base shared with ``PhasedScalar`` and
-``TorusElement``.
+u-power matrices, ``psi_matrix``, ``psi_multiplicativity_mismatch``,
+``psi_lemma_mismatch``) is built on it.  Sums, negation, powers, scalar
+multiples and equality come from ``scalars.SparseElement``, the base shared
+with ``PhasedScalar`` and ``TorusElement``.
 
 On top of the arithmetic this module provides:
 
@@ -25,8 +25,9 @@ On top of the arithmetic this module provides:
   chain of powers, with an exact precondition check that reports the
   residual x^N - 1 on failure;
 * the stable-isomorphism witness pair (p, p_hat) with its matrix units, the
-  inversion identity, and the matrix decomposition of torus elements over the
-  invariant subalgebra;
+  inversion identity, the matrix decomposition of torus elements over the
+  invariant subalgebra, and the certificate of the lemma that makes that
+  decomposition multiplicative;
 * one trace type, ``TwistedTrace``: a base functional on the torus, given
   by a rule on monomials, read on the p^{N-s} component.  The canonical
   trace (``canonical_trace``: s = N, the identity coefficient of a_0) and the
@@ -63,6 +64,7 @@ __all__ = [
     "GeneratorTable",
     "k0_generator_table",
     "psi_multiplicativity_mismatch",
+    "psi_lemma_mismatch",
 ]
 
 
@@ -275,8 +277,8 @@ class CrossedProduct:
                 [self.one() if i == j else self.zero() for j in range(self.n)]
                 for i in range(self.n)
             ]
-            powers = [identity]
-            for _ in range(self.n - 1):
+            powers = [identity, mat_u]
+            while len(powers) < self.n:
                 powers.append(self._matrix_product(powers[-1], mat_u))
             cells = list(itertools.product(range(self.n), repeat=2))
             for k, mat in enumerate(powers):
@@ -288,9 +290,8 @@ class CrossedProduct:
     def psi_matrix(self, comps: list[TorusElement]) -> list[list["CrossedElement"]]:
         """The N x N matrix of x over the invariant subalgebra, from its ``psi_components``.
 
-        Assembled as sum_k (x_k u^{-k}) (matrix of u)^k; by the verified
-        reconstruction of the u-power matrices and linearity this equals the
-        matrix-unit sandwich of x.
+        Assembled as sum_k (x_k u^{-k}) (matrix of u)^k; this equals the
+        matrix-unit sandwich of x when ``psi_lemma_mismatch`` finds no entry.
         """
         powers = self._psi_powers_matrix()
         comps = [(k, self.operand(self.embed(comp))) for k, comp in enumerate(comps) if comp]
@@ -374,8 +375,9 @@ def psi_multiplicativity_mismatch(cp: CrossedProduct, comps_x: list[TorusElement
                                   y: TorusElement, xy: TorusElement):
     """The first entry (i, j, lhs, rhs) where psi(x) psi(y) != psi(xy), or None.
 
-    ``comps_x`` are the ``psi_components`` of x; with xy = x * y, None for
-    every sampled pair is the multiplicativity of psi.  Each entry of
+    ``comps_x`` are the ``psi_components`` of x and xy = x * y.  This is the
+    end-to-end comparison of one pair; the multiplicativity of psi for every
+    pair is the lemma of ``psi_lemma_mismatch``.  Each entry of
     psi(x) psi(y) is one ``dot``.
     """
     lhs = cp._matrix_product(cp.psi_matrix(comps_x), cp.psi_matrix(cp.psi_components(y)))
@@ -383,6 +385,33 @@ def psi_multiplicativity_mismatch(cp: CrossedProduct, comps_x: list[TorusElement
     for i, j in itertools.product(range(cp.n), repeat=2):
         if lhs[i][j] != rhs[i][j]:
             return i, j, lhs[i][j], rhs[i][j]
+    return None
+
+
+def psi_lemma_mismatch(cp: CrossedProduct):
+    """The first entry (i, j, name) of the matrix of u, the one that
+    ``psi_matrix`` raises to powers, that does not commute with p or with
+    p_hat (``name``), or None.
+
+    The lemma: let the E_ij be matrix units (``verify.check_matrix_units``)
+    and let m be the matrix of u, with sum_ij m_ij E_ij = u (certified when
+    the u-power matrices are built).  Then Phi(x)_ij = sum_m E_mi x E_jm is a
+    *-isomorphism onto the N x N matrices over the commutant of the E_ij,
+    since Phi(x) Phi(y) = Phi(xy) needs only E_km E_m'k = delta_mm' E_kk and
+    sum_k E_kk = 1.  The E_ij are polynomials in p and p_hat, so None here
+    puts every m_ij in that commutant, and then Phi(u) = m.  Each
+    psi_component x_k u^{-k} is alpha-invariant, so it commutes with p, and
+    a torus element, so it commutes with the torus-central u and with
+    p_hat = u + s (u^{1-N} - u); hence Phi(x_k u^{-k}) = (x_k u^{-k}) I, and
+    psi_matrix(x) = sum_k Phi(x_k u^{-k}) Phi(u)^k = Phi(sum_k x_k) = Phi(x).
+    So psi(x) psi(y) = psi(xy) for every pair x, y.
+    """
+    mat_u = cp._psi_powers_matrix()[1]
+    witnesses = [("p", cp.operand(cp.p())), ("p_hat", cp.operand(cp.phat()))]
+    for i, j in itertools.product(range(cp.n), repeat=2):
+        for name, g in witnesses:
+            if cp.dot(((mat_u[i][j], g),)) != cp.dot(((g, mat_u[i][j]),)):
+                return i, j, name
     return None
 
 

@@ -9,6 +9,7 @@ reference image of ``action_oracle``.  Only the action builder comes from the
 package; no slot-condition, phase or image helper of ``actions`` is used, so
 the production filter and this enumeration share no arithmetic.
 """
+import functools
 import itertools
 from fractions import Fraction
 
@@ -115,8 +116,15 @@ def generators_commute(g1, g2, algebra, bound):
 
 
 def admissible(family, upper, order):
-    """(slot conditions and commutation hold, order flag) for one candidate."""
-    algebra = NcTorus(3, upper, order=order)
+    """(slot conditions and commutation hold, order flag) for one candidate;
+    the grids of several denominators share candidates, so each (family,
+    upper entries, order) is certified once."""
+    return _admissible(family, tuple(sorted(upper.items())), order)
+
+
+@functools.cache
+def _admissible(family, upper, order):
+    algebra = NcTorus(3, dict(upper), order=order)
     gens = classical_action(family, algebra)
     ok = all(slots_hold(g, algebra) for g in gens) and all(
         generators_commute(g1, g2, algebra, 2) for g1, g2 in itertools.combinations(gens, 2)

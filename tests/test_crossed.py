@@ -17,9 +17,12 @@ from ncbieberbach.crossed import (
     random_torus_element,
     crossed_product,
     k0_generator_table,
+    psi_lemma_mismatch,
+    psi_multiplicativity_mismatch,
     tau_parity_trace,
 )
 from ncbieberbach.families import K_FAMILIES
+from ncbieberbach.report import Check
 from ncbieberbach.scalars import PhasedScalar, cyc_root
 from ncbieberbach.torus import standard_torus
 from ncbieberbach.verify import (
@@ -225,6 +228,82 @@ def test_morita_suite_passes():
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
 
 
+@pytest.mark.parametrize("family", K_FAMILIES)
+def test_psi_row_fails_on_the_certificate(monkeypatch, family):
+    """V added to one entry of the matrix of u takes it out of the commutant
+    of p; the row names that entry, whatever the sampled pairs show."""
+    def sabotaged_product(name, **options):
+        cp = crossed_product(name, **options)
+        if name == family:
+            mat_u = cp._psi_powers_matrix()[1]
+            entry = cp._matrix_of(cp.delta((1, 0, 0), 0))[0][1] + cp.delta((0, 1, 0), 0)
+            mat_u[0][1] = cp.operand(entry)
+        return cp
+
+    monkeypatch.setattr(verify, "crossed_product", sabotaged_product)
+    rows = {c.name: c for c in morita(Settings(seed=3, samples=3, degree=1, denominator=6))}
+    row = rows.pop(f"psi-multiplicative[{family}]")
+    assert (row.status, row.detail) == ("fail", "entry (0,1) of the matrix of u does not commute with p")
+    assert all(c.status == "pass" for c in rows.values())
+
+
+def test_psi_row_fails_with_the_matrix_units(monkeypatch):
+    monkeypatch.setattr(verify, "check_matrix_units", lambda cp: Check(f"matrix-units[{cp.family}]", "fail"))
+    rows = {c.name: c for c in morita(Settings(seed=3, samples=3, degree=1, denominator=6))}
+    for family in K_FAMILIES:
+        row = rows[f"psi-multiplicative[{family}]"]
+        assert (row.status, row.detail) == ("fail", "the matrix units fail, and the lemma rests on them")
+
+
+def test_the_certificate_checks_p_hat_too():
+    """p added to one entry of the matrix of u keeps it commuting with p, not with p_hat."""
+    cp = crossed_product("B3", dim=3)
+    mat_u = cp._psi_powers_matrix()[1]
+    mat_u[1][2] = cp.operand(cp._matrix_of(cp.delta((1, 0, 0), 0))[1][2] + cp.p())
+    assert psi_lemma_mismatch(cp) == (1, 2, "p_hat")
+
+
+def test_the_certificate_catches_a_multiplicative_psi_that_is_not_the_sandwich():
+    """Conjugating every u-power matrix by diag(u, 1, ..., 1) keeps psi
+    multiplicative, so no sampled pair can see it; the certificate does."""
+    cp = crossed_product("B3", dim=3)
+    mat_u = cp._matrix_of(cp.delta((1, 0, 0), 0))
+    scale = [cp.delta((1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
+    unscale = [cp.delta((-1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
+    powers = cp._psi_powers_matrix()
+    m = [[cp.one() if i == j else cp.zero() for j in range(cp.n)] for i in range(cp.n)]
+    for k in range(cp.n):
+        powers[k] = [[cp.operand(scale[i] * m[i][j] * unscale[j]) for j in range(cp.n)] for i in range(cp.n)]
+        m = cp._matrix_product(m, mat_u)
+    rng = random.Random(5)
+    for _ in range(20):
+        x = random_torus_element(rng, cp.algebra, 2, terms=1)
+        y = random_torus_element(rng, cp.algebra, 2, terms=1)
+        assert psi_multiplicativity_mismatch(cp, cp.psi_components(x), y, x * y) is None
+    assert psi_lemma_mismatch(cp) == (0, 1, "p")
+
+
+def test_morita_compares_psi_on_the_first_draws_only(monkeypatch):
+    """At 200 samples each family makes 20 psi draws and compares
+    psi(x) psi(y) with psi(xy) on the first 3."""
+    draws, comparisons = Counter(), Counter()
+    psi_components = CrossedProduct.psi_components
+
+    def counting_components(self, x):
+        draws[self.family] += 1
+        return psi_components(self, x)
+
+    def counting_mismatch(cp, comps_x, y, xy):
+        comparisons[cp.family] += 1
+
+    monkeypatch.setattr(CrossedProduct, "psi_components", counting_components)
+    monkeypatch.setattr(verify, "psi_multiplicativity_mismatch", counting_mismatch)
+    checks = morita(Settings(seed=1, samples=200, degree=3, denominator=6))
+    assert all(c.status == "pass" for c in checks)
+    assert draws == {family: 20 for family in K_FAMILIES}
+    assert comparisons == {family: 3 for family in K_FAMILIES}
+
+
 def test_phat_requires_central_scaled_generator():
     cp = crossed_product("N1", dim=3)
     with pytest.raises(ContextError):
@@ -424,7 +503,7 @@ def test_exchange_iso(torus_products):
 def test_exchange_row_reads_the_passed_product(monkeypatch, family):
     cp = crossed_product(family, dim=3)
     monkeypatch.setattr(cp, "beta_hat", lambda x: x)
-    rows = {c.name: c.status for c in verify_exchange_iso(cp, degree=1)}
+    rows = {c.name: c.status for c in verify_exchange_iso(cp)}
     assert rows == {f"exchange-p-u-commutation[{family}]": "pass",
                     f"exchange-conjugation-implements-beta-hat[{family}]": "fail"}
 
