@@ -399,7 +399,7 @@ def _candidate_matrix(assign: dict[str, tuple]) -> dict:
     return {_SLOT_INDEX[slot]: pair for slot, pair in assign.items()}
 
 
-def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -> ScanResult:
+def scan_cocycles(family: str, denominator: int = 6) -> ScanResult:
     """Enumerate admissible theta matrices for one family.
 
     Candidates put the symbolic theta in one designated slot (or none) and
@@ -409,14 +409,13 @@ def scan_cocycles(family: str, denominator: int = 6, order: int | None = None) -
     ``C n = 0 (mod denominator)`` and ``C b = 0``.  Only the candidates that
     pass are built; each gets the full certificate, check_compatibility
     (several generators also need to commute), and its check_order flag.
-    Without an ``order`` the scan works at ``field_order(denominator)``,
-    which holds every grid phase.
+    The scan works at ``field_order(denominator)``, which holds every grid
+    phase; theta stays formal, so no folded value raises it.
     """
     if not 1 <= denominator <= MAX_DENOMINATOR:
         raise ValueError(f"grid denominator must be between 1 and {MAX_DENOMINATOR}")
     specs = _family(families.CLASSICAL, family)
-    if order is None:
-        order = field_order(denominator)
+    order = field_order(denominator)
     rows = [row for _, images in specs for row in _slot_matrix([target for _, target in images])]
 
     found: dict[str | None, set] = {slot: set() for slot in (*_SLOTS, None)}  # None: no theta slot

@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .actions import ActionOnTorus, deformed_action, homogeneous_components
 from .families import K0_GENERATORS
-from .scalars import DEFAULT_CYCLOTOMIC_ORDER, PhasedScalar, SparseElement, certify, cyc_root
+from .scalars import DEFAULT_CYCLOTOMIC_ORDER, Cyclotomic, PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, TorusElement, split_terms, standard_torus
 
 __all__ = [
@@ -215,7 +215,9 @@ class CrossedProduct:
         return u + s * (u_back - u)
 
     def psi_unit(self) -> "CrossedElement":
-        """The image of u: p_hat + s p_hat (u^N - 1)."""
+        """The image of u: p_hat + s p_hat (u^N - 1), which is u itself.
+        s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) =
+        u + s (u^{1-N} - u) + s (u - u^{1-N}) = u."""
         ph = self.phat()
         s = self.invariant_averaging()
         u_n = self.delta((self.n, 0, 0), 0)
@@ -440,7 +442,7 @@ class TwistedTrace:
 
     def base_eval(self, x: TorusElement) -> PhasedScalar:
         acc = PhasedScalar.zero(self.cp.algebra.order)
-        for m, c in x.terms():
+        for m, c in x._terms.items():
             weight = self.rule(m)
             if weight is not None:
                 acc = acc + c * weight
@@ -483,31 +485,31 @@ def random_torus_element(rng: random.Random, algebra: NcTorus, degree: int, term
         r = rng.randrange(order)
         r_theta, key = algebra.unit_pair(Fraction(0), Fraction(rng.randint(-2, 2)))
         p, q = rng.randint(1, 3), rng.randint(1, 2)
-        coeff = PhasedScalar.unit(order, (r + r_theta) % order, key) * Fraction(p, q)
+        root = Cyclotomic.root(order, r + r_theta)
+        coeff = PhasedScalar._raw(order, {key: Cyclotomic(order, tuple(p * a for a in root.num), q)})
         out[m] = out[m] + coeff if m in out else coeff
     return TorusElement(algebra, out)
 
 
 def random_crossed_element(rng: random.Random, cp: CrossedProduct, degree: int, terms: int = 2) -> CrossedElement:
-    out = cp.zero()
+    comps: dict[int, TorusElement] = {}
     for _ in range(terms):
         x = random_torus_element(rng, cp.algebra, degree, terms=1)
-        out = out + CrossedElement(cp, {rng.randrange(cp.n): x})
-    return out
+        k = rng.randrange(cp.n)
+        comps[k] = comps[k] + x if k in comps else x
+    return CrossedElement(cp, comps)
 
 
 # ---------------------------------------------------------------------------
 # tabulated K0 generators
 
 
-@dataclass
-class AnomalyNote:
+class AnomalyNote(NamedTuple):
     label: str
     message: str
 
 
-@dataclass
-class GeneratorTable:
+class GeneratorTable(NamedTuple):
     stems: dict  # name -> the order-N element whose projectors give classes
     projectors: dict  # name -> [Q_0, ..., Q_{N-1}] of that stem
     elements: dict  # label -> CrossedElement | None (None marks the exotic class)

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import families
 from .crossed import crossed_product, k0_generator_table
@@ -97,8 +97,7 @@ def int_det(matrix: IntMatrix) -> int:
 # Smith normal form
 
 
-@dataclass
-class SNFResult:
+class SNFResult(NamedTuple):
     s: IntMatrix  # diagonal, divisor chain
     u: IntMatrix  # unimodular row transform
     v: IntMatrix  # unimodular column transform
@@ -181,22 +180,21 @@ def smith_normal_form(matrix: IntMatrix) -> SNFResult:
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class AbelianGroup(NamedTuple("AbelianGroup", [("free_rank", int), ("torsion", tuple)])):
     """Canonical form: free rank plus a divisor-chain torsion tuple."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        for val in self.torsion:
+        for val in torsion:
             if val < 2:
                 raise ValueError("torsion coefficients must exceed 1")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a:
                 raise ValueError("torsion must form a divisor chain")
+        return super().__new__(cls, free_rank, torsion)
 
     def __str__(self):
         parts = []
@@ -268,8 +266,7 @@ def _entry(token, epsilon: int) -> int:
     return int(token)
 
 
-@dataclass
-class BetaStarData:
+class BetaStarData(NamedTuple):
     """id - beta_hat_* on the stated K0 basis, with its consistency facts."""
 
     family: str

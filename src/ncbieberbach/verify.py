@@ -25,8 +25,8 @@ import functools
 import itertools
 import os
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import families
 from .actions import (
@@ -72,8 +72,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Settings:
+class Settings(NamedTuple):
     """What the suites read.  ``order`` is the derived field order,
     ``scalars.field_order`` of the grid denominator and of ``theta``."""
 
@@ -82,10 +81,10 @@ class Settings:
     degree: int
     denominator: int
     theta: Fraction | None = None
-    order: int = field(init=False)
 
-    def __post_init__(self):
-        self.order = field_order(self.denominator, 1 if self.theta is None else self.theta.denominator)
+    @property
+    def order(self) -> int:
+        return field_order(self.denominator, 1 if self.theta is None else self.theta.denominator)
 
 
 def _sampled(name: str, samples: int, trial) -> Check:
@@ -385,18 +384,20 @@ def algebra(settings: Settings) -> list[Check]:
 
     def ring():
         x, y, z = scalar(), scalar(), scalar()
-        if (x * y) * z != x * (y * z) or x * (y + z) != x * y + x * z or x * y != y * x:
+        xy = x * y
+        if xy * z != x * (y * z) or x * (y + z) != xy + x * z or xy != y * x:
             return {"x": repr(x), "y": repr(y), "z": repr(z)}
-        if x.conj().conj() != x or (x * y).conj() != x.conj() * y.conj():
+        if x.conj().conj() != x or xy.conj() != x.conj() * y.conj():
             return {"x": repr(x), "y": repr(y)}
         return None
 
     def torus():
         a, b, c = (random_torus_element(rng, alg, 2) for _ in range(3))
-        if (a * b) * c != a * (b * c):
+        ab = a * b
+        if ab * c != a * (b * c):
             return {"a": repr(a), "b": repr(b), "c": repr(c),
-                    "lhs": repr((a * b) * c), "rhs": repr(a * (b * c))}
-        if (a * b).star() != b.star() * a.star() or a.star().star() != a:
+                    "lhs": repr(ab * c), "rhs": repr(a * (b * c))}
+        if ab.star() != b.star() * a.star() or a.star().star() != a:
             return {"a": repr(a), "b": repr(b)}
         return None
 
@@ -440,8 +441,7 @@ def actions(settings: Settings) -> list[Check]:
             _sampled(f"homogeneous-reconstruction[{family}]", max(2, settings.samples // 10), reconstruction),
         ]
     checks += [
-        scan_row(scan_cocycles(family, settings.denominator, order=settings.order))
-        for family in families.FAMILIES
+        scan_row(scan_cocycles(family, settings.denominator)) for family in families.FAMILIES
     ]
     return checks
 

@@ -334,7 +334,8 @@ def test_scan_matches_the_fraction_enumeration(denominator):
     certification in Fraction arithmetic admits (``tests/scan_oracle.py``)."""
     order = math.lcm(24, 2 * denominator)
     for family in families.FAMILIES:
-        result = scan_cocycles(family, denominator, order)
+        result = scan_cocycles(family, denominator)
+        assert result.order == order, family
         patterns, all_rational, order_flags = scan_oracle.reference_scan(family, denominator, order)
         assert result.patterns == patterns, family
         assert result.all_rational == all_rational, family

@@ -1,6 +1,10 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -8,11 +12,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncbieberbach
 from ncbieberbach import families, verify
 from ncbieberbach.actions import scan_cocycles, scan_row
-from ncbieberbach.cli import SUITES, main
+from ncbieberbach.cli import SUITES, build_parser, main
 from ncbieberbach.report import Check
 from ncbieberbach.scalars import DEFAULT_CYCLOTOMIC_ORDER
 
@@ -70,11 +76,13 @@ def test_scan_works_at_the_order_of_its_grid(capsys, denominator):
     assert code in (0, 1)
 
 
-@pytest.mark.parametrize("extra, order", [
-    (["--denominator", "5"], 120),
-    (["--theta", "1/5"], 120),
+@pytest.mark.parametrize("extra, order, scan_order", [
+    (["--denominator", "5"], 120, 120),
+    (["--theta", "1/5"], 120, 24),
 ], ids=["denominator-5", "theta-1-5"])
-def test_verify_reports_the_order_its_scans_ran_at(capsys, monkeypatch, extra, order):
+def test_verify_scans_at_the_order_of_its_grid(capsys, monkeypatch, extra, order, scan_order):
+    """The report names the field order of the suites; the scans keep theta
+    formal, so they run at the order of their grid, as ``nbk scan`` does."""
     orders = []
     scan_cocycles = verify.scan_cocycles
 
@@ -86,7 +94,7 @@ def test_verify_reports_the_order_its_scans_ran_at(capsys, monkeypatch, extra, o
     monkeypatch.setattr(verify, "scan_cocycles", recording_scan)
     _, report = run_json(capsys, "verify", "--suite", "actions", *extra)
     assert report["config"]["cyclotomic_order"] == order
-    assert orders == [order] * len(families.FAMILIES)
+    assert orders == [scan_order] * len(families.FAMILIES)
 
 
 def test_scan_row_is_an_anomaly_only_for_the_pinned_defect(capsys):
@@ -149,6 +157,67 @@ def test_usage_error_exit_code():
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+# bounded values of the options without choices, by destination: theta
+# denominators up to 5 and grids up to 6 keep the field order at most 240
+_OPTION_VALUES = {
+    "seed": st.integers(-3, 3).map(str),
+    "samples": st.integers(1, 3).map(str),
+    "degree": st.integers(1, 2).map(str),
+    "denominator": st.integers(1, 6).map(str),
+    "theta": st.sampled_from(["0", "1/2", "2/3", "3/4", "1/5", "7/5"]),
+    "epsilon": st.sampled_from(["+1", "1", "-1"]),
+    "out": st.just(os.path.join(__file__, "report.json")),  # under a file: writing the report fails
+}
+_INVALID_TOKENS = ["", "x", "0", "-1", "13", "1001", "1/0", "1/13", "B9", "--bogus", "--theta", "--suite"]
+
+
+@st.composite
+def _argv(draw):
+    """An ``nbk`` argv from the parser's own subcommands, choices and options:
+    one suite at a time (``all`` forks workers), bounded values, and up to two
+    invalid tokens anywhere."""
+    (commands,) = [a.choices for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    name = draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in commands[name]._actions:
+        if action.dest == "help":
+            continue
+        if action.option_strings and action.dest != "suite" and not draw(st.booleans()):
+            continue  # a drawn option left out; verify always names its suite
+        if action.nargs == 0:
+            argv.append(action.option_strings[0])
+            continue
+        values = (st.sampled_from([c for c in action.choices if c != "all"]) if action.choices
+                  else _OPTION_VALUES[action.dest])
+        argv += [*action.option_strings[:1], draw(values)]
+    for token in draw(st.lists(st.sampled_from(_INVALID_TOKENS), max_size=2)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+def test_any_drawn_argv_exits_cleanly():
+    """Exit 0, 1 or 2 with no traceback, and an ``nbk [<cmd>]: error:`` line on 2."""
+    codes = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_argv())
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+        if code == 2:
+            assert re.search(r"^nbk( \w+)?: error: ", err.getvalue(), re.M), (argv, err.getvalue())
+        codes.add(code)
+
+    run()
+    assert {0, 2} <= codes
 
 
 @pytest.mark.parametrize("option, value", [("--samples", "1001"), ("--degree", "11")])
@@ -265,13 +334,15 @@ def _loaded_after(statement: str) -> set[str]:
 
 def test_each_command_loads_only_the_modules_it_runs():
     """Every invocation compiles what it imports: the scan and the parser
-    need neither the crossed products nor ``verify``, ``ktheory`` or
-    ``dataclasses``; the verify suites load them when they run."""
+    need neither the crossed products nor ``verify`` or ``ktheory``, which
+    the other commands load when they run; no command loads ``dataclasses``."""
     scan = 'cli.main(["scan", "--family", "B2", "--denominator", "4", "--format", "json"])'
     assert _loaded_after(scan) == SCAN_MODULES
     assert _loaded_after("cli.build_parser()") <= SCAN_MODULES
-    verify_homology = 'cli.main(["verify", "--suite", "homology", "--format", "json"])'
-    assert {"ncbieberbach.verify", "ncbieberbach.crossed", "ncbieberbach.ktheory"} <= _loaded_after(verify_homology)
+    for argv in (["verify", "--suite", "homology"], ["ktheory", "B2"], ["homology"]):
+        loaded = _loaded_after(f"cli.main({argv + ['--format', 'json']!r})")
+        assert {"ncbieberbach.verify", "ncbieberbach.crossed", "ncbieberbach.ktheory"} <= loaded, argv
+        assert "dataclasses" not in loaded, argv
 
 
 def test_the_parser_names_the_verify_suites():

@@ -354,6 +354,12 @@ def test_psi_decomposition(torus_products):
                 assert cp.action.apply(comp) == comp
 
 
+def test_psi_unit_is_u(torus_products):
+    """s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) = u."""
+    for family, cp in torus_products.items():
+        assert cp.psi_unit() == cp.delta((1, 0, 0), 0), family
+
+
 def test_psi_matrix_multiplicative(torus_products):
     rng = random.Random(8)
     for family, cp in torus_products.items():
