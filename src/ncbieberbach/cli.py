@@ -199,6 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--strict", action="store_true",
                        help="treat anomalies as failures")
+        p.set_defaults(parser=p)  # reports a stray argument under its subcommand
 
     def denominator(p):
         p.add_argument("--denominator", type=_int_from_one_to(MAX_DENOMINATOR), default=6,
@@ -237,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, stray = parser.parse_known_args(argv)
+    if stray:
+        args.parser.error(f"unrecognized arguments: {' '.join(stray)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -33,14 +33,15 @@ On top of the arithmetic this module provides:
   trace (``canonical_trace``: s = N, the identity coefficient of a_0) and the
   parity traces (``tau_parity_trace``) are instances;
 * seeded random elements for the samplers in ``verify``;
-* the K0 generator table of a plane crossed product: its stems (the
-  order-N elements of ``families.K0_GENERATORS``), their projectors and the
-  generator projections, built once per product and cached on it, with exact
+* the K0 generator table of a plane crossed product: its stems (derived from
+  the holonomy by ``_derived_basis``), their projectors and the generator
+  projections, built once per product and cached on it, with exact
   anomaly detection for the two tabulated coefficients that fail their order
   precondition (the cubic V^2 p generator and the hexic V p^2 generator).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -501,7 +502,7 @@ def random_crossed_element(rng: random.Random, cp: CrossedProduct, degree: int, 
 
 
 # ---------------------------------------------------------------------------
-# tabulated K0 generators
+# K0 generators
 
 
 class AnomalyNote(NamedTuple):
@@ -526,9 +527,45 @@ def _stem_element(cp: CrossedProduct, word, k: int, phase) -> CrossedElement:
     return v ** word[0] * w ** word[1] * cp.p(k) * cp.algebra.phase_of_entry(Fraction(a), Fraction(b))
 
 
+@functools.lru_cache(maxsize=None)
+def _derived_basis(family: str) -> tuple:
+    """The stems (word, k, m, phase) and classes (stem index, n) of the K0 basis
+    of the family's plane product, read from the holonomy A of its action.
+
+    For k | N, k < N, a coset c of Z^2 / (A^k - 1) Z^2 is the fixed point y / d
+    of A^k on T^2, y = adj(A^k - 1) c mod d = |det(A^k - 1)|.  Dropping the
+    points that A^j fixes for some 0 < j < k (the norm images of the cosets at
+    the proper divisors of k), the least c of each <A>-orbit in the order
+    (c[1], c[0]) is the stem V^i W^j p^k e^{-i pi beta theta / m}, (i, j) = c,
+    m = N / k, where (V^i W^j p^k)^m = e^{i pi beta theta}; its classes are
+    Q_{jk}, j = m - 2, ..., 0.
+    """
+    cp = crossed_product(family)
+    stems, classes = [], []
+    for k in (k for k in range(1, cp.n) if cp.n % k == 0):
+        (p, r), (q, s) = (cp.action.power_pair(k, e)[0] for e in ((1, 0), (0, 1)))
+        p, s = p - 1, s - 1  # A^k - 1 = ((p, q), (r, s))
+        d, m, seen = abs(p * s - q * r), cp.n // k, set()
+        for c in sorted(itertools.product(range(d), repeat=2), key=lambda c: c[::-1]):
+            y = ((s * c[0] - q * c[1]) % d, (p * c[1] - r * c[0]) % d)
+            orbit = [tuple(t % d for t in cp.action.power_pair(i, y)[0]) for i in range(k)]
+            if y in seen or y in orbit[1:]:
+                continue
+            seen.update(orbit)
+            power = _stem_element(cp, c, k, (0, 0)) ** m
+            beta = next((b for _, scalar in power.terms() for b, _ in scalar.terms()), 0)
+            certify(power == cp.one() * cp.algebra.theta_phase(beta), f"{family}: stem {c} has no order {m}")
+            phase = (0, Fraction(-beta, m))
+            projectors = cp.q_projector(_stem_element(cp, c, k, phase))
+            certify(all(projectors[j * k] for j in range(m - 1)), f"{family}: a class of stem {c} vanishes")
+            classes += [(len(stems), j * k) for j in range(m - 2, -1, -1)]
+            stems.append((c, k, m, phase))
+    return tuple(stems), tuple(classes)
+
+
 def k0_generator_table(cp: CrossedProduct) -> GeneratorTable:
-    """The K0 generator projections of ``families.K0_GENERATORS`` for
-    ``cp.family``, with exact anomaly handling; built once per product.
+    """The K0 generator projections of ``_derived_basis``, labelled by
+    ``families.K0_GENERATORS``, with exact anomaly handling; built once per product.
 
     Two tabulated coefficients fail the order precondition of their spectral
     projector; for those the stem carries the minimal phase correction
@@ -542,16 +579,17 @@ def k0_generator_table(cp: CrossedProduct) -> GeneratorTable:
             raise ValueError(f"K0 generators are tabulated for {tuple(K0_GENERATORS)}")
         if cp.algebra.d != 2:
             raise ContextError("K0 generators live on the plane crossed product")
-        stems = {name: _stem_element(cp, word, k, phase) for name, word, k, phase in spec.stems}
-        words = {name: (word, k) for name, word, k, _ in spec.stems}
+        derived, classes = _derived_basis(cp.family)
+        words = {name: (word, k) for name, (word, k, _, _) in zip(spec.stems, derived, strict=True)}
+        stems = {name: _stem_element(cp, *words[name], phase) for name, (*_, phase) in zip(spec.stems, derived)}
         anomalies = []
         for name, phase, message in spec.tabulated:
             defect = _stem_element(cp, *words[name], phase) ** cp.n - cp.one()
             if not defect.is_zero():
                 anomalies.append(AnomalyNote(f"[Q({name})]", message % (defect,)))
         projectors = {stem: cp.q_projector(x) for stem, x in stems.items()}
-        elements = {lbl: cp.one() if stem is None else projectors[stem][n]
-                    for lbl, stem, n in spec.classes}
+        derived_classes = [projectors[spec.stems[i]][n] for i, n in classes]
+        elements = dict(zip(spec.classes, [cp.one(), *derived_classes], strict=True))
         elements[spec.exotic[0]] = None
         cp._k0_table = GeneratorTable(stems, projectors, elements, anomalies)
     return cp._k0_table

@@ -24,11 +24,11 @@ the corrected sets so the difference is surfaced rather than patched over.
 ``FIXTURE_TRANSPOSITIONS`` pins the one basis exchange a displayed beta_hat_*
 matrix is known to make.
 
-``K0_GENERATORS`` is the one table of K0 generator data of the plane crossed
-products: the order-N stems, the basis classes as their spectral projectors,
-the typed-in column of the exotic class, and the tabulated coefficients that
-fail their order precondition.  The generator elements, the spectral
-arguments and every other beta_hat_* column are derived from it.
+``K0_GENERATORS`` keeps the paper's K0 data of the plane crossed products:
+the names of the stems and classes, the typed-in column of the exotic class,
+and the tabulated coefficients that fail their order precondition.  The
+stems, their classes and every other beta_hat_* column are derived from the
+holonomy in ``crossed`` and ``ktheory``.
 """
 from __future__ import annotations
 
@@ -132,12 +132,11 @@ FIXTURE_TRANSPOSITIONS = {"B2": ("[e01]", "[e10]")}
 
 
 class K0Spec(NamedTuple):
-    """K0 generator data of one family's plane crossed product.
+    """The paper's K0 data of one family, by name; ``crossed._derived_basis`` derives the basis.
 
-    * ``stems``: (name, (i, j), k, (a, b)), the order-N element
-      V^i W^j p^k e^{i pi (a + b theta)};
-    * ``classes``: (label, stem, n), the class of the spectral projector
-      Q_n(stem), or of the unit when the stem is None;
+    * ``stems``: the names of the order-N stems, in derivation order;
+    * ``classes``: the class labels, "[1]" then one per derived class, in
+      derivation order;
     * ``exotic``: (label, column), the class with no element here and its
       beta_hat_* image by label; "E" and "-E" stand for +/- epsilon, as in
       the fixture files;
@@ -154,17 +153,13 @@ class K0Spec(NamedTuple):
 
 K0_GENERATORS = {
     "B2": K0Spec(
-        stems=(("p", (0, 0), 1, (0, 0)), ("Vp", (1, 0), 1, (0, 0)),
-               ("Wp", (0, 1), 1, (0, 0)), ("VWp", (1, 1), 1, (0, 1))),
-        classes=(("[1]", None, 0), ("[e00]", "p", 0), ("[e01]", "Vp", 0),
-                 ("[e10]", "Wp", 0), ("[e11]", "VWp", 0)),
+        stems=("p", "Vp", "Wp", "VWp"),
+        classes=("[1]", "[e00]", "[e01]", "[e10]", "[e11]"),
         exotic=("[M2]", (("[M2]", 1), ("[e00]", -1), ("[e11]", 1), ("[e10]", "-E"), ("[e01]", "E"))),
     ),
     "B3": K0Spec(
-        stems=(("p", (0, 0), 1, (0, 0)), ("X", (1, 0), 1, (0, F(1, 3))),
-               ("Y", (2, 0), 1, (0, F(4, 3)))),
-        classes=(("[1]", None, 0), ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0), ("[Q1(X)]", "X", 1),
-                 ("[Q0(X)]", "X", 0), ("[Q1(Y)]", "Y", 1), ("[Q0(Y)]", "Y", 0)),
+        stems=("p", "X", "Y"),
+        classes=("[1]", "[Q1(p)]", "[Q0(p)]", "[Q1(X)]", "[Q0(X)]", "[Q1(Y)]", "[Q0(Y)]"),
         exotic=("[M3]", (("[M3]", 1), ("[Q0(p)]", -1), ("[Q0(X)]", -1), ("[Q0(Y)]", -1), ("[1]", 1))),
         tabulated=(("Y", (0, F(2, 3)),
                     "tabulated coefficient e^{2 pi i theta/3} on V^2 p gives Y^3 - 1 = %r;"
@@ -172,17 +167,13 @@ K0_GENERATORS = {
                     " Y^3 = 1 and is used below"),),
     ),
     "B4": K0Spec(
-        stems=(("p", (0, 0), 1, (0, 0)), ("x", (1, 0), 1, (0, F(1, 2))), ("Vp2", (1, 0), 2, (0, 0))),
-        classes=(("[1]", None, 0), ("[Q2(p)]", "p", 2), ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0),
-                 ("[Q2(x)]", "x", 2), ("[Q1(x)]", "x", 1), ("[Q0(x)]", "x", 0),
-                 ("[Q0(Vp2)]", "Vp2", 0)),
+        stems=("p", "x", "Vp2"),
+        classes=("[1]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]", "[Q2(x)]", "[Q1(x)]", "[Q0(x)]", "[Q0(Vp2)]"),
         exotic=("[M4]", (("[M4]", 1), ("[Q0(Vp2)]", -1), ("[Q0(p)]", -1), ("[Q0(x)]", -1), ("[1]", 1))),
     ),
     "B6": K0Spec(
-        stems=(("p", (0, 0), 1, (0, 0)), ("y", (1, 0), 2, (0, F(1, 3))), ("Vp3", (1, 0), 3, (0, 0))),
-        classes=(("[1]", None, 0), ("[Q4(p)]", "p", 4), ("[Q3(p)]", "p", 3), ("[Q2(p)]", "p", 2),
-                 ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0), ("[Q2(y)]", "y", 2), ("[Q0(y)]", "y", 0),
-                 ("[Q0(Vp3)]", "Vp3", 0)),
+        stems=("p", "y", "Vp3"),
+        classes=("[1]", "[Q4(p)]", "[Q3(p)]", "[Q2(p)]", "[Q1(p)]", "[Q0(p)]", "[Q2(y)]", "[Q0(y)]", "[Q0(Vp3)]"),
         exotic=("[M6]", (("[M6]", 1), ("[Q0(p)]", -1), ("[Q0(y)]", -1), ("[Q0(Vp3)]", -1), ("[1]", 1))),
         tabulated=(("y", (F(1, 3), 0),
                     "tabulated coefficient e^{i pi/3} on V p^2 gives y^6 - 1 = %r; with the"
@@ -209,9 +200,6 @@ def holonomy_matrix(family: str) -> list[list[int]]:
     if family not in K_FAMILIES:
         raise ValueError(f"holonomy is tabulated for {K_FAMILIES}, not {family!r}")
     (_, images), = CLASSICAL[family]
-    cols = []
-    for _, target in images[1:]:
-        if target[0] != 0:
-            raise ValueError("lattice images must stay in the (v, w) plane")
-        cols.append((target[1], target[2]))
-    return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+    if any(target[0] for _, target in images[1:]):
+        raise ValueError("lattice images must stay in the (v, w) plane")
+    return [list(row) for row in zip(*(target[1:] for _, target in images[1:]))]

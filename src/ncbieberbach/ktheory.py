@@ -11,7 +11,8 @@ group and span solve reads its diagonal.  It states each row operation once,
 on the pair (S, U), and each column operation once, on (S, V), and it
 certifies U M V = S for every shape, an r x 0 matrix included.
 
-The basis is read from ``families.K0_GENERATORS``.  Every column of
+The basis elements are derived from the holonomy (``crossed._derived_basis``)
+and named by the labels of ``families.K0_GENERATORS``.  Every column of
 beta_hat_* but the exotic [M_N] one is derived: the image beta_hat(e_j) of
 each generator element is solved for its integer coordinates in the other
 generators, exactly and with a certified Smith-normal-form solve
@@ -287,7 +288,7 @@ class BetaStarData(NamedTuple):
 
 
 def beta_star_matrix(family: str, epsilon: int = 1) -> BetaStarData:
-    """id - beta_hat_* on the basis of ``families.K0_GENERATORS``.
+    """id - beta_hat_* on the labelled basis of ``families.K0_GENERATORS``.
 
     Every column but the exotic one is solved from the generator elements
     (``solve_in_span``, once per table entry and process); the exotic column
@@ -299,7 +300,7 @@ def beta_star_matrix(family: str, epsilon: int = 1) -> BetaStarData:
     if epsilon not in (1, -1):
         raise ValueError("epsilon must be +1 or -1")
     exotic, column = spec.exotic
-    basis = tuple(lbl for lbl, _, _ in spec.classes) + (exotic,)
+    basis = (*spec.classes, exotic)
     n = len(basis)
     induced = [[*row, 0] for row in _derived_columns(family, spec)] + [[0] * n]
     for lbl, token in column:

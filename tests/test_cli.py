@@ -159,6 +159,17 @@ def test_usage_error_exit_code():
         assert err.value.code == 2
 
 
+def test_a_stray_argument_is_reported_by_its_subcommand(capsys):
+    for argv, command, stray in ((["homology", "x"], "homology", "x"),
+                                 (["ktheory", "B3", "--theta", "1/5"], "ktheory", "--theta 1/5")):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith(f"usage: nbk {command} ")
+        assert lines[-1] == f"nbk {command}: error: unrecognized arguments: {stray}"
+
+
 # bounded values of the options without choices, by destination: theta
 # denominators up to 5 and grids up to 6 keep the field order at most 240
 _OPTION_VALUES = {

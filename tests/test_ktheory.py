@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import random
@@ -10,7 +11,7 @@ import pytest
 
 import ncbieberbach
 from ncbieberbach import families, ktheory, verify
-from ncbieberbach.crossed import crossed_product, k0_generator_table
+from ncbieberbach.crossed import _derived_basis, crossed_product, k0_generator_table
 from ncbieberbach.ktheory import (
     AbelianGroup,
     BetaStarData,
@@ -105,14 +106,19 @@ def test_snf_certificate_survives_optimize_flag():
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
     )
+    assert _run_optimized(code) == [
+        "1 a target lies outside the span of the basis",
+        "1 transforms are not unimodular",
+    ]
+
+
+def _run_optimized(code: str) -> list[str]:
+    """The stdout lines of ``code`` run under ``python -O``; a plain assert would vanish there."""
     src = str(Path(ncbieberbach.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert run.stdout.splitlines() == [
-        "1 a target lies outside the span of the basis",
-        "1 transforms are not unimodular",
-    ]
+    return run.stdout.splitlines()
 
 # ---------------------------------------------------------------------------
 # abelian groups
@@ -322,9 +328,10 @@ def _rows(family):
 def test_checks_catch_a_corrupted_generator_table(monkeypatch):
     spec = families.K0_GENERATORS["B3"]
     assert _rows("B3")["fixture-comparison[B3]"] == "pass"
-    # exchanging the projector indices of [Q1(p)] and [Q0(p)] permutes the
-    # derived columns, which only the displayed fixture can see
-    classes = tuple((lbl, stem, {1: 0, 0: 1}[n] if stem == "p" else n) for lbl, stem, n in spec.classes)
+    # exchanging the labels [Q1(p)] and [Q0(p)] moves the typed exotic entry
+    # of [Q0(p)] onto the class Q1(p), which only the displayed fixture can see
+    swap = {"[Q1(p)]": "[Q0(p)]", "[Q0(p)]": "[Q1(p)]"}
+    classes = tuple(swap.get(lbl, lbl) for lbl in spec.classes)
     monkeypatch.setitem(families.K0_GENERATORS, "B3", spec._replace(classes=classes))
     rows = _rows("B3")
     assert rows["fixture-comparison[B3]"] == "fail"
@@ -336,6 +343,94 @@ def test_checks_catch_a_corrupted_generator_table(monkeypatch):
     rows = _rows("B3")
     assert rows["induced-map-order-and-unit[B3]"] == "fail"
     assert rows["element-level-transport[B3]"] == "pass"
+
+
+# ---------------------------------------------------------------------------
+# the K0 basis derived from the holonomy
+
+F = Fraction
+
+# The stems (name, word, k, m, phase) and classes (label, stem, n) that the
+# generator table typed in before they were derived.
+TYPED_STEMS = {
+    "B2": (("p", (0, 0), 1, 2, (0, 0)), ("Vp", (1, 0), 1, 2, (0, 0)),
+           ("Wp", (0, 1), 1, 2, (0, 0)), ("VWp", (1, 1), 1, 2, (0, 1))),
+    "B3": (("p", (0, 0), 1, 3, (0, 0)), ("X", (1, 0), 1, 3, (0, F(1, 3))), ("Y", (2, 0), 1, 3, (0, F(4, 3)))),
+    "B4": (("p", (0, 0), 1, 4, (0, 0)), ("x", (1, 0), 1, 4, (0, F(1, 2))), ("Vp2", (1, 0), 2, 2, (0, 0))),
+    "B6": (("p", (0, 0), 1, 6, (0, 0)), ("y", (1, 0), 2, 3, (0, F(1, 3))), ("Vp3", (1, 0), 3, 2, (0, 0))),
+}
+TYPED_CLASSES = {
+    "B2": (("[e00]", "p", 0), ("[e01]", "Vp", 0), ("[e10]", "Wp", 0), ("[e11]", "VWp", 0)),
+    "B3": (("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0), ("[Q1(X)]", "X", 1),
+           ("[Q0(X)]", "X", 0), ("[Q1(Y)]", "Y", 1), ("[Q0(Y)]", "Y", 0)),
+    "B4": (("[Q2(p)]", "p", 2), ("[Q1(p)]", "p", 1), ("[Q0(p)]", "p", 0),
+           ("[Q2(x)]", "x", 2), ("[Q1(x)]", "x", 1), ("[Q0(x)]", "x", 0), ("[Q0(Vp2)]", "Vp2", 0)),
+    "B6": (("[Q4(p)]", "p", 4), ("[Q3(p)]", "p", 3), ("[Q2(p)]", "p", 2), ("[Q1(p)]", "p", 1),
+           ("[Q0(p)]", "p", 0), ("[Q2(y)]", "y", 2), ("[Q0(y)]", "y", 0), ("[Q0(Vp3)]", "Vp3", 0)),
+}
+
+
+@pytest.mark.parametrize("family", families.K_FAMILIES)
+def test_derived_basis_reproduces_the_typed_table(family):
+    spec = families.K0_GENERATORS[family]
+    stems, classes = _derived_basis(family)
+    assert tuple((name, *stem) for name, stem in zip(spec.stems, stems, strict=True)) == TYPED_STEMS[family]
+    assert spec.classes[0] == "[1]"
+    named = tuple((lbl, spec.stems[i], n) for lbl, (i, n) in zip(spec.classes[1:], classes, strict=True))
+    assert named == TYPED_CLASSES[family]
+    # the derivation reads A from the plane action, whose B3 generator is the square of the holonomy
+    a = [list(row) for row in zip(*(img.target for img in crossed_product(family).action.images))]
+    h = families.holonomy_matrix(family)
+    assert a == (mat_mul(h, h) if family == "B3" else h)
+
+
+@pytest.mark.parametrize("family", families.K_FAMILIES)
+def test_every_label_names_its_derived_class(family):
+    spec = families.K0_GENERATORS[family]
+    stems, classes = _derived_basis(family)
+
+    def label(i, n):
+        (v, w), *_ = stems[i]
+        # the typed [e_ab] reads the W exponent first: [e01] is Q0(V p)
+        return f"[e{w}{v}]" if family == "B2" else f"[Q{n}({spec.stems[i]})]"
+
+    assert spec.classes == ("[1]", *(label(i, n) for i, n in classes))
+
+
+@pytest.mark.parametrize("family", families.K_FAMILIES)
+def test_burnside_count_of_fixed_points_gives_the_rank(family):
+    # n_k = (1/N) sum_j |det(A^gcd(j, k, N) - 1)|, from the holonomy and int_det alone
+    a = families.holonomy_matrix(family)
+    n = families.DEFORMED[family][0]
+
+    def fixed_points(e):
+        power = functools.reduce(mat_mul, [a] * e)
+        return abs(int_det([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(power)]))
+
+    counts = [Fraction(sum(fixed_points(math.gcd(j, k, n)) for j in range(n)), n) for k in range(1, n)]
+    assert all(c.denominator == 1 for c in counts)
+    stems, _ = _derived_basis(family)
+    assert sum(m - 1 for _, _, m, _ in stems) == sum(counts)
+    assert 2 + sum(counts) == len(beta_star_matrix(family).basis) == {"B2": 6, "B3": 8, "B4": 9, "B6": 10}[family]
+
+
+def test_derivation_certificates_survive_optimize_flag():
+    code = (
+        "import sys\n"
+        "import ncbieberbach.crossed as cr\n"
+        "def attempt():\n"
+        "    try:\n"
+        "        cr._derived_basis('B3')\n"
+        "    except AssertionError as exc:\n"
+        "        print(sys.flags.optimize, exc)\n"
+        "stem = cr._stem_element\n"
+        "cr._stem_element = lambda cp, *args: stem(cp, *args) * 2\n"
+        "attempt()\n"
+        "cr._stem_element = stem\n"
+        "cr.CrossedProduct.q_projector = lambda cp, x: [cp.zero()] * cp.n\n"
+        "attempt()\n"
+    )
+    assert _run_optimized(code) == ["1 B3: stem (0, 0) has no order 3", "1 B3: a class of stem (0, 0) vanishes"]
 
 
 # ---------------------------------------------------------------------------
