@@ -35,9 +35,9 @@ On top of the arithmetic this module provides:
 * seeded random elements for the samplers in ``verify``;
 * the K0 generator table of a plane crossed product: its stems (derived from
   the holonomy by ``_derived_basis``), their projectors and the generator
-  projections, built once per product and cached on it, with exact
-  anomaly detection for the two tabulated coefficients that fail their order
-  precondition (the cubic V^2 p generator and the hexic V p^2 generator).
+  projections, each certified nonzero, built once per product and cached on
+  it, with exact anomaly detection for the two tabulated coefficients that
+  fail their order (the cubic V^2 p generator and the hexic V p^2 generator).
 """
 from __future__ import annotations
 
@@ -93,7 +93,6 @@ class CrossedProduct:
         self._key = action.key()
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._k0_table: "GeneratorTable | None" = None
-        self._psi_unit_powers: list["CrossedElement"] | None = None
         self._psi_matrix_powers: list[list[list["Operand"]]] | None = None
 
     # -- identity ------------------------------------------------------------
@@ -216,18 +215,13 @@ class CrossedProduct:
         return u + s * (u_back - u)
 
     def psi_unit(self) -> "CrossedElement":
-        """The image of u: p_hat + s p_hat (u^N - 1), which is u itself.
-        s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) =
-        u + s (u^{1-N} - u) + s (u - u^{1-N}) = u."""
+        """The image of u: p_hat + s p_hat (u^N - 1), which is u itself, as
+        ``verify`` certifies once per product.  s^2 = s gives s p_hat = s u^{1-N},
+        so p_hat + s p_hat (u^N - 1) = u + s (u^{1-N} - u) + s (u - u^{1-N}) = u."""
         ph = self.phat()
         s = self.invariant_averaging()
         u_n = self.delta((self.n, 0, 0), 0)
         return ph + s * ph * (u_n - self.one())
-
-    def _psi_powers(self) -> list["CrossedElement"]:
-        if self._psi_unit_powers is None:
-            self._psi_unit_powers = self._powers(self.psi_unit(), self.n)
-        return self._psi_unit_powers
 
     def psi_components(self, x: TorusElement) -> list[TorusElement]:
         """The invariant coefficients x_k u^{-k} of the decomposition of x;
@@ -236,10 +230,9 @@ class CrossedProduct:
         return [comp * self.algebra.delta((-k, 0, 0)) for k, comp in enumerate(comps)]
 
     def psi_element(self, comps: list[TorusElement]) -> "CrossedElement":
-        """sum_k (x_k u^{-k}) psi_unit^k for the ``psi_components`` of x;
-        equals embed(x) by the inversion identity."""
-        powers = self._psi_powers()
-        return self.dot((self.embed(comp), powers[k]) for k, comp in enumerate(comps) if comp)
+        """sum_k (x_k u^{-k}) u^k, u^k = psi(u)^k (``psi_unit``), for the
+        ``psi_components`` of x; equals embed(x) by the inversion identity."""
+        return self.dot((self.embed(comp), self.delta((k, 0, 0), 0)) for k, comp in enumerate(comps) if comp)
 
     def matrix_units(self) -> list[list["CrossedElement"]]:
         """E[i][j] built from (p, p_hat): E_ij E_kl = delta_jk E_il, sum E_ii = 1."""
@@ -538,7 +531,7 @@ def _derived_basis(family: str) -> tuple:
     the proper divisors of k), the least c of each <A>-orbit in the order
     (c[1], c[0]) is the stem V^i W^j p^k e^{-i pi beta theta / m}, (i, j) = c,
     m = N / k, where (V^i W^j p^k)^m = e^{i pi beta theta}; its classes are
-    Q_{jk}, j = m - 2, ..., 0.
+    Q_{jk}, j = m - 2, ..., 0, which ``k0_generator_table`` builds and certifies.
     """
     cp = crossed_product(family)
     stems, classes = [], []
@@ -556,8 +549,6 @@ def _derived_basis(family: str) -> tuple:
             beta = next((b for _, scalar in power.terms() for b, _ in scalar.terms()), 0)
             certify(power == cp.one() * cp.algebra.theta_phase(beta), f"{family}: stem {c} has no order {m}")
             phase = (0, Fraction(-beta, m))
-            projectors = cp.q_projector(_stem_element(cp, c, k, phase))
-            certify(all(projectors[j * k] for j in range(m - 1)), f"{family}: a class of stem {c} vanishes")
             classes += [(len(stems), j * k) for j in range(m - 2, -1, -1)]
             stems.append((c, k, m, phase))
     return tuple(stems), tuple(classes)
@@ -572,6 +563,9 @@ def k0_generator_table(cp: CrossedProduct) -> GeneratorTable:
     restoring x^N = 1, and the defect is recorded as an anomaly instead of
     being hidden.  One ``q_projector`` call per stem builds all N of its
     projectors and certifies its order; each class indexes that list.
+    Each class is certified nonzero (by label, also under ``python -O``): at
+    every theta, Q_{jk} of a stem x of p-power k has p^0 coefficient 1/m,
+    m = N / k, since x^m = 1 and x^i has a p^0 component only when m | i.
     """
     if cp._k0_table is None:
         spec = K0_GENERATORS.get(cp.family)
@@ -590,6 +584,8 @@ def k0_generator_table(cp: CrossedProduct) -> GeneratorTable:
         projectors = {stem: cp.q_projector(x) for stem, x in stems.items()}
         derived_classes = [projectors[spec.stems[i]][n] for i, n in classes]
         elements = dict(zip(spec.classes, [cp.one(), *derived_classes], strict=True))
+        for label, q in elements.items():
+            certify(q, f"{cp.family}: the class {label} vanishes")
         elements[spec.exotic[0]] = None
         cp._k0_table = GeneratorTable(stems, projectors, elements, anomalies)
     return cp._k0_table

@@ -12,12 +12,12 @@ once, and each sampling suite draws from one ``random.Random(seed)`` in a
 fixed order; sharing no state, they run side by side under ``run_suites``.
 
 Two rows rest on a finite certificate rather than on samples.  psi is
-multiplicative for every pair by the lemma of ``crossed.psi_lemma_mismatch``,
-certified once per family, so of the max(3, samples // 10) psi draws only the
-first max(3, samples // 100) also compare psi(x) psi(y) with psi(xy) entry by
-entry; every draw still checks the inversion identity and the invariance of
-the psi components.  The exchange identity is checked on the generators of
-the plane subalgebra, so it reads no ``degree``.
+multiplicative for every pair by the lemma of ``crossed.psi_lemma_mismatch``
+and psi(u) = u, both certified once per family, so of the max(3, samples // 10)
+psi draws only the first max(3, samples // 100) compare psi(x) psi(y) with
+psi(xy) entry by entry; every draw checks the inversion identity, reading
+psi(u)^k as u^k, and the invariance of the psi components.  The exchange
+identity is checked on the plane subalgebra's generators: it reads no ``degree``.
 """
 from __future__ import annotations
 
@@ -487,11 +487,13 @@ def traces(settings: Settings) -> list[Check]:
 
 
 def _psi_row(cp: CrossedProduct, units: Check, sampled: Check) -> Check:
-    """``psi-multiplicative[F]``: the certificate of ``psi_lemma_mismatch``,
-    then the ``matrix-units[F]`` row its lemma rests on, then the sampled
-    draws; the row passes only if all three do."""
+    """``psi-multiplicative[F]``: the identity psi(u) = u (``psi_unit``), the
+    certificate of ``psi_lemma_mismatch``, the ``matrix-units[F]`` row its lemma
+    rests on, then the sampled draws; the row passes only if all four do."""
     mismatch = psi_lemma_mismatch(cp)
-    if mismatch is not None:
+    if cp.psi_unit() != cp.delta((1, 0, 0), 0):
+        detail = "psi(u) = p_hat + s p_hat (u^N - 1) is not u"
+    elif mismatch is not None:
         detail = "entry ({},{}) of the matrix of u does not commute with {}".format(*mismatch)
     elif not units.ok:
         detail = "the matrix units fail, and the lemma rests on them"
@@ -504,7 +506,7 @@ def morita(settings: Settings) -> list[Check]:
     """The stable-isomorphism witnesses (p, p_hat), their matrix units, psi
     and the exchange identity, per family on the three-torus.
 
-    ``psi-multiplicative[F]`` rests on the lemma of
+    ``psi-multiplicative[F]`` rests on psi(u) = u and on the lemma of
     ``crossed.psi_lemma_mismatch``: once the matrix of u commutes with p and
     p_hat and the matrix units hold, psi(x) psi(y) = psi(xy) for every pair.
     Each of the max(3, samples // 10) draws still checks the inversion

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ncbieberbach import ktheory, verify
-from ncbieberbach.actions import ActionOnTorus, GeneratorImage
+from ncbieberbach.actions import ActionOnTorus, GeneratorImage, homogeneous_components
 from ncbieberbach.crossed import (
     ContextError,
     CrossedProduct,
@@ -245,6 +245,27 @@ def test_psi_row_fails_on_the_certificate(monkeypatch, family):
     row = rows.pop(f"psi-multiplicative[{family}]")
     assert (row.status, row.detail) == ("fail", "entry (0,1) of the matrix of u does not commute with p")
     assert all(c.status == "pass" for c in rows.values())
+
+
+def test_psi_row_fails_on_a_scaled_p_hat(monkeypatch):
+    """lambda p_hat keeps its order, the exchange with p, the matrix units and
+    the lemma; only psi(u) = lambda u != u sees it."""
+    phat = CrossedProduct.phat
+    monkeypatch.setattr(CrossedProduct, "phat", lambda cp: phat(cp) * cp.lam)
+    rows = {c.name: c for c in morita(Settings(seed=3, samples=3, degree=1, denominator=6))}
+    for family in K_FAMILIES:
+        row = rows.pop(f"psi-multiplicative[{family}]")
+        assert (row.status, row.detail) == ("fail", "psi(u) = p_hat + s p_hat (u^N - 1) is not u")
+    assert all(c.status == "pass" for c in rows.values()), [c for c in rows.values() if c.status != "pass"]
+
+
+def test_psi_row_fails_on_components_without_their_u_power(monkeypatch):
+    """Without the factor u^{-k} the inversion identity of a draw fails."""
+    monkeypatch.setattr(CrossedProduct, "psi_components", lambda cp, x: homogeneous_components(cp.action, x))
+    rows = {c.name: c for c in morita(Settings(seed=3, samples=3, degree=1, denominator=6))}
+    for family in K_FAMILIES:
+        row = rows[f"psi-multiplicative[{family}]"]
+        assert row.status == "fail" and set(row.counterexample) == {"x"}, row
 
 
 def test_psi_row_fails_with_the_matrix_units(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 import ncbieberbach
 from ncbieberbach import families, ktheory, verify
-from ncbieberbach.crossed import _derived_basis, crossed_product, k0_generator_table
+from ncbieberbach.crossed import CrossedProduct, _derived_basis, crossed_product, k0_generator_table
 from ncbieberbach.ktheory import (
     AbelianGroup,
     BetaStarData,
@@ -414,23 +414,41 @@ def test_burnside_count_of_fixed_points_gives_the_rank(family):
     assert 2 + sum(counts) == len(beta_star_matrix(family).basis) == {"B2": 6, "B3": 8, "B4": 9, "B6": 10}[family]
 
 
+@pytest.mark.parametrize("family", families.K_FAMILIES)
+def test_the_table_builds_one_chain_per_stem(monkeypatch, family):
+    """The derivation builds no projector; the table builds each stem's chain once."""
+    q_projector = CrossedProduct.q_projector
+    chains = []
+
+    def counting_q_projector(cp, x, *, period=None):
+        chains.append(x)
+        return q_projector(cp, x, period=period)
+
+    _derived_basis.cache_clear()
+    monkeypatch.setattr(CrossedProduct, "q_projector", counting_q_projector)
+    table = k0_generator_table(crossed_product(family))
+    assert chains == list(table.stems.values())
+    assert len(chains) == {"B2": 4, "B3": 3, "B4": 3, "B6": 3}[family]
+
+
 def test_derivation_certificates_survive_optimize_flag():
+    """The stem order is certified by the derivation, each class nonzero by the table."""
     code = (
         "import sys\n"
         "import ncbieberbach.crossed as cr\n"
-        "def attempt():\n"
+        "def attempt(build):\n"
         "    try:\n"
-        "        cr._derived_basis('B3')\n"
+        "        build()\n"
         "    except AssertionError as exc:\n"
         "        print(sys.flags.optimize, exc)\n"
         "stem = cr._stem_element\n"
         "cr._stem_element = lambda cp, *args: stem(cp, *args) * 2\n"
-        "attempt()\n"
+        "attempt(lambda: cr._derived_basis('B3'))\n"
         "cr._stem_element = stem\n"
         "cr.CrossedProduct.q_projector = lambda cp, x: [cp.zero()] * cp.n\n"
-        "attempt()\n"
+        "attempt(lambda: cr.k0_generator_table(cr.crossed_product('B3')))\n"
     )
-    assert _run_optimized(code) == ["1 B3: stem (0, 0) has no order 3", "1 B3: a class of stem (0, 0) vanishes"]
+    assert _run_optimized(code) == ["1 B3: stem (0, 0) has no order 3", "1 B3: the class [Q1(p)] vanishes"]
 
 
 # ---------------------------------------------------------------------------
