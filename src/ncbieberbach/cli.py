@@ -1,12 +1,12 @@
 """Command-line surface: parses arguments, runs the engine and the checks of
 ``verify`` (``verify.run_suites`` forks a worker per suite), renders the report.
 
-Each command imports only the modules it runs: ``scan`` and the parser need
-``actions``, ``families`` and ``report``, while ``verify``, ``ktheory`` and
-``homology`` import ``verify`` and ``ktheory`` (and with them ``crossed``)
-when they run.  Reports are deterministic for a fixed (version, command,
-seed): JSON output is sorted and carries no timestamps, so repeated runs are
-byte-identical.  Exit codes: 0 success, 1 check failure, 2 usage or
+The parser needs only ``families``, ``report`` and ``scalars``; each command
+imports the modules it runs when it runs: ``scan`` imports ``actions``, while
+``verify``, ``ktheory`` and ``homology`` import ``verify`` and ``ktheory``
+(and with them ``crossed``).  Reports are deterministic for a fixed (version,
+command, seed): JSON output is sorted and carries no timestamps, so repeated
+runs are byte-identical.  Exit codes: 0 success, 1 check failure, 2 usage or
 configuration error.  Checks that detect a documented tabulation defect are
 reported with status ``anomaly``; they fail the run only under ``--strict``.
 """
@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from . import families
-from .actions import scan_checks, scan_cocycles
 from .report import Report
 from .scalars import MAX_DENOMINATOR
 
@@ -62,6 +61,8 @@ def _pattern_payload(slot, patterns) -> dict:
 
 
 def cmd_scan(args) -> int:
+    from .actions import scan_checks, scan_cocycles
+
     result = scan_cocycles(args.family, args.denominator)
     report = Report("scan", _config(args, "denominator", "family", cyclotomic_order=result.order))
     report.payload["computed"] = _pattern_payload(*result.computed())

@@ -22,6 +22,7 @@ from ncbieberbach.crossed import (
     random_crossed_element,
     random_torus_element,
     crossed_product,
+    psi_lemma_mismatch,
     psi_multiplicativity_mismatch,
     tau_parity_trace,
 )
@@ -34,7 +35,7 @@ from ncbieberbach.ktheory import (
     smith_normal_form,
 )
 from ncbieberbach.ktheory import int_det, mat_mul
-from ncbieberbach.verify import verify_beta_star, verify_projections, verify_trace_laws
+from ncbieberbach.verify import check_matrix_units, verify_beta_star, verify_projections, verify_trace_laws
 from snf_oracle import invariant_factors
 
 PASS = "ACCEPTANCE {n} PASS: {text}"
@@ -137,9 +138,13 @@ def test_criterion_4_morita_identities(torus_products):
         ph = cp.phat()
         assert ph ** cp.n == cp.one(), family
         assert cp.p() * ph == ph * cp.p() * cp.lam, family
+        # the certificate that makes psi multiplicative for every pair
+        assert cp.psi_unit() == cp.delta((1, 0, 0), 0), family
+        assert check_matrix_units(cp).ok, family
+        assert psi_lemma_mismatch(cp) is None, family
 
         rng = random.Random(20240 + cp.n)
-        for _ in range(50):
+        for _ in range(3):
             x = random_torus_element(rng, cp.algebra, 2, terms=1)
             y = random_torus_element(rng, cp.algebra, 2, terms=1)
             assert psi_multiplicativity_mismatch(cp, cp.psi_components(x), y, x * y) is None, family
@@ -154,7 +159,8 @@ def test_criterion_4_morita_identities(torus_products):
                 total = total + comp
             assert total == z, family
     _report(4, "p_hat^N = 1 and p p_hat = lambda p_hat p exactly for N = 2, 3, 4, 6;"
-               " psi multiplicative on 50 seeded pairs per family;"
+               " psi(u) = u, matrix units and the commutant lemma certified;"
+               " psi multiplicative on 3 seeded pairs per family;"
                " homogeneous decomposition reconstructs 100 seeded elements per family")
 
 

@@ -260,12 +260,14 @@ def test_psi_row_fails_on_a_scaled_p_hat(monkeypatch):
 
 
 def test_psi_row_fails_on_components_without_their_u_power(monkeypatch):
-    """Without the factor u^{-k} the inversion identity of a draw fails."""
+    """Without the factor u^{-k} the components are not alpha-invariant and
+    the compared draw sees psi(x) psi(y) != psi(xy)."""
     monkeypatch.setattr(CrossedProduct, "psi_components", lambda cp, x: homogeneous_components(cp.action, x))
     rows = {c.name: c for c in morita(Settings(seed=3, samples=3, degree=1, denominator=6))}
     for family in K_FAMILIES:
         row = rows[f"psi-multiplicative[{family}]"]
-        assert row.status == "fail" and set(row.counterexample) == {"x"}, row
+        assert row.status == "fail" and set(row.counterexample) == {"x", "y", "entry", "lhs", "rhs"}, row
+        assert rows[f"psi-components-invariant[{family}]"].status == "fail"
 
 
 def test_psi_row_fails_with_the_matrix_units(monkeypatch):
@@ -304,9 +306,9 @@ def test_the_certificate_catches_a_multiplicative_psi_that_is_not_the_sandwich()
     assert psi_lemma_mismatch(cp) == (0, 1, "p")
 
 
-def test_morita_compares_psi_on_the_first_draws_only(monkeypatch):
-    """At 200 samples each family makes 20 psi draws and compares
-    psi(x) psi(y) with psi(xy) on the first 3."""
+def test_morita_compares_every_psi_draw(monkeypatch):
+    """At 200 samples each family makes 3 psi draws and compares
+    psi(x) psi(y) with psi(xy) on each of them."""
     draws, comparisons = Counter(), Counter()
     psi_components = CrossedProduct.psi_components
 
@@ -321,7 +323,7 @@ def test_morita_compares_psi_on_the_first_draws_only(monkeypatch):
     monkeypatch.setattr(verify, "psi_multiplicativity_mismatch", counting_mismatch)
     checks = morita(Settings(seed=1, samples=200, degree=3, denominator=6))
     assert all(c.status == "pass" for c in checks)
-    assert draws == {family: 20 for family in K_FAMILIES}
+    assert draws == {family: 3 for family in K_FAMILIES}
     assert comparisons == {family: 3 for family in K_FAMILIES}
 
 
