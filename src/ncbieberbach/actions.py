@@ -178,11 +178,6 @@ class ActionOnTorus:
             powers[(k, m)] = result
         return result
 
-    def power_image(self, k: int, m: Monomial) -> tuple[PhasedScalar, Monomial]:
-        """Image of delta_m under the k-fold application of the generator."""
-        target, r, key = self.power_pair(k, m)
-        return PhasedScalar.unit(self.algebra.order, r, key), target
-
     def apply(self, x: TorusElement, power: int = 1) -> TorusElement:
         if not self.algebra.same_algebra(x.algebra):
             raise ValueError("element lives in a different algebra")

@@ -11,11 +11,11 @@ the nonzero torus element a_k.  Its product is one pass of the torus kernel
 read as (target, r, theta key) unit pairs (``ActionOnTorus.power_pair``) and
 its phase is added to the cocycle's, so no intermediate torus element is
 built.  ``CrossedProduct.dot`` sums many products x_i y_i in one accumulator
-and reduces the coefficients once; the matrix work (``_matrix_of``, the
-u-power matrices, ``psi_matrix``, ``psi_multiplicativity_mismatch``,
-``psi_lemma_mismatch``) is built on it.  Sums, negation, powers, scalar
-multiples and equality come from ``scalars.SparseElement``, the base shared
-with ``PhasedScalar`` and ``TorusElement``.
+and reduces the coefficients once; the matrix work (the u-power matrices,
+``psi_matrix``, ``psi_multiplicativity_mismatch``, ``psi_lemma_mismatch``)
+is built on it.  Sums, negation, powers, scalar multiples and equality come
+from ``scalars.SparseElement``, the base shared with ``PhasedScalar`` and
+``TorusElement``.
 
 On top of the arithmetic this module provides:
 
@@ -214,15 +214,6 @@ class CrossedProduct:
         s = self.invariant_averaging()
         return u + s * (u_back - u)
 
-    def psi_unit(self) -> "CrossedElement":
-        """The image of u: p_hat + s p_hat (u^N - 1), which is u itself, as
-        ``verify`` certifies once per product.  s^2 = s gives s p_hat = s u^{1-N},
-        so p_hat + s p_hat (u^N - 1) = u + s (u^{1-N} - u) + s (u - u^{1-N}) = u."""
-        ph = self.phat()
-        s = self.invariant_averaging()
-        u_n = self.delta((self.n, 0, 0), 0)
-        return ph + s * ph * (u_n - self.one())
-
     def psi_components(self, x: TorusElement) -> list[TorusElement]:
         """The invariant coefficients x_k u^{-k} of the decomposition of x;
         ``psi_element`` and ``psi_matrix`` take this list."""
@@ -230,8 +221,8 @@ class CrossedProduct:
         return [comp * self.algebra.delta((-k, 0, 0)) for k, comp in enumerate(comps)]
 
     def psi_element(self, comps: list[TorusElement]) -> "CrossedElement":
-        """sum_k (x_k u^{-k}) u^k, u^k = psi(u)^k (``psi_unit``), for the
-        ``psi_components`` of x; equals embed(x) by the inversion identity."""
+        """sum_k (x_k u^{-k}) u^k for the ``psi_components`` of x; equals
+        embed(x) by the inversion identity."""
         return self.dot((self.embed(comp), self.delta((k, 0, 0), 0)) for k, comp in enumerate(comps) if comp)
 
     def matrix_units(self) -> list[list["CrossedElement"]]:
@@ -245,13 +236,6 @@ class CrossedProduct:
             ]
         return self._matrix_units
 
-    def _matrix_of(self, x: "CrossedElement") -> list[list["CrossedElement"]]:
-        """Entry (i, j) is sum_m E_mi x E_jm, the coefficient of x on E_ij."""
-        units = self.matrix_units()
-        n = self.n
-        left = [[units[m][i] * x for m in range(n)] for i in range(n)]
-        return self._matrix_product(left, [list(col) for col in zip(*units)])
-
     def _matrix_product(self, left, right) -> list[list["CrossedElement"]]:
         """The N x N product of two matrices over the crossed product, each
         entry prepared once for the N dots it appears in."""
@@ -264,22 +248,21 @@ class CrossedProduct:
         ]
 
     def _psi_powers_matrix(self) -> list[list[list["Operand"]]]:
-        """Matrices of u^k over the invariant subalgebra, with exact
-        reconstruction sum_ij (m_k)_ij E_ij = u^k verified at build time, as operands."""
+        """The matrices of u^k, k < N, over the invariant subalgebra, as operands.
+
+        The matrix of u is psi(u) = p_hat + s p_hat (u^N - 1) in matrix-unit
+        coordinates: p_hat = sum_i E_{i,i+1} and s = E_00, so it is the cyclic
+        shift, entry (i, i+1 mod N) = 1, except entry (0, 1) = u^N.  The
+        ``psi-multiplicative[F]`` row checks sum_ij m_ij E_ij = u; its powers
+        are matrix products.
+        """
         if self._psi_matrix_powers is None:
-            units = self.matrix_units()
-            mat_u = self._matrix_of(self.delta((1, 0, 0), 0))
-            identity = [
-                [self.one() if i == j else self.zero() for j in range(self.n)]
-                for i in range(self.n)
-            ]
-            powers = [identity, mat_u]
-            while len(powers) < self.n:
+            n = self.n
+            mat_u = [[self.one() if j == (i + 1) % n else self.zero() for j in range(n)] for i in range(n)]
+            mat_u[0][1] = self.delta((n, 0, 0), 0)
+            powers = [[[self.one() if i == j else self.zero() for j in range(n)] for i in range(n)], mat_u]
+            while len(powers) < n:
                 powers.append(self._matrix_product(powers[-1], mat_u))
-            cells = list(itertools.product(range(self.n), repeat=2))
-            for k, mat in enumerate(powers):
-                acc = self.dot((mat[i][j], units[i][j]) for i, j in cells)
-                certify(acc == self.delta((k, 0, 0), 0), "matrix reconstruction of u^k failed")
             self._psi_matrix_powers = [[[self.operand(e) for e in row] for row in mat] for mat in powers]
         return self._psi_matrix_powers
 
@@ -287,7 +270,8 @@ class CrossedProduct:
         """The N x N matrix of x over the invariant subalgebra, from its ``psi_components``.
 
         Assembled as sum_k (x_k u^{-k}) (matrix of u)^k; this equals the
-        matrix-unit sandwich of x when ``psi_lemma_mismatch`` finds no entry.
+        matrix-unit sandwich of x when ``psi_lemma_mismatch`` finds no entry
+        and the matrix of u reconstructs u.
         """
         powers = self._psi_powers_matrix()
         comps = [(k, self.operand(self.embed(comp))) for k, comp in enumerate(comps) if comp]
@@ -390,11 +374,11 @@ def psi_lemma_mismatch(cp: CrossedProduct):
     p_hat (``name``), or None.
 
     The lemma: let the E_ij be matrix units (``verify.check_matrix_units``)
-    and let m be the matrix of u, with sum_ij m_ij E_ij = u (certified when
-    the u-power matrices are built).  Then Phi(x)_ij = sum_m E_mi x E_jm is a
-    *-isomorphism onto the N x N matrices over the commutant of the E_ij,
-    since Phi(x) Phi(y) = Phi(xy) needs only E_km E_m'k = delta_mm' E_kk and
-    sum_k E_kk = 1.  The E_ij are polynomials in p and p_hat, so None here
+    and let m be the matrix of u, with sum_ij m_ij E_ij = u (checked by the
+    ``psi-multiplicative[F]`` row after this certificate).  Then
+    Phi(x)_ij = sum_m E_mi x E_jm is a *-isomorphism onto the N x N matrices
+    over the commutant of the E_ij, since Phi(x) Phi(y) = Phi(xy) needs only
+    E_km E_m'k = delta_mm' E_kk and sum_k E_kk = 1.  The E_ij are polynomials in p and p_hat, so None here
     puts every m_ij in that commutant, and then Phi(u) = m.  Each
     psi_component x_k u^{-k} is alpha-invariant, so it commutes with p, and
     a torus element, so it commutes with the torus-central u and with

@@ -77,8 +77,9 @@ class Report:
         if self.config:
             lines += ["## configuration", "", *(f"- {key}: {self.config[key]}" for key in sorted(self.config)), ""]
         if self.results:
+            rows = ((c.name, c.status, c.detail) for c in self.results)
             lines += ["## checks", "", "| check | status | detail |", "|---|---|---|",
-                      *(f"| {c.name} | {c.status} | {c.detail} |" for c in self.results), ""]
+                      *("| " + " | ".join(cell.replace("|", r"\|") for cell in row) + " |" for row in rows), ""]
         for key in sorted(self.payload):
             payload = json.dumps(self.payload[key], indent=2, sort_keys=True, default=str)
             lines += [f"## {key}", "", "```", payload, "```", ""]

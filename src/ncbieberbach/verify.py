@@ -13,7 +13,8 @@ fixed order; sharing no state, they run side by side under ``run_suites``.
 
 Two rows rest on a finite certificate rather than on samples.  psi is
 multiplicative for every pair by the lemma of ``crossed.psi_lemma_mismatch``
-and psi(u) = u, both certified once per family, so ``morita`` makes only
+and the reconstruction sum_ij m_ij E_ij = u of the matrix m of u, both
+certified once per family, so ``morita`` makes only
 max(3, samples // 100) psi draws, each compared entry by entry.  The exchange
 identity is checked on the plane subalgebra's generators: it reads no ``degree``.
 """
@@ -485,14 +486,17 @@ def traces(settings: Settings) -> list[Check]:
 
 
 def _psi_row(cp: CrossedProduct, units: Check, sampled: Check) -> Check:
-    """``psi-multiplicative[F]``: the identity psi(u) = u (``psi_unit``), the
-    certificate of ``psi_lemma_mismatch``, the ``matrix-units[F]`` row its lemma
-    rests on, then the sampled draws; the row passes only if all four do."""
+    """``psi-multiplicative[F]``: the certificate of ``psi_lemma_mismatch``, the
+    reconstruction sum_ij m_ij E_ij = u of the matrix m of u, the
+    ``matrix-units[F]`` row the lemma rests on, then the sampled draws; the
+    row passes only if all four do."""
     mismatch = psi_lemma_mismatch(cp)
-    if cp.psi_unit() != cp.delta((1, 0, 0), 0):
-        detail = "psi(u) = p_hat + s p_hat (u^N - 1) is not u"
-    elif mismatch is not None:
+    mat_u, matrix_units = cp._psi_powers_matrix()[1], cp.matrix_units()
+    cells = itertools.product(range(cp.n), repeat=2)
+    if mismatch is not None:
         detail = "entry ({},{}) of the matrix of u does not commute with {}".format(*mismatch)
+    elif cp.dot((mat_u[i][j], matrix_units[i][j]) for i, j in cells) != cp.delta((1, 0, 0), 0):
+        detail = "psi(u) = p_hat + s p_hat (u^N - 1) is not u"
     elif not units.ok:
         detail = "the matrix units fail, and the lemma rests on them"
     else:
@@ -504,9 +508,10 @@ def morita(settings: Settings) -> list[Check]:
     """The stable-isomorphism witnesses (p, p_hat), their matrix units, psi
     and the exchange identity, per family on the three-torus.
 
-    ``psi-multiplicative[F]`` rests on psi(u) = u and on the lemma of
-    ``crossed.psi_lemma_mismatch``: once the matrix of u commutes with p and
-    p_hat and the matrix units hold, psi(x) psi(y) = psi(xy) for every pair.
+    ``psi-multiplicative[F]`` rests on the lemma of
+    ``crossed.psi_lemma_mismatch``: once the closed-form matrix m of u
+    commutes with p and p_hat, sum_ij m_ij E_ij = u and the matrix units
+    hold, psi(x) psi(y) = psi(xy) for every pair.
     Each of the max(3, samples // 100) draws reads the alpha-invariance of the
     psi components of x, then compares psi(x) psi(y) with psi(xy) entry by
     entry, so ``psi-components-invariant[F]`` reads at least one draw.

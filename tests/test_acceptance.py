@@ -10,6 +10,7 @@ compatibility check forces smaller sets; see the per-family scan reports).
 The computed sets are asserted against their recorded values instead, so a
 silent change in either direction fails the suite.
 """
+import itertools
 import random
 from fractions import Fraction
 
@@ -139,7 +140,9 @@ def test_criterion_4_morita_identities(torus_products):
         assert ph ** cp.n == cp.one(), family
         assert cp.p() * ph == ph * cp.p() * cp.lam, family
         # the certificate that makes psi multiplicative for every pair
-        assert cp.psi_unit() == cp.delta((1, 0, 0), 0), family
+        mat_u, units = cp._psi_powers_matrix()[1], cp.matrix_units()
+        cells = itertools.product(range(cp.n), repeat=2)
+        assert cp.dot((mat_u[i][j], units[i][j]) for i, j in cells) == cp.delta((1, 0, 0), 0), family
         assert check_matrix_units(cp).ok, family
         assert psi_lemma_mismatch(cp) is None, family
 

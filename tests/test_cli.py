@@ -370,6 +370,15 @@ def test_markdown_rendering(capsys):
     assert "k0-equals-z-plus-h1[B4]" in out
 
 
+def test_markdown_cells_escape_the_pipe(capsys):
+    """The anomaly details of the crossed suite print CrossedElement{[0,0|p^0]:...};
+    each table row keeps its three cells."""
+    main(["verify", "--suite", "crossed"])
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("| ")]
+    assert any("[0,0\\|p^0]" in row for row in rows)
+    assert all(len(re.split(r"(?<!\\)\|", row)) == 5 for row in rows), rows
+
+
 def test_out_file_writing(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(["ktheory", "B4", "--format", "json", "--out", str(path)])

@@ -1,10 +1,16 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncbieberbach
 from ncbieberbach import ktheory, verify
 from ncbieberbach.actions import ActionOnTorus, GeneratorImage, homogeneous_components
 from ncbieberbach.crossed import (
@@ -236,8 +242,7 @@ def test_psi_row_fails_on_the_certificate(monkeypatch, family):
         cp = crossed_product(name, **options)
         if name == family:
             mat_u = cp._psi_powers_matrix()[1]
-            entry = cp._matrix_of(cp.delta((1, 0, 0), 0))[0][1] + cp.delta((0, 1, 0), 0)
-            mat_u[0][1] = cp.operand(entry)
+            mat_u[0][1] = cp.operand(cp.delta((cp.n, 0, 0), 0) + cp.delta((0, 1, 0), 0))
         return cp
 
     monkeypatch.setattr(verify, "crossed_product", sabotaged_product)
@@ -282,7 +287,7 @@ def test_the_certificate_checks_p_hat_too():
     """p added to one entry of the matrix of u keeps it commuting with p, not with p_hat."""
     cp = crossed_product("B3", dim=3)
     mat_u = cp._psi_powers_matrix()[1]
-    mat_u[1][2] = cp.operand(cp._matrix_of(cp.delta((1, 0, 0), 0))[1][2] + cp.p())
+    mat_u[1][2] = cp.operand(cp.one() + cp.p())
     assert psi_lemma_mismatch(cp) == (1, 2, "p_hat")
 
 
@@ -290,10 +295,10 @@ def test_the_certificate_catches_a_multiplicative_psi_that_is_not_the_sandwich()
     """Conjugating every u-power matrix by diag(u, 1, ..., 1) keeps psi
     multiplicative, so no sampled pair can see it; the certificate does."""
     cp = crossed_product("B3", dim=3)
-    mat_u = cp._matrix_of(cp.delta((1, 0, 0), 0))
     scale = [cp.delta((1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
     unscale = [cp.delta((-1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
     powers = cp._psi_powers_matrix()
+    mat_u = powers[1]
     m = [[cp.one() if i == j else cp.zero() for j in range(cp.n)] for i in range(cp.n)]
     for k in range(cp.n):
         powers[k] = [[cp.operand(scale[i] * m[i][j] * unscale[j]) for j in range(cp.n)] for i in range(cp.n)]
@@ -378,9 +383,71 @@ def test_psi_decomposition(torus_products):
 
 
 def test_psi_unit_is_u(torus_products):
-    """s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) = u."""
+    """s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) = u; the
+    closed-form matrix of u is that element in matrix-unit coordinates."""
     for family, cp in torus_products.items():
-        assert cp.psi_unit() == cp.delta((1, 0, 0), 0), family
+        u, ph, s = cp.delta((1, 0, 0), 0), cp.phat(), cp.invariant_averaging()
+        assert ph + s * ph * (cp.delta((cp.n, 0, 0), 0) - cp.one()) == u, family
+        mat_u, units = cp._psi_powers_matrix()[1], cp.matrix_units()
+        cells = itertools.product(range(cp.n), repeat=2)
+        assert cp.dot((mat_u[i][j], units[i][j]) for i, j in cells) == u, family
+
+
+def _sandwich(cp, x):
+    """Phi(x)_ij = sum_m E_mi x E_jm, the coefficient of x on E_ij, from the matrix units alone."""
+    units = cp.matrix_units()
+    left = [[units[m][i] * x for m in range(cp.n)] for i in range(cp.n)]
+    return [[cp.dot((left[i][m], units[j][m]) for m in range(cp.n)) for j in range(cp.n)] for i in range(cp.n)]
+
+
+@pytest.mark.parametrize("theta", [None, Fraction(1, 5)], ids=["formal", "1/5"])
+@pytest.mark.parametrize("family", K_FAMILIES)
+def test_the_closed_form_is_the_matrix_unit_sandwich(family, theta):
+    """The closed-form matrix of u^k is the generic Phi(u^k) for every k < N."""
+    options = {} if theta is None else {"theta_value": theta, "order": 120}
+    cp = crossed_product(family, dim=3, **options)
+    for k, matrix in enumerate(cp._psi_powers_matrix()):
+        phi = _sandwich(cp, cp.delta((k, 0, 0), 0))
+        for i, j in itertools.product(range(cp.n), repeat=2):
+            assert cp.dot(((matrix[i][j], cp.one()),)) == phi[i][j], (k, i, j)
+
+
+_CORNER_SCALED_ROWS = """
+import json
+from ncbieberbach import verify
+
+crossed_product = verify.crossed_product
+
+def corner_scaled_product(name, **options):
+    cp = crossed_product(name, **options)
+    mat_u = cp._psi_powers_matrix()[1]
+    mat_u[0][1] = cp.operand(cp.delta((cp.n, 0, 0), 0) * cp.lam)
+    return cp
+
+verify.crossed_product = corner_scaled_product
+rows = verify.morita(verify.Settings(seed=3, samples=3, degree=1, denominator=6))
+print(json.dumps([row[:3] for row in rows]))
+"""
+
+
+def _corner_scaled_rows(*flags):
+    """The morita rows of a fresh interpreter run with ``flags``, every matrix of u scaled at its corner."""
+    src = str(Path(ncbieberbach.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, *flags, "-c", _CORNER_SCALED_ROWS], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def test_psi_row_fails_on_a_corner_scaled_by_lambda():
+    """lambda u^N at entry (0, 1) still lies in the commutant, so only the
+    reconstruction sum_ij m_ij E_ij = u sees it.  It is a row check, not a
+    build-time certificate, so no AssertionError escapes, also under python -O."""
+    rows = _corner_scaled_rows()
+    assert _corner_scaled_rows("-O") == rows
+    failing = {name: detail for name, status, detail in rows if status != "pass"}
+    assert failing == {f"psi-multiplicative[{family}]": "psi(u) = p_hat + s p_hat (u^N - 1) is not u"
+                       for family in K_FAMILIES}
 
 
 def test_psi_matrix_multiplicative(torus_products):

@@ -1,7 +1,7 @@
 """The multiply-accumulate kernel against a plain term loop.
 
 The reference products below use only the public ``NcTorus.cocycle``,
-``ActionOnTorus.power_image`` and ``PhasedScalar`` arithmetic, one term pair
+``ActionOnTorus.power_pair`` and ``PhasedScalar`` arithmetic, one term pair
 at a time, so they share no code with ``torus.Accumulator``.
 """
 import random
@@ -62,7 +62,8 @@ def ref_crossed_terms(x, y, out):
     cp = x.parent
     for (m, k), cm in x.terms():
         for (n, j), cn in y.terms():
-            phi, image = cp.action.power_image(k, n)
+            image, r, key = cp.action.power_pair(k, n)
+            phi = PhasedScalar.unit(cp.algebra.order, r, key)
             target = tuple(a + b for a, b in zip(m, image))
             add_into(out, (target, (k + j) % cp.n), cm * cn * phi * cp.algebra.cocycle(m, image))
     return out

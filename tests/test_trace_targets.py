@@ -12,8 +12,9 @@ _spec = importlib.util.spec_from_file_location("trace_nbk", _PATH)
 trace_nbk = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(trace_nbk)
 
-# verify_beta_star moved from ktheory to verify; the tracer still names the old home
-KNOWN_MISSING = {"ncbieberbach.ktheory.verify_beta_star"}
+# verify_beta_star moved from ktheory to verify; the tracer still names the old home.
+# power_image had no caller in the package, so its traced metrics already read 0.
+KNOWN_MISSING = {"ncbieberbach.ktheory.verify_beta_star", "ncbieberbach.actions.ActionOnTorus.power_image"}
 
 
 def test_every_traced_target_resolves():
