@@ -11,11 +11,11 @@ the nonzero torus element a_k.  Its product is one pass of the torus kernel
 read as (target, r, theta key) unit pairs (``ActionOnTorus.power_pair``) and
 its phase is added to the cocycle's, so no intermediate torus element is
 built.  ``CrossedProduct.dot`` sums many products x_i y_i in one accumulator
-and reduces the coefficients once; the matrix work (the u-power matrices,
-``psi_matrix``, ``psi_multiplicativity_mismatch``, ``psi_lemma_mismatch``)
-is built on it.  Sums, negation, powers, scalar multiples and equality come
-from ``scalars.SparseElement``, the base shared with ``PhasedScalar`` and
-``TorusElement``.
+and reduces the coefficients once; ``psi_multiplicativity_mismatch`` and
+``psi_lemma_mismatch`` are built on it, while ``psi_matrix`` reads each
+entry off one component in closed form.  Sums, negation, powers, scalar
+multiples and equality come from ``scalars.SparseElement``, the base shared
+with ``PhasedScalar`` and ``TorusElement``.
 
 On top of the arithmetic this module provides:
 
@@ -25,9 +25,9 @@ On top of the arithmetic this module provides:
   chain of powers, with an exact precondition check that reports the
   residual x^N - 1 on failure;
 * the stable-isomorphism witness pair (p, p_hat) with its matrix units, the
-  inversion identity, the matrix decomposition of torus elements over the
-  invariant subalgebra, and the certificate of the lemma that makes that
-  decomposition multiplicative;
+  inversion identity, the closed-form matrix psi(x) of a torus element over
+  the invariant subalgebra (``psi_u_power`` for x = u^k), and the certificate
+  of the lemma that makes psi multiplicative;
 * one trace type, ``TwistedTrace``: a base functional on the torus, given
   by a rule on monomials, read on the p^{N-s} component.  The canonical
   trace (``canonical_trace``: s = N, the identity coefficient of a_0) and the
@@ -93,7 +93,6 @@ class CrossedProduct:
         self._key = action.key()
         self._matrix_units: list[list["CrossedElement"]] | None = None
         self._k0_table: "GeneratorTable | None" = None
-        self._psi_matrix_powers: list[list[list["Operand"]]] | None = None
 
     # -- identity ------------------------------------------------------------
 
@@ -247,38 +246,26 @@ class CrossedProduct:
             for i in range(n)
         ]
 
-    def _psi_powers_matrix(self) -> list[list[list["Operand"]]]:
-        """The matrices of u^k, k < N, over the invariant subalgebra, as operands.
-
-        The matrix of u is psi(u) = p_hat + s p_hat (u^N - 1) in matrix-unit
-        coordinates: p_hat = sum_i E_{i,i+1} and s = E_00, so it is the cyclic
-        shift, entry (i, i+1 mod N) = 1, except entry (0, 1) = u^N.  The
-        ``psi-multiplicative[F]`` row checks sum_ij m_ij E_ij = u; its powers
-        are matrix products.
-        """
-        if self._psi_matrix_powers is None:
-            n = self.n
-            mat_u = [[self.one() if j == (i + 1) % n else self.zero() for j in range(n)] for i in range(n)]
-            mat_u[0][1] = self.delta((n, 0, 0), 0)
-            powers = [[[self.one() if i == j else self.zero() for j in range(n)] for i in range(n)], mat_u]
-            while len(powers) < n:
-                powers.append(self._matrix_product(powers[-1], mat_u))
-            self._psi_matrix_powers = [[[self.operand(e) for e in row] for row in mat] for mat in powers]
-        return self._psi_matrix_powers
-
     def psi_matrix(self, comps: list[TorusElement]) -> list[list["CrossedElement"]]:
         """The N x N matrix of x over the invariant subalgebra, from its ``psi_components``.
 
-        Assembled as sum_k (x_k u^{-k}) (matrix of u)^k; this equals the
-        matrix-unit sandwich of x when ``psi_lemma_mismatch`` finds no entry
-        and the matrix of u reconstructs u.
+        psi(x) = sum_k (x_k u^{-k}) psi(u)^k, and psi(u) = p_hat + s p_hat (u^N - 1)
+        is the cyclic shift with u^N at (0, 1) and 1 at the other (i, i+1 mod N).
+        So entry (i, j) is the component k = j - i mod N, times u^N where the
+        shift by k passes row 0: j > 0 and (i = 0 or j < i).  This is the
+        matrix-unit sandwich of x once ``psi_lemma_mismatch`` finds no entry and
+        every ``psi_u_power`` reconstructs its u^k.
         """
-        powers = self._psi_powers_matrix()
-        comps = [(k, self.operand(self.embed(comp))) for k, comp in enumerate(comps) if comp]
-        return [
-            [self.dot((ce, powers[k][i][j]) for k, ce in comps) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        n = self.n
+        u_n = self.algebra.delta((n, 0, 0))
+        plain = [self.embed(comp) for comp in comps]
+        wrapped = [self.embed(comp * u_n) for comp in comps]
+        return [[(wrapped if 0 < j and (i == 0 or j < i) else plain)[(j - i) % n] for j in range(n)]
+                for i in range(n)]
+
+    def psi_u_power(self, k: int) -> list[list["CrossedElement"]]:
+        """psi(u^k) for 0 <= k < N: the ``psi_matrix`` of the unit component list of u^k."""
+        return self.psi_matrix([self.algebra.one() if i == k else self.algebra.zero() for i in range(self.n)])
 
     def __repr__(self):
         return f"CrossedProduct({self.family or 'custom'}, N={self.n}, d={self.algebra.d})"
@@ -369,24 +356,24 @@ def psi_multiplicativity_mismatch(cp: CrossedProduct, comps_x: list[TorusElement
 
 
 def psi_lemma_mismatch(cp: CrossedProduct):
-    """The first entry (i, j, name) of the matrix of u, the one that
-    ``psi_matrix`` raises to powers, that does not commute with p or with
-    p_hat (``name``), or None.
+    """The first entry (i, j, name) of psi(u) = ``psi_u_power(1)`` that does
+    not commute with p or with p_hat (``name``), or None.
 
-    The lemma: let the E_ij be matrix units (``verify.check_matrix_units``)
-    and let m be the matrix of u, with sum_ij m_ij E_ij = u (checked by the
-    ``psi-multiplicative[F]`` row after this certificate).  Then
-    Phi(x)_ij = sum_m E_mi x E_jm is a *-isomorphism onto the N x N matrices
-    over the commutant of the E_ij, since Phi(x) Phi(y) = Phi(xy) needs only
-    E_km E_m'k = delta_mm' E_kk and sum_k E_kk = 1.  The E_ij are polynomials in p and p_hat, so None here
-    puts every m_ij in that commutant, and then Phi(u) = m.  Each
-    psi_component x_k u^{-k} is alpha-invariant, so it commutes with p, and
-    a torus element, so it commutes with the torus-central u and with
+    The lemma: let the E_ij be matrix units (``verify.check_matrix_units``).
+    Then Phi(x)_ij = sum_m E_mi x E_jm is a *-isomorphism onto the N x N
+    matrices over the commutant of the E_ij, since Phi(x) Phi(y) = Phi(xy)
+    needs only E_km E_m'k = delta_mm' E_kk and sum_k E_kk = 1.  The E_ij are
+    polynomials in p and p_hat, and every entry of every psi(u^k) is one of
+    the entries 0, 1, u^N of psi(u), so None here puts them all in that
+    commutant; where sum_ij psi(u^k)_ij E_ij = u^k (the ``psi-multiplicative[F]``
+    row checks it for 1 <= k < N after this certificate), Phi(u^k) = psi(u^k).
+    Each psi_component x_k u^{-k} is alpha-invariant, so it commutes with p,
+    and a torus element, so it commutes with the torus-central u and with
     p_hat = u + s (u^{1-N} - u); hence Phi(x_k u^{-k}) = (x_k u^{-k}) I, and
-    psi_matrix(x) = sum_k Phi(x_k u^{-k}) Phi(u)^k = Phi(sum_k x_k) = Phi(x).
+    psi_matrix(x) = sum_k Phi(x_k u^{-k}) Phi(u^k) = Phi(sum_k x_k) = Phi(x).
     So psi(x) psi(y) = psi(xy) for every pair x, y.
     """
-    mat_u = cp._psi_powers_matrix()[1]
+    mat_u = cp.psi_u_power(1)
     witnesses = [("p", cp.operand(cp.p())), ("p_hat", cp.operand(cp.phat()))]
     for i, j in itertools.product(range(cp.n), repeat=2):
         for name, g in witnesses:

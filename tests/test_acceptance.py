@@ -140,9 +140,10 @@ def test_criterion_4_morita_identities(torus_products):
         assert ph ** cp.n == cp.one(), family
         assert cp.p() * ph == ph * cp.p() * cp.lam, family
         # the certificate that makes psi multiplicative for every pair
-        mat_u, units = cp._psi_powers_matrix()[1], cp.matrix_units()
-        cells = itertools.product(range(cp.n), repeat=2)
-        assert cp.dot((mat_u[i][j], units[i][j]) for i, j in cells) == cp.delta((1, 0, 0), 0), family
+        units, cells = cp.matrix_units(), list(itertools.product(range(cp.n), repeat=2))
+        for k in range(1, cp.n):
+            psi_k = cp.psi_u_power(k)
+            assert cp.dot((psi_k[i][j], units[i][j]) for i, j in cells) == cp.delta((k, 0, 0), 0), (family, k)
         assert check_matrix_units(cp).ok, family
         assert psi_lemma_mismatch(cp) is None, family
 
@@ -162,7 +163,7 @@ def test_criterion_4_morita_identities(torus_products):
                 total = total + comp
             assert total == z, family
     _report(4, "p_hat^N = 1 and p p_hat = lambda p_hat p exactly for N = 2, 3, 4, 6;"
-               " psi(u) = u, matrix units and the commutant lemma certified;"
+               " psi(u^k) = u^k for 0 < k < N, matrix units and the commutant lemma certified;"
                " psi multiplicative on 3 seeded pairs per family;"
                " homogeneous decomposition reconstructs 100 seeded elements per family")
 

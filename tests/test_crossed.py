@@ -30,7 +30,7 @@ from ncbieberbach.crossed import (
 from ncbieberbach.families import K_FAMILIES
 from ncbieberbach.report import Check
 from ncbieberbach.scalars import PhasedScalar, cyc_root
-from ncbieberbach.torus import standard_torus
+from ncbieberbach.torus import NcTorus, standard_torus
 from ncbieberbach.verify import (
     Settings,
     check_matrix_units,
@@ -234,15 +234,22 @@ def test_morita_suite_passes():
     assert all(c.status == "pass" for c in checks), [c for c in checks if c.status != "pass"]
 
 
+def _edit_psi_matrix(cp, edit):
+    """Replace each entry of every ``psi_matrix`` of ``cp`` by ``edit(i, j, entry)``."""
+    psi_matrix = cp.psi_matrix
+    cp.psi_matrix = lambda comps: [[edit(i, j, e) for j, e in enumerate(row)]
+                                   for i, row in enumerate(psi_matrix(comps))]
+
+
 @pytest.mark.parametrize("family", K_FAMILIES)
 def test_psi_row_fails_on_the_certificate(monkeypatch, family):
-    """V added to one entry of the matrix of u takes it out of the commutant
-    of p; the row names that entry, whatever the sampled pairs show."""
+    """V added to entry (0, 1) of psi(u) takes it out of the commutant of p;
+    the row names that entry, whatever the sampled pairs show."""
     def sabotaged_product(name, **options):
         cp = crossed_product(name, **options)
         if name == family:
-            mat_u = cp._psi_powers_matrix()[1]
-            mat_u[0][1] = cp.operand(cp.delta((cp.n, 0, 0), 0) + cp.delta((0, 1, 0), 0))
+            v = cp.delta((0, 1, 0), 0)
+            _edit_psi_matrix(cp, lambda i, j, e: e + v if (i, j) == (0, 1) else e)
         return cp
 
     monkeypatch.setattr(verify, "crossed_product", sabotaged_product)
@@ -284,25 +291,19 @@ def test_psi_row_fails_with_the_matrix_units(monkeypatch):
 
 
 def test_the_certificate_checks_p_hat_too():
-    """p added to one entry of the matrix of u keeps it commuting with p, not with p_hat."""
+    """p added to entry (1, 2) of psi(u) keeps it commuting with p, not with p_hat."""
     cp = crossed_product("B3", dim=3)
-    mat_u = cp._psi_powers_matrix()[1]
-    mat_u[1][2] = cp.operand(cp.one() + cp.p())
+    _edit_psi_matrix(cp, lambda i, j, e: cp.one() + cp.p() if (i, j) == (1, 2) else e)
     assert psi_lemma_mismatch(cp) == (1, 2, "p_hat")
 
 
 def test_the_certificate_catches_a_multiplicative_psi_that_is_not_the_sandwich():
-    """Conjugating every u-power matrix by diag(u, 1, ..., 1) keeps psi
+    """Conjugating every psi matrix by diag(u, 1, ..., 1) keeps psi
     multiplicative, so no sampled pair can see it; the certificate does."""
     cp = crossed_product("B3", dim=3)
     scale = [cp.delta((1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
     unscale = [cp.delta((-1, 0, 0), 0)] + [cp.one()] * (cp.n - 1)
-    powers = cp._psi_powers_matrix()
-    mat_u = powers[1]
-    m = [[cp.one() if i == j else cp.zero() for j in range(cp.n)] for i in range(cp.n)]
-    for k in range(cp.n):
-        powers[k] = [[cp.operand(scale[i] * m[i][j] * unscale[j]) for j in range(cp.n)] for i in range(cp.n)]
-        m = cp._matrix_product(m, mat_u)
+    _edit_psi_matrix(cp, lambda i, j, e: scale[i] * e * unscale[j])
     rng = random.Random(5)
     for _ in range(20):
         x = random_torus_element(rng, cp.algebra, 2, terms=1)
@@ -384,11 +385,13 @@ def test_psi_decomposition(torus_products):
 
 def test_psi_unit_is_u(torus_products):
     """s^2 = s gives s p_hat = s u^{1-N}, so p_hat + s p_hat (u^N - 1) = u; the
-    closed-form matrix of u is that element in matrix-unit coordinates."""
+    closed-form psi(u), read off u's unit component list or off its
+    ``psi_components``, is that element in matrix-unit coordinates."""
     for family, cp in torus_products.items():
         u, ph, s = cp.delta((1, 0, 0), 0), cp.phat(), cp.invariant_averaging()
         assert ph + s * ph * (cp.delta((cp.n, 0, 0), 0) - cp.one()) == u, family
-        mat_u, units = cp._psi_powers_matrix()[1], cp.matrix_units()
+        mat_u, units = cp.psi_u_power(1), cp.matrix_units()
+        assert mat_u == cp.psi_matrix(cp.psi_components(cp.algebra.delta((1, 0, 0)))), family
         cells = itertools.product(range(cp.n), repeat=2)
         assert cp.dot((mat_u[i][j], units[i][j]) for i, j in cells) == u, family
 
@@ -403,51 +406,74 @@ def _sandwich(cp, x):
 @pytest.mark.parametrize("theta", [None, Fraction(1, 5)], ids=["formal", "1/5"])
 @pytest.mark.parametrize("family", K_FAMILIES)
 def test_the_closed_form_is_the_matrix_unit_sandwich(family, theta):
-    """The closed-form matrix of u^k is the generic Phi(u^k) for every k < N."""
+    """The closed-form psi(u^k) is the generic Phi(u^k) for every k < N."""
     options = {} if theta is None else {"theta_value": theta, "order": 120}
     cp = crossed_product(family, dim=3, **options)
-    for k, matrix in enumerate(cp._psi_powers_matrix()):
-        phi = _sandwich(cp, cp.delta((k, 0, 0), 0))
+    for k in range(cp.n):
+        matrix, phi = cp.psi_u_power(k), _sandwich(cp, cp.delta((k, 0, 0), 0))
         for i, j in itertools.product(range(cp.n), repeat=2):
-            assert cp.dot(((matrix[i][j], cp.one()),)) == phi[i][j], (k, i, j)
+            assert matrix[i][j] == phi[i][j], (k, i, j)
 
 
-_CORNER_SCALED_ROWS = """
+_MORITA_ROWS = """
 import json
 from ncbieberbach import verify
+from ncbieberbach.crossed import CrossedProduct
 
-crossed_product = verify.crossed_product
-
-def corner_scaled_product(name, **options):
-    cp = crossed_product(name, **options)
-    mat_u = cp._psi_powers_matrix()[1]
-    mat_u[0][1] = cp.operand(cp.delta((cp.n, 0, 0), 0) * cp.lam)
-    return cp
-
-verify.crossed_product = corner_scaled_product
+psi_matrix = CrossedProduct.psi_matrix
+{patch}
 rows = verify.morita(verify.Settings(seed=3, samples=3, degree=1, denominator=6))
 print(json.dumps([row[:3] for row in rows]))
 """
 
+_CORNER_SCALED = """
+def corner_scaled(cp, comps):
+    matrix = psi_matrix(cp, comps)
+    matrix[0][1] = matrix[0][1] * cp.lam
+    return matrix
 
-def _corner_scaled_rows(*flags):
-    """The morita rows of a fresh interpreter run with ``flags``, every matrix of u scaled at its corner."""
+CrossedProduct.psi_matrix = corner_scaled
+"""
+
+_U_POWER_ONLY_IN_ROW_0 = """
+def row_0_wraps(cp, comps):
+    u_n, one, n = cp.algebra.delta((cp.n, 0, 0)), cp.algebra.one(), cp.n
+    return [[cp.embed(comps[(j - i) % n] * (u_n if i == 0 < j else one)) for j in range(n)] for i in range(n)]
+
+CrossedProduct.psi_matrix = row_0_wraps
+"""
+
+
+def _morita_rows(patch, *flags):
+    """The morita rows of a fresh interpreter run with ``flags``, ``psi_matrix`` replaced by ``patch``."""
     src = str(Path(ncbieberbach.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, *flags, "-c", _CORNER_SCALED_ROWS], env=env,
+    run = subprocess.run([sys.executable, *flags, "-c", _MORITA_ROWS.format(patch=patch)], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(run.stdout)
 
 
 def test_psi_row_fails_on_a_corner_scaled_by_lambda():
     """lambda u^N at entry (0, 1) still lies in the commutant, so only the
-    reconstruction sum_ij m_ij E_ij = u sees it.  It is a row check, not a
+    reconstruction sum_ij psi(u)_ij E_ij = u sees it.  It is a row check, not a
     build-time certificate, so no AssertionError escapes, also under python -O."""
-    rows = _corner_scaled_rows()
-    assert _corner_scaled_rows("-O") == rows
+    rows = _morita_rows(_CORNER_SCALED)
+    assert _morita_rows(_CORNER_SCALED, "-O") == rows
     failing = {name: detail for name, status, detail in rows if status != "pass"}
     assert failing == {f"psi-multiplicative[{family}]": "psi(u) = p_hat + s p_hat (u^N - 1) is not u"
                        for family in K_FAMILIES}
+
+
+def test_psi_row_fails_on_a_closed_form_right_for_u_only():
+    """u^N only in row 0 gives the right psi(u), which passes the lemma, but a
+    wrong psi(u^2) for N >= 3: the reconstruction of u^2 names it, also under
+    python -O.  At N = 2 that closed form is the right one, and u is the only
+    power the row reconstructs."""
+    rows = _morita_rows(_U_POWER_ONLY_IN_ROW_0)
+    assert _morita_rows(_U_POWER_ONLY_IN_ROW_0, "-O") == rows
+    failing = {name: detail for name, status, detail in rows if status != "pass"}
+    assert failing == {f"psi-multiplicative[{family}]": "sum_ij psi(u^2)_ij E_ij is not u^2"
+                       for family in K_FAMILIES if family != "B2"}
 
 
 def test_psi_matrix_multiplicative(torus_products):
@@ -549,6 +575,37 @@ def test_canonical_trace_laws_all_families(plane_products):
     for family, cp in plane_products.items():
         checks = verify_trace_laws([canonical_trace(cp)], samples=30, seed=11)
         assert all(c.ok for c in checks), (family, [c for c in checks if not c.ok])
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_the_canonical_trace_certificate_compares_nonzero_values(plane_products, degree):
+    """Every law of the canonical trace holds on the box and reads a nonzero
+    value: each twist pair (delta_m, delta_{-m}) and each of the N tracial
+    pairs per box monomial is one."""
+    box = (2 * degree + 1) ** 2
+    for family, cp in plane_products.items():
+        laws = {law: list(pairs) for law, pairs in verify._canonical_trace_laws(cp, degree).items()}
+        assert all(lhs == rhs for pairs in laws.values() for lhs, rhs, _ in pairs), family
+        nonzero = {law: sum(not lhs.is_zero() for lhs, _, _ in pairs) for law, pairs in laws.items()}
+        assert nonzero == {"base-invariance": 1, "base-twist-law": box,
+                           "tracial-on-crossed-product": cp.n * box, "beta-hat-scaling": 1}, family
+    rows = [c for c in verify.traces(Settings(seed=1, samples=4, degree=1, denominator=6)) if c.name.startswith("tau[")]
+    sampled = [c for cp in plane_products.values() for c in verify_trace_laws([canonical_trace(cp)], samples=1)]
+    assert rows == sampled
+
+
+def test_a_cocycle_sabotaged_on_one_box_pair_fails_the_twist_law(monkeypatch):
+    """omega((1, 2), (-1, -2)) = -1 instead of 1 breaks tau(ab) = tau(ba) on
+    that one pair of the box, which the certificate reads for every family."""
+    cocycle_pair = NcTorus._cocycle_pair
+
+    def sabotaged(alg, m, n):
+        return alg.unit_pair(Fraction(1), Fraction(0)) if (m, n) == ((1, 2), (-1, -2)) else cocycle_pair(alg, m, n)
+
+    monkeypatch.setattr(NcTorus, "_cocycle_pair", sabotaged)
+    rows = {c.name: c for c in verify.traces(Settings(seed=1, samples=40, degree=2, denominator=6))}
+    for family in K_FAMILIES:
+        assert (rows[f"tau[{family}]-base-twist-law"][:3]) == (f"tau[{family}]-base-twist-law", "fail", "m=(-1, -2)")
 
 
 def test_twisted_trace_requires_valid_twist(plane_products):

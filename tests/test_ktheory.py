@@ -264,6 +264,19 @@ def test_fixture_files_match_assembly():
         assert result["k_groups_agree"]
 
 
+def test_the_fixture_row_fails_when_the_k_groups_differ(monkeypatch):
+    """The note says the K-groups agree either way; the row holds the comparison to it."""
+    comparison = verify.fixture_comparison
+    monkeypatch.setattr(verify, "fixture_comparison",
+                        lambda family, eps: {**comparison(family, eps), "k_groups_agree": False})
+    for eps in (1, -1):
+        rows = {c.name: c for c in verify_beta_star(crossed_product("B2"), eps)}
+        row = rows[f"fixture-comparison[B2,eps={eps:+d}]"]
+        assert row.status == "fail"
+        assert row.detail == "fixture matches after exchanging ('[e01]', '[e10]'), K-groups differ"
+        assert not [c for c in rows.values() if "K-groups agree" in c.detail]
+
+
 @pytest.mark.parametrize("family, swap", [("B3", ("[Q1(p)]", "[Q0(p)]")), ("B2", ("[e00]", "[e11]"))])
 def test_only_the_pinned_fixture_transposition_is_accepted(monkeypatch, family, swap):
     # a displayed matrix with any other two classes exchanged is a mismatch, not a note
