@@ -5,14 +5,8 @@ sequence through the Smith normal form, compares against the shipped display
 fixtures, and confirms K0 = Z + H1 of the corresponding flat space group.
 """
 from ncbieberbach.crossed import crossed_product
-from ncbieberbach.ktheory import (
-    beta_star_matrix,
-    bieberbach_h1,
-    compare_with_k0,
-    fixture_comparison,
-    pv_solve,
-    smith_normal_form,
-)
+from ncbieberbach.ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, pv_solve
+from ncbieberbach.lattice import bieberbach_h1, smith_normal_form
 from ncbieberbach.verify import verify_beta_star
 
 for family in ("B2", "B3", "B4", "B6"):

@@ -27,10 +27,8 @@ _SUBMODULE = {name: module for module, names in {
         "CrossedElement", "CrossedProduct", "NotRootOfUnityError", "TwistedTrace", "canonical_trace",
         "crossed_product", "k0_generator_table", "tau_parity_trace",
     ),
-    "ktheory": (
-        "AbelianGroup", "BetaStarData", "beta_star_matrix", "bieberbach_h1", "compare_with_k0",
-        "kernel_cokernel", "pv_solve", "smith_normal_form",
-    ),
+    "ktheory": ("BetaStarData", "beta_star_matrix", "compare_with_k0", "pv_solve"),
+    "lattice": ("AbelianGroup", "bieberbach_h1", "kernel_cokernel", "smith_normal_form"),
     "report": ("Check",),
     "verify": (
         "hexic_reading_comparison", "verify_beta_star", "verify_exchange_iso", "verify_projections",

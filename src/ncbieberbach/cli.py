@@ -4,11 +4,12 @@
 The parser needs only ``families``, ``report`` and ``scalars``; each command
 imports the modules it runs when it runs: ``scan`` imports ``actions``, while
 ``verify``, ``ktheory`` and ``homology`` import ``verify`` and ``ktheory``
-(and with them ``crossed``).  Reports are deterministic for a fixed (version,
-command, seed): JSON output is sorted and carries no timestamps, so repeated
-runs are byte-identical.  Exit codes: 0 success, 1 check failure, 2 usage or
-configuration error.  Checks that detect a documented tabulation defect are
-reported with status ``anomaly``; they fail the run only under ``--strict``.
+(and with them ``crossed`` and ``lattice``).  Reports are deterministic for a
+fixed (version, command, seed): JSON output is sorted and carries no
+timestamps, so repeated runs are byte-identical.  Exit codes: 0 success, 1
+check failure, 2 usage or configuration error.  A check that detects a
+documented tabulation defect has status ``anomaly``; it fails the run only
+under ``--strict``.
 """
 from __future__ import annotations
 
@@ -86,7 +87,8 @@ def cmd_scan(args) -> int:
 
 def cmd_ktheory(args) -> int:
     from . import verify
-    from .ktheory import beta_star_matrix, pv_solve, smith_normal_form
+    from .ktheory import beta_star_matrix, pv_solve
+    from .lattice import smith_normal_form
 
     report = Report("ktheory", _config(args, "family", "epsilon"))
     data = beta_star_matrix(args.family, args.epsilon)
@@ -111,7 +113,7 @@ def cmd_ktheory(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    from .ktheory import bieberbach_h1
+    from .lattice import bieberbach_h1
 
     settings = verify.Settings(args.seed, args.samples, args.degree, args.denominator, args.theta)
     report = Report("verify", _config(
@@ -130,7 +132,8 @@ def cmd_verify(args) -> int:
 
 def cmd_homology(args) -> int:
     from . import verify
-    from .ktheory import beta_star_matrix, bieberbach_h1, pv_solve
+    from .ktheory import beta_star_matrix, pv_solve
+    from .lattice import bieberbach_h1
 
     fams = [args.family] if args.family else list(families.K_FAMILIES)
     report = Report("homology", _config(args, family=args.family or "all"),

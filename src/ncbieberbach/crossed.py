@@ -33,11 +33,11 @@ On top of the arithmetic this module provides:
   trace (``canonical_trace``: s = N, the identity coefficient of a_0) and the
   parity traces (``tau_parity_trace``) are instances;
 * seeded random elements for the samplers in ``verify``;
-* the K0 generator table of a plane crossed product: its stems (derived from
-  the holonomy by ``_derived_basis``), their projectors and the generator
-  projections, each certified nonzero, built once per product and cached on
-  it, with exact anomaly detection for the two tabulated coefficients that
-  fail their order (the cubic V^2 p generator and the hexic V p^2 generator).
+* the K0 generator table of a plane crossed product: its stems
+  (``_derived_basis``), their projectors and the generator projections, each
+  certified nonzero, built once per product and cached on it, with exact
+  anomaly detection for the two tabulated coefficients that fail their order
+  (the cubic V^2 p generator and the hexic V p^2 generator).
 """
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from typing import NamedTuple
 
 from .actions import ActionOnTorus, deformed_action, homogeneous_components
 from .families import K0_GENERATORS
+from .lattice import coset_stems
 from .scalars import DEFAULT_CYCLOTOMIC_ORDER, Cyclotomic, PhasedScalar, SparseElement, certify, cyc_root
 from .torus import Accumulator, Monomial, NcTorus, TorusElement, split_terms, standard_torus
 
@@ -494,34 +495,17 @@ def _stem_element(cp: CrossedProduct, word, k: int, phase) -> CrossedElement:
 @functools.lru_cache(maxsize=None)
 def _derived_basis(family: str) -> tuple:
     """The stems (word, k, m, phase) and classes (stem index, n) of the K0 basis
-    of the family's plane product, read from the holonomy A of its action.
-
-    For k | N, k < N, a coset c of Z^2 / (A^k - 1) Z^2 is the fixed point y / d
-    of A^k on T^2, y = adj(A^k - 1) c mod d = |det(A^k - 1)|.  Dropping the
-    points that A^j fixes for some 0 < j < k (the norm images of the cosets at
-    the proper divisors of k), the least c of each <A>-orbit in the order
-    (c[1], c[0]) is the stem V^i W^j p^k e^{-i pi beta theta / m}, (i, j) = c,
-    m = N / k, where (V^i W^j p^k)^m = e^{i pi beta theta}; its classes are
-    Q_{jk}, j = m - 2, ..., 0, which ``k0_generator_table`` builds and certifies.
-    """
+    of the family's plane product: each stem (c, k, m) of ``lattice.coset_stems``
+    is V^i W^j p^k e^{-i pi beta theta / m}, (i, j) = c, where the certified
+    (V^i W^j p^k)^m = e^{i pi beta theta}; ``k0_generator_table`` builds its classes."""
     cp = crossed_product(family)
     stems, classes = [], []
-    for k in (k for k in range(1, cp.n) if cp.n % k == 0):
-        (p, r), (q, s) = (cp.action.power_pair(k, e)[0] for e in ((1, 0), (0, 1)))
-        p, s = p - 1, s - 1  # A^k - 1 = ((p, q), (r, s))
-        d, m, seen = abs(p * s - q * r), cp.n // k, set()
-        for c in sorted(itertools.product(range(d), repeat=2), key=lambda c: c[::-1]):
-            y = ((s * c[0] - q * c[1]) % d, (p * c[1] - r * c[0]) % d)
-            orbit = [tuple(t % d for t in cp.action.power_pair(i, y)[0]) for i in range(k)]
-            if y in seen or y in orbit[1:]:
-                continue
-            seen.update(orbit)
-            power = _stem_element(cp, c, k, (0, 0)) ** m
-            beta = next((b for _, scalar in power.terms() for b, _ in scalar.terms()), 0)
-            certify(power == cp.one() * cp.algebra.theta_phase(beta), f"{family}: stem {c} has no order {m}")
-            phase = (0, Fraction(-beta, m))
-            classes += [(len(stems), j * k) for j in range(m - 2, -1, -1)]
-            stems.append((c, k, m, phase))
+    for c, k, m in coset_stems(family):
+        power = _stem_element(cp, c, k, (0, 0)) ** m
+        beta = next((b for _, scalar in power.terms() for b, _ in scalar.terms()), 0)
+        certify(power == cp.one() * cp.algebra.theta_phase(beta), f"{family}: stem {c} has no order {m}")
+        classes += [(len(stems), j * k) for j in range(m - 2, -1, -1)]
+        stems.append((c, k, m, (0, Fraction(-beta, m))))
     return tuple(stems), tuple(classes)
 
 

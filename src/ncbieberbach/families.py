@@ -1,13 +1,14 @@
-"""Built-in action families and their reference data.
+"""Built-in action families and their reference data; data only, no code.
 
 Two registries of finite-group actions on the three-torus generators are kept:
 
 * ``CLASSICAL``: the undeformed actions (coefficients are plain roots of
   unity, targets are exponent vectors), each family the tuple of its group
   generators: one for a cyclic Z_N family, two for a Z2 x Z2 family.  These
-  drive the cocycle compatibility scan and the holonomy extraction for group
-  homology; ``FAMILIES`` is their report order, and ``CYCLIC_FAMILIES`` and
-  ``PRODUCT_FAMILIES`` split it by the number of generators.
+  drive the cocycle compatibility scan and give the holonomy
+  (``lattice.holonomy_matrix``); ``FAMILIES`` is their report order, and
+  ``CYCLIC_FAMILIES`` and ``PRODUCT_FAMILIES`` split it by the number of
+  generators.
 
 * ``DEFORMED``: the order-N actions on the twisted torus with the standard
   preset (theta_23 = -theta), one generator each, since every deformed
@@ -27,8 +28,8 @@ matrix is known to make.
 ``K0_GENERATORS`` keeps the paper's K0 data of the plane crossed products:
 the names of the stems and classes, the typed-in column of the exotic class,
 and the tabulated coefficients that fail their order precondition.  The
-stems, their classes and every other beta_hat_* column are derived from the
-holonomy in ``crossed`` and ``ktheory``.
+stems and their classes are derived from the deformed plane action in
+``lattice`` and ``crossed``, every other beta_hat_* column in ``ktheory``.
 """
 from __future__ import annotations
 
@@ -190,16 +191,3 @@ K_EXPECTED = {
     "B4": ((2, (2,)), (2, ())),
     "B6": ((2, ()), (2, ())),
 }
-
-
-def holonomy_matrix(family: str) -> list[list[int]]:
-    """Integer 2x2 exponent action on the (v, w) lattice, undeformed table.
-
-    Column j is the image exponent vector of the j-th lattice generator.
-    """
-    if family not in K_FAMILIES:
-        raise ValueError(f"holonomy is tabulated for {K_FAMILIES}, not {family!r}")
-    (_, images), = CLASSICAL[family]
-    if any(target[0] for _, target in images[1:]):
-        raise ValueError("lattice images must stay in the (v, w) plane")
-    return [list(row) for row in zip(*(target[1:] for _, target in images[1:]))]

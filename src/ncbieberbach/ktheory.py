@@ -1,27 +1,18 @@
-"""Exact integer linear algebra and the K-group computation.
+"""The K-group computation: beta_hat_* on K0 and the exact-sequence solve.
 
-The solver takes the induced map of the dual automorphism on the K0 basis of
-the plane crossed product, forms ``M = id - beta_hat_*``, and reads the two
-K-groups of the quotient from the exact sequence with vanishing odd corner:
-K1 is the kernel and K0 the cokernel of M, both presented canonically via the
-Smith normal form (divisor-chain torsion coefficients).
-
-The Smith normal form is the one canonicaliser: every K-group, first homology
-group and span solve reads its diagonal.  It states each row operation once,
-on the pair (S, U), and each column operation once, on (S, V), and it
-certifies U M V = S for every shape, an r x 0 matrix included.
-
-The basis elements are derived from the holonomy (``crossed._derived_basis``)
-and named by the labels of ``families.K0_GENERATORS``.  Every column of
-beta_hat_* but the exotic [M_N] one is derived: the image beta_hat(e_j) of
-each generator element is solved for its integer coordinates in the other
-generators, exactly and with a certified Smith-normal-form solve
-(``solve_in_span``); only the exotic column is typed in.  The displayed
-reference matrices are shipped as plain-text fixtures and compared against
-the derived matrix, reporting (rather than patching) the one pinned
-basis-order discrepancy.  A final cross-check computes the first homology of
-the corresponding flat space groups by abelianizing their presentations,
-which must reproduce K0 up to one free summand.
+The solver forms ``M = id - beta_hat_*`` on the K0 basis of the plane crossed
+product and reads the K-groups of the quotient from the exact sequence with
+vanishing odd corner: K1 = ker M and K0 = coker M, off the Smith normal form
+of ``lattice``.  The basis elements are derived from the holonomy
+(``crossed._derived_basis``) and named by the labels of
+``families.K0_GENERATORS``.  Every column of beta_hat_* but the exotic [M_N]
+one is solved from them for its integer coordinates, exactly and with a
+certified Smith-normal-form solve (``solve_in_span``); only the exotic column
+is typed in.  The displayed reference matrices are shipped as plain-text
+fixtures and compared against the derived matrix, reporting (rather than
+patching) the one pinned basis-order discrepancy.  A final cross-check
+compares K0 with Z plus the first homology of the flat space group
+(``lattice.bieberbach_h1``).
 """
 from __future__ import annotations
 
@@ -33,185 +24,18 @@ from typing import NamedTuple
 
 from . import families
 from .crossed import crossed_product, k0_generator_table
+from .lattice import AbelianGroup, IntMatrix, _identity, bieberbach_h1, kernel_cokernel, mat_mul, smith_normal_form
 from .scalars import certify
 
 __all__ = [
-    "smith_normal_form",
-    "SNFResult",
-    "kernel_cokernel",
-    "AbelianGroup",
     "BetaStarData",
     "beta_star_matrix",
     "solve_in_span",
     "pv_solve",
     "load_fixture_matrix",
     "fixture_comparison",
-    "bieberbach_h1",
     "compare_with_k0",
-    "int_det",
 ]
-
-IntMatrix = list[list[int]]
-
-
-# ---------------------------------------------------------------------------
-# integer matrix helpers
-
-
-def _identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The product a b, with one row per row of a, also when b has no rows."""
-    columns = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in a]
-
-
-def transpose(a: IntMatrix) -> IntMatrix:
-    return [list(col) for col in zip(*a)]
-
-
-def int_det(matrix: IntMatrix) -> int:
-    """Fraction-free (Bareiss) determinant of a square integer matrix."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    a = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-class SNFResult(NamedTuple):
-    s: IntMatrix  # diagonal, divisor chain
-    u: IntMatrix  # unimodular row transform
-    v: IntMatrix  # unimodular column transform
-    diagonal: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
-
-
-def smith_normal_form(matrix: IntMatrix) -> SNFResult:
-    """U * matrix * V = S with U, V unimodular and S a divisor-chain diagonal.
-
-    Deterministic: the pivot is the entry of smallest nonzero absolute value
-    in the remaining block, ties broken by lexicographic position.  Every
-    shape is certified, an r x 0 matrix included.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    d = [[int(x) for x in row] for row in matrix]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def swap_rows(i, j):
-        for m in (d, u):
-            m[i], m[j] = m[j], m[i]
-
-    def swap_cols(i, j):
-        for r in (*d, *v):
-            r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        for m in (d, u):
-            m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
-
-    def add_col(dst, src, q):
-        for r in (*d, *v):
-            r[dst] += q * r[src]
-
-    for t in range(min(rows, cols)):
-        pivot = min(((abs(d[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if d[i][j]),
-                    default=None)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[1])
-        swap_cols(t, pivot[2])
-        while True:
-            if d[t][t] < 0:
-                add_row(t, t, -2)
-            i = next((i for i in range(t + 1, rows) if d[i][t] % d[t][t]), None)
-            if i is not None:
-                add_row(i, t, -(d[i][t] // d[t][t]))
-                swap_rows(i, t)
-                continue
-            for i in range(t + 1, rows):
-                if d[i][t]:
-                    add_row(i, t, -(d[i][t] // d[t][t]))
-            j = next((j for j in range(t + 1, cols) if d[t][j] % d[t][t]), None)
-            if j is not None:
-                add_col(j, t, -(d[t][j] // d[t][t]))
-                swap_cols(j, t)
-                continue
-            for j in range(t + 1, cols):
-                if d[t][j]:
-                    add_col(j, t, -(d[t][j] // d[t][t]))
-            fix = next((i for i in range(t + 1, rows) if any(x % d[t][t] for x in d[i][t + 1:])), None)
-            if fix is None:
-                break
-            add_row(t, fix, 1)
-
-    diag = tuple(d[i][i] for i in range(min(rows, cols)))
-    for a, b in zip(diag, diag[1:]):
-        certify(b == 0 or (a != 0 and b % a == 0), "divisor chain violated")
-    certify(mat_mul(mat_mul(u, [list(map(int, r)) for r in matrix]), v) == d, "U M V != S")
-    certify(abs(int_det(u)) == 1 and abs(int_det(v)) == 1, "transforms are not unimodular")
-    return SNFResult(s=d, u=u, v=v, diagonal=diag)
-
-
-# ---------------------------------------------------------------------------
-# finitely generated abelian groups
-
-
-class AbelianGroup(NamedTuple("AbelianGroup", [("free_rank", int), ("torsion", tuple)])):
-    """Canonical form: free rank plus a divisor-chain torsion tuple."""
-
-    __slots__ = ()
-
-    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
-        if free_rank < 0:
-            raise ValueError("free rank must be nonnegative")
-        for val in torsion:
-            if val < 2:
-                raise ValueError("torsion coefficients must exceed 1")
-        for a, b in zip(torsion, torsion[1:]):
-            if b % a:
-                raise ValueError("torsion must form a divisor chain")
-        return super().__new__(cls, free_rank, torsion)
-
-    def __str__(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z_{d}" for d in self.torsion)
-        return " + ".join(parts) if parts else "0"
-
-
-def kernel_cokernel(matrix: IntMatrix) -> tuple[AbelianGroup, AbelianGroup]:
-    """Kernel and cokernel of an integer matrix acting on column vectors."""
-    snf = smith_normal_form(matrix)
-    torsion = tuple(x for x in snf.diagonal if x > 1)
-    return AbelianGroup(len(snf.v) - snf.rank), AbelianGroup(len(snf.u) - snf.rank, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +140,13 @@ def pv_solve(data: BetaStarData) -> tuple[AbelianGroup, AbelianGroup]:
     return cokernel, kernel
 
 
+def compare_with_k0(family: str) -> bool:
+    """K0 of the quotient equals Z plus the first homology of the space group."""
+    k0, _ = pv_solve(beta_star_matrix(family, 1))
+    h1 = bieberbach_h1(family)
+    return k0 == AbelianGroup(h1.free_rank + 1, h1.torsion)
+
+
 # ---------------------------------------------------------------------------
 # fixtures (the displayed reference matrices)
 
@@ -363,29 +194,3 @@ def fixture_comparison(family: str, epsilon: int = 1) -> dict:
                 "k_groups_agree": kernel_cokernel(data.matrix) == kernel_cokernel(fixture),
             }
     return {"status": "mismatch"}
-
-
-# ---------------------------------------------------------------------------
-# first homology of the flat space groups
-
-
-def bieberbach_h1(family: str) -> AbelianGroup:
-    """Abelianization of <t1, t2, t3, g | [t_i, t_j], g t g^{-1} = A t on the
-    (t2, t3) lattice, g t1 g^{-1} = t1, g^N = t1>, with A the integer holonomy
-    read off the undeformed action table."""
-    a = families.holonomy_matrix(family)
-    n = families.DEFORMED[family][0]
-    relations = [
-        [0, a[0][0] - 1, a[1][0], 0],
-        [0, a[0][1], a[1][1] - 1, 0],
-        [-1, 0, 0, n],
-    ]
-    _, cokernel = kernel_cokernel(transpose(relations))
-    return cokernel
-
-
-def compare_with_k0(family: str) -> bool:
-    """K0 of the quotient equals Z plus the first homology of the space group."""
-    k0, _ = pv_solve(beta_star_matrix(family, 1))
-    h1 = bieberbach_h1(family)
-    return k0 == AbelianGroup(h1.free_rank + 1, h1.torsion)

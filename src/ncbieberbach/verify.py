@@ -51,7 +51,8 @@ from .crossed import (
     random_torus_element,
     tau_parity_trace,
 )
-from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, mat_mul, pv_solve
+from .ktheory import beta_star_matrix, compare_with_k0, fixture_comparison, pv_solve
+from .lattice import mat_mul
 from .report import Check
 from .scalars import PhasedScalar, cyc_root, field_order
 from .torus import standard_torus

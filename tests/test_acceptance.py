@@ -27,15 +27,8 @@ from ncbieberbach.crossed import (
     psi_multiplicativity_mismatch,
     tau_parity_trace,
 )
-from ncbieberbach.ktheory import (
-    AbelianGroup,
-    beta_star_matrix,
-    bieberbach_h1,
-    compare_with_k0,
-    pv_solve,
-    smith_normal_form,
-)
-from ncbieberbach.ktheory import int_det, mat_mul
+from ncbieberbach.ktheory import beta_star_matrix, compare_with_k0, pv_solve
+from ncbieberbach.lattice import AbelianGroup, bieberbach_h1, int_det, mat_mul, smith_normal_form
 from ncbieberbach.verify import check_matrix_units, verify_beta_star, verify_projections, verify_trace_laws
 from snf_oracle import invariant_factors
 
@@ -208,7 +201,7 @@ def test_criterion_6_beta_star_consistency(plane_products):
 
 
 def test_criterion_7_snf_oracle_equivalence():
-    from ncbieberbach.ktheory import kernel_cokernel
+    from ncbieberbach.lattice import kernel_cokernel
 
     rng = random.Random(70707)
     for _ in range(500):

@@ -331,12 +331,13 @@ PARSER_MODULES = {"ncbieberbach", *(f"ncbieberbach.{m}" for m in ("cli", "famili
 SCAN_MODULES = PARSER_MODULES | {"ncbieberbach.actions", "ncbieberbach.torus"}
 
 
-def _loaded_after(statement: str) -> set[str]:
+def _loaded_after(statement: str, prelude: str = "import ncbieberbach.cli as cli") -> set[str]:
     """The package modules, and ``dataclasses``, loaded in a fresh interpreter
-    that imports the CLI and runs ``statement`` with its output captured."""
+    that runs ``prelude`` (by default, imports the CLI) and then ``statement``
+    with its output captured."""
     code = (
         "import contextlib, io, sys\n"
-        "import ncbieberbach.cli as cli\n"
+        f"{prelude}\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    {statement}\n"
         "print(*(m for m in sys.modules if m.split('.')[0] in ('ncbieberbach', 'dataclasses')))\n"
     )
@@ -347,15 +348,21 @@ def _loaded_after(statement: str) -> set[str]:
 def test_each_command_loads_only_the_modules_it_runs():
     """Every invocation compiles what it imports: the parser needs neither
     the actions nor the torus, the scan neither the crossed products nor
-    ``verify`` or ``ktheory``, which the other commands load when they run;
-    no command loads ``dataclasses``."""
+    ``verify``, ``ktheory`` or ``lattice``, which the other commands load when
+    they run; no command loads ``dataclasses``."""
     scan = 'cli.main(["scan", "--family", "B2", "--denominator", "4", "--format", "json"])'
     assert _loaded_after(scan) == SCAN_MODULES
     assert _loaded_after("cli.build_parser()") == PARSER_MODULES
     for argv in (["verify", "--suite", "homology"], ["ktheory", "B2"], ["homology"]):
         loaded = _loaded_after(f"cli.main({argv + ['--format', 'json']!r})")
-        assert {"ncbieberbach.verify", "ncbieberbach.crossed", "ncbieberbach.ktheory"} <= loaded, argv
+        assert {f"ncbieberbach.{m}" for m in ("verify", "crossed", "ktheory", "lattice")} <= loaded, argv
         assert "dataclasses" not in loaded, argv
+
+
+def test_the_integer_geometry_loads_only_the_data_and_the_certificate():
+    """``lattice`` imports only ``families`` and ``scalars.certify``, so any module can use it."""
+    loaded = _loaded_after("import ncbieberbach.lattice", prelude="")
+    assert loaded == {"ncbieberbach", *(f"ncbieberbach.{m}" for m in ("families", "lattice", "scalars"))}
 
 
 def test_the_parser_names_the_verify_suites():

@@ -10,23 +10,18 @@ from pathlib import Path
 import pytest
 
 import ncbieberbach
-from ncbieberbach import families, ktheory, verify
+from ncbieberbach import families, ktheory, lattice, verify
 from ncbieberbach.crossed import CrossedProduct, _derived_basis, crossed_product, k0_generator_table
 from ncbieberbach.ktheory import (
-    AbelianGroup,
     BetaStarData,
     beta_star_matrix,
-    bieberbach_h1,
     compare_with_k0,
     fixture_comparison,
-    int_det,
-    kernel_cokernel,
     load_fixture_matrix,
-    mat_mul,
     pv_solve,
-    smith_normal_form,
     solve_in_span,
 )
+from ncbieberbach.lattice import AbelianGroup, bieberbach_h1, int_det, kernel_cokernel, mat_mul, smith_normal_form
 from ncbieberbach.verify import verify_beta_star
 from snf_oracle import bareiss_det, invariant_factors
 
@@ -94,15 +89,16 @@ def test_snf_certificate_survives_optimize_flag():
     code = (
         "import sys\n"
         "import ncbieberbach.ktheory as kt\n"
+        "import ncbieberbach.lattice as lattice\n"
         "cp = kt.crossed_product('B3')\n"
         "elements = [el for _, el in kt.k0_generator_table(cp).non_exotic()]\n"
         "try:\n"
         "    kt.solve_in_span(elements[1:], [cp.one()])\n"
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
-        "kt.int_det = lambda m: 2\n"
+        "lattice.int_det = lambda m: 2\n"
         "try:\n"
-        "    kt.smith_normal_form([[2, 0], [0, 3]])\n"
+        "    lattice.smith_normal_form([[2, 0], [0, 3]])\n"
         "except AssertionError as exc:\n"
         "    print(sys.flags.optimize, exc)\n"
     )
@@ -393,7 +389,8 @@ def test_derived_basis_reproduces_the_typed_table(family):
     assert named == TYPED_CLASSES[family]
     # the derivation reads A from the plane action, whose B3 generator is the square of the holonomy
     a = [list(row) for row in zip(*(img.target for img in crossed_product(family).action.images))]
-    h = families.holonomy_matrix(family)
+    assert a == lattice._plane_matrix(families.DEFORMED[family])
+    h = lattice.holonomy_matrix(family)
     assert a == (mat_mul(h, h) if family == "B3" else h)
 
 
@@ -413,7 +410,7 @@ def test_every_label_names_its_derived_class(family):
 @pytest.mark.parametrize("family", families.K_FAMILIES)
 def test_burnside_count_of_fixed_points_gives_the_rank(family):
     # n_k = (1/N) sum_j |det(A^gcd(j, k, N) - 1)|, from the holonomy and int_det alone
-    a = families.holonomy_matrix(family)
+    a = lattice.holonomy_matrix(family)
     n = families.DEFORMED[family][0]
 
     def fixed_points(e):
@@ -469,10 +466,10 @@ def test_derivation_certificates_survive_optimize_flag():
 
 
 def test_holonomy_matrices():
-    assert families.holonomy_matrix("B2") == [[-1, 0], [0, -1]]
-    assert families.holonomy_matrix("B3") == [[0, 1], [-1, -1]]
-    assert families.holonomy_matrix("B4") == [[0, -1], [1, 0]]
-    assert families.holonomy_matrix("B6") == [[0, -1], [1, 1]]
+    assert lattice.holonomy_matrix("B2") == [[-1, 0], [0, -1]]
+    assert lattice.holonomy_matrix("B3") == [[0, 1], [-1, -1]]
+    assert lattice.holonomy_matrix("B4") == [[0, -1], [1, 0]]
+    assert lattice.holonomy_matrix("B6") == [[0, -1], [1, 1]]
 
 
 def test_first_homology_values():
