@@ -522,7 +522,9 @@ def _build_action(specs, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
 
 
 def classical_action(family: str, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
-    """The generators of the family's undeformed action on the given algebra."""
+    """The generators of the family's undeformed action on the given algebra.
+    Public API: nothing in the package calls it; ``tests/scan_oracle.py`` and
+    ``tests/test_actions.py`` use it."""
     return _build_action(_family(families.CLASSICAL, family), algebra)
 
 
@@ -580,7 +582,9 @@ def parse_action_text(text: str, algebra: NcTorus) -> tuple[ActionOnTorus, ...]:
 
     Phase factors: ``1``, ``-1``, ``i``, ``-i``, ``w(p/q)`` for e^{2 pi i p/q},
     ``t(p/q)`` for e^{i pi (p/q) theta}.  Generator words such as ``V* W`` are
-    evaluated as ordered products in the twisted algebra.
+    evaluated as ordered products in the twisted algebra.  Public API for
+    user-typed actions: nothing in the package calls it; demo 02 and
+    ``tests/test_actions.py`` use it.
     """
     letters = {"U": 0, "V": 1, "W": 2} if algebra.d == 3 else {"V": 0, "W": 1}
     letter_names = {v: k for k, v in letters.items()}

@@ -1,5 +1,5 @@
 """Command-line surface: parses arguments, runs the engine and the checks of
-``verify`` (``verify.run_suites`` forks a worker per suite), renders the report.
+``verify`` (``verify.run_suites`` forks one worker per CPU), renders the report.
 
 The parser needs only ``families``, ``report`` and ``scalars``; each command
 imports the modules it runs when it runs: ``scan`` imports ``actions``, while

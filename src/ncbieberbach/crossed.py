@@ -222,7 +222,8 @@ class CrossedProduct:
 
     def psi_element(self, comps: list[TorusElement]) -> "CrossedElement":
         """sum_k (x_k u^{-k}) u^k for the ``psi_components`` of x; equals
-        embed(x) by the inversion identity."""
+        embed(x) by the inversion identity.  Nothing in the package calls it:
+        demo 04 and ``tests/test_crossed.py`` show that identity with it."""
         return self.dot((self.embed(comp), self.delta((k, 0, 0), 0)) for k, comp in enumerate(comps) if comp)
 
     def matrix_units(self) -> list[list["CrossedElement"]]:

@@ -594,7 +594,9 @@ class PhasedScalar(SparseElement, ctx="order", data="_terms"):
         return PhasedScalar._raw(self.order, {(-n, d): c.conj() for (n, d), c in self._terms.items()})
 
     def fold(self, theta) -> "PhasedScalar":
-        """Substitute the rational value ``theta``, collapsing all phases to b = 0."""
+        """Substitute the rational value ``theta``, collapsing all phases to b = 0.
+        Nothing in the package calls it: demo 01 and the scalar, torus and
+        crossed-product tests use it as the reference for the folded mode."""
         theta = Fraction(theta)
         acc = Cyclotomic.zero(self.order)
         for (n, d), c in self._terms.items():

@@ -601,46 +601,66 @@ SUITE_NOTES = {"crossed": (
 )}
 
 
-def _suite_rows(name: str, settings: Settings) -> bytes:
-    """The pickled rows of suite ``name``: the work of one forked worker."""
+def _worker(queue: int, out: int, names: list[str], settings: Settings) -> None:
+    """One forked worker: until ``queue`` is empty, take a suite's index off it
+    (one byte) and send on ``out`` one frame, the index, the length of the
+    pickled rows and the rows; a suite that raises sends nothing, and the
+    parent runs it again."""
     import pickle
-    return pickle.dumps(SUITES[name](settings))
+    with open(out, "wb") as pipe:
+        while index := os.read(queue, 1):
+            try:
+                rows = pickle.dumps(SUITES[names[index[0]]](settings))
+            except Exception:
+                continue
+            pipe.write(index + len(rows).to_bytes(8, "big") + rows)
+            pipe.flush()
 
 
 def run_suites(names: list[str], settings: Settings) -> list[list[Check]]:
     """The rows of each suite in ``names``, in order, exactly as run one by one.
     With 2 or more suites and CPUs (``os.sched_getaffinity``: a POSIX host, so
-    ``os.fork`` exists), each suite runs in a forked worker that pipes back its
-    pickled rows, or nothing if it raises.  Once all are reaped, a suite whose
-    worker sent nothing runs again here, in order, and raises as it would."""
+    ``os.fork`` exists), one forked worker per CPU, up to one per suite, takes
+    the suites off a shared queue of their indices, one byte each (so at most
+    256 names), and the frames of ``_worker`` are read as they come.  Once all
+    are reaped, a suite that sent no rows (it raised, or its worker died) runs
+    again here, in order, and raises as it would."""
     if len(names) < 2 or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
         return [SUITES[name](settings) for name in names]
     import pickle
+    import select
     import signal
-    workers, found = [], []  # (pid, read end of its pipe) per worker; rows (or None) per reaped one
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(names))))  # one byte per suite: a 1-byte read takes exactly one
+    os.close(feed)
+    workers: dict[int, tuple[int, bytearray]] = {}  # per unreaped worker: read end -> pid, undecoded bytes
+    found = [None] * len(names)
     try:
-        for name in names:
+        for _ in range(min(len(names), len(os.sched_getaffinity(0)))):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:  # the worker: it never returns into the caller's stack
                 try:
-                    with open(write, "wb") as pipe:
-                        pipe.write(_suite_rows(name, settings))
-                    os._exit(0)
+                    _worker(queue, write, names, settings)
                 finally:
-                    os._exit(1)
+                    os._exit(0)
             os.close(write)
-            workers.append((pid, open(read, "rb")))
-        for pid, pipe in workers:
-            with pipe:
-                rows = pipe.read()
-            found.append(pickle.loads(rows) if os.waitpid(pid, 0)[1] == 0 else None)
+            workers[read] = pid, bytearray()
+        while workers:  # read whichever pipe has bytes, so no worker blocks on a full one
+            for read in select.select(list(workers), [], [])[0]:
+                pid, frame = workers[read]
+                if not (chunk := os.read(read, 1 << 16)):  # the worker closed its pipe on its way out
+                    os.waitpid(pid, 0)
+                    del workers[read]
+                    os.close(read)
+                frame += chunk
+                while len(frame) >= 9 + (size := int.from_bytes(frame[1:9], "big")):  # a whole frame
+                    found[frame[0]] = pickle.loads(frame[9:9 + size])
+                    del frame[:9 + size]
     finally:
-        for pid, pipe in workers[len(found):]:  # the parent raised: stop the rest
-            pipe.close()
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except OSError:  # reaped already
-                pass
+        os.close(queue)
+        for read, (pid, _) in workers.items():  # the parent raised: stop the rest
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return [SUITES[name](settings) if rows is None else rows for name, rows in zip(names, found)]

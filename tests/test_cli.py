@@ -4,7 +4,9 @@ import io
 import json
 import math
 import os
+import pickle
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -524,3 +526,139 @@ def test_a_single_suite_runs_in_the_parent(capsys, monkeypatch):
     code, report = run_json(capsys, "verify", "--suite", "homology")
     assert code == 0 and calls == [os.getpid()]
     assert {r["name"] for r in report["results"]} == {f"k0-equals-z-plus-h1[{f}]" for f in families.K_FAMILIES}
+
+
+@pytest.mark.parametrize("cpus, forks", [({0, 1}, 2), (set(range(8)), 7)], ids=["two-cpus", "eight-cpus"])
+def test_run_suites_forks_one_worker_per_cpu_up_to_one_per_suite(monkeypatch, cpus, forks):
+    fork, calls = os.fork, []
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", counting)
+    settings = verify.Settings(**GOLDEN_SETTINGS)
+    assert verify.run_suites(list(verify.SUITES), settings) == [verify.SUITES[name](settings) for name in verify.SUITES]
+    assert calls == [os.getpid()] * forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _tagged(settings):
+    return [Check(f"ran-in[{os.getpid()}]", "pass")]
+
+
+@contextlib.contextmanager
+def _gated_suites():
+    """Two suites on one pipe: ``waiting`` holds its worker until ``opening``
+    runs in another one (at most 20 s), so that other worker takes every
+    suite queued between them.  Both give ``_tagged`` rows."""
+    read, write = os.pipe()
+
+    def waiting(settings):
+        opened = select.select([read], [], [], 20)[0]
+        return _tagged(settings) if opened else [Check("the gate never opened", "fail")]
+
+    def opening(settings):
+        os.write(write, b"x")
+        return _tagged(settings)
+
+    try:
+        yield waiting, opening
+    finally:
+        os.close(read)
+        os.close(write)
+
+
+def test_a_worker_whose_suite_raises_takes_the_next_suite(monkeypatch, two_cpus):
+    parent = os.getpid()
+
+    def raising(settings):
+        if os.getpid() != parent:
+            raise ValueError("raised in a worker")
+        return _tagged(settings)
+
+    with _gated_suites() as (waiting, opening):
+        for name, suite in zip(("algebra", "actions", "crossed", "traces"), (waiting, raising, _tagged, opening)):
+            monkeypatch.setitem(verify.SUITES, name, suite)
+        rows = verify.run_suites(["algebra", "actions", "crossed", "traces"], verify.Settings(**GOLDEN_SETTINGS))
+    held, rerun, after, opener = (suite_rows[0].name for suite_rows in rows)
+    assert rerun == f"ran-in[{parent}]"  # the suite that raised in its worker ran again here
+    assert after == opener != held  # ... and its worker went on to the next two
+    assert parent not in {int(name[len("ran-in["):-1]) for name in (held, after)}
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["forked", "in-process"])
+def test_of_two_suites_that_raise_the_earlier_one_surfaces(capsys, monkeypatch, cpus):
+    def raising(message):
+        def suite(settings):
+            raise ValueError(message)
+        return suite
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setitem(verify.SUITES, "morita", raising("morita raised"))
+    monkeypatch.setitem(verify.SUITES, "actions", raising("actions raised"))
+    code = main(["verify", "--suite", "all", "--samples", "3", "--degree", "1", "--seed", "11"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "nbk: error: actions raised\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_rows_larger_than_a_pipe_come_back_while_another_worker_runs(monkeypatch, two_cpus):
+    """The 200 kB rows fill the worker's pipe three times over; the parent
+    must read them while the other worker still waits for the gate, which
+    only the suite after the large one opens."""
+    counterexample = {"x": "7" * 200_000}
+
+    def large(settings):
+        return [Check(f"ran-in[{os.getpid()}]", "fail", counterexample=counterexample)]
+
+    with _gated_suites() as (waiting, opening):
+        for name, suite in zip(("algebra", "actions", "crossed"), (waiting, large, opening)):
+            monkeypatch.setitem(verify.SUITES, name, suite)
+        rows = verify.run_suites(["algebra", "actions", "crossed"], verify.Settings(**GOLDEN_SETTINGS))
+    assert len(pickle.dumps(rows[1])) > 1 << 16
+    assert rows[1][0].counterexample == counterexample and rows[1][0].name != f"ran-in[{os.getpid()}]"
+    assert rows[0][0].name.startswith("ran-in[") and rows[0][0].name != rows[1][0].name == rows[2][0].name
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", ["11", "2601"])
+def test_the_verify_report_is_the_same_on_one_cpu_and_on_two(capsys, monkeypatch, seed):
+    argv = ["verify", "--suite", "all", "--samples", "20", "--degree", "2", "--seed", seed, "--format", "json"]
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_more_workers_than_cores_take_each_queued_suite_once(monkeypatch):
+    """Eight workers on one queue of 60 suites: each suite runs once, in a
+    worker, so no index is lost to a worker or taken twice."""
+    read, write = os.pipe()
+
+    def counted(settings):
+        os.write(write, b"x")
+        return _tagged(settings)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    monkeypatch.setitem(verify.SUITES, "homology", counted)
+    try:
+        rows = verify.run_suites(["homology"] * 60, verify.Settings(**GOLDEN_SETTINGS))
+        ran = os.read(read, 1024)
+    finally:
+        os.close(read)
+        os.close(write)
+    tags = {suite_rows[0].name for suite_rows in rows}
+    assert len(rows) == 60 and ran == b"x" * 60
+    assert f"ran-in[{os.getpid()}]" not in tags and len(tags) <= 8
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
